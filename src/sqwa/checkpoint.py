@@ -2,10 +2,13 @@
 
 A checkpoint is a directory holding `manifest.json` (schema version, kind,
 topology, tensor descriptors, quantization record, free-form provenance,
-payload checksum) and `payload.bin` (tensors back to back). Full-precision
-tensors are stored as little-endian 32-bit floats; grid-resident tensors
-are stored as signed 8-bit integer levels with their scale kept at full
-precision in the manifest, so quantized values reload bit for bit.
+payload checksum) and `payload.bin` (tensors back to back). Shadow weights
+are stored as little-endian 64-bit floats, so a reloaded shadow still
+quantizes to its applied weights even when it sits next to a quantizer
+midpoint; other full-precision tensors are stored as little-endian 32-bit
+floats. Grid-resident tensors are stored as signed 8-bit integer levels
+with their scale kept at full precision in the manifest, so quantized
+values reload bit for bit.
 
 Capture banks are directories of entry checkpoints plus an ordering
 manifest.
@@ -34,8 +37,7 @@ class CheckpointError(ValueError):
     """Unreadable, tampered, or structurally wrong checkpoint."""
 
 
-def _f32_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
+_FLOAT_DTYPES = {"f32": "<f4", "f64": "<f8"}
 
 
 def _i8_bytes(arr: np.ndarray, scale: float, name: str) -> bytes:
@@ -51,8 +53,9 @@ def _decode(desc: dict, payload: bytes) -> np.ndarray:
     start = desc["offset"]
     shape = tuple(desc["shape"])
     count = int(np.prod(shape)) if shape else 1
-    if desc["encoding"] == "f32":
-        raw = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
+    if desc["encoding"] in _FLOAT_DTYPES:
+        raw = np.frombuffer(payload, dtype=_FLOAT_DTYPES[desc["encoding"]], count=count,
+                            offset=start)
         return raw.astype(np.float64).reshape(shape)
     if desc["encoding"] == "i8":
         raw = np.frombuffer(payload, dtype="<i1", count=count, offset=start)
@@ -67,8 +70,8 @@ class _PayloadBuilder:
         self.offset = 0
 
     def add(self, name: str, arr: np.ndarray, encoding: str, scale: float | None = None):
-        if encoding == "f32":
-            raw = _f32_bytes(arr)
+        if encoding in _FLOAT_DTYPES:
+            raw = np.ascontiguousarray(arr, dtype=_FLOAT_DTYPES[encoding]).tobytes()
         else:
             raw = _i8_bytes(arr, scale, name)
         desc = {"name": name, "shape": list(arr.shape), "offset": self.offset,
@@ -120,7 +123,7 @@ def save(obj, path, provenance: dict | None = None) -> Path:
         manifest = _base_manifest("shadow", obj.shadow, provenance)
         manifest["quantization"] = {"bits": obj.bits, "steps": list(obj.steps)}
         for j, i in enumerate(obj.shadow.param_layers()):
-            builder.add(f"layer{i}.shadow_weight", obj.shadow.weights[i], "f32")
+            builder.add(f"layer{i}.shadow_weight", obj.shadow.weights[i], "f64")
             builder.add(f"layer{i}.applied_weight", obj.applied.weights[i], "i8",
                         obj.steps[j])
             if obj.shadow.biases[i] is not None:

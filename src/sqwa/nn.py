@@ -210,26 +210,29 @@ def init_weights(specs: list[LayerSpec], input_shape: tuple[int, ...], seed: int
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    # (N, C, H, W) -> (N, C*k*k, oh*ow), rows ordered (channel, di, dj) to
-    # match weight.reshape(out_c, -1)
+    # (N, C, H, W) -> (C*k*k, N*oh*ow): rows ordered (channel, di, dj) to match
+    # weight.reshape(out_c, -1), columns ordered (n, i, j), so a conv layer is
+    # one 2-D matmul
     n, c, h, w = x.shape
     oh, ow = h - k + 1, w - k + 1
-    cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
+    xc = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, k, k, n, oh, ow), dtype=x.dtype)
     for di in range(k):
         for dj in range(k):
-            cols[:, :, di, dj] = x[:, :, di:di + oh, dj:dj + ow]
-    return cols.reshape(n, c * k * k, oh * ow)
+            cols[:, di, dj] = xc[:, :, di:di + oh, dj:dj + ow]
+    return cols.reshape(c * k * k, n * oh * ow)
 
 
 def _col2im(dcols: np.ndarray, x_shape: tuple, k: int) -> np.ndarray:
+    # adjoint of _im2col: (C*k*k, N*oh*ow) summed back into (N, C, H, W)
     n, c, h, w = x_shape
     oh, ow = h - k + 1, w - k + 1
-    d = dcols.reshape(n, c, k, k, oh, ow)
-    dx = np.zeros(x_shape, dtype=dcols.dtype)
+    d = dcols.reshape(c, k, k, n, oh, ow)
+    dx = np.zeros((c, n, h, w), dtype=dcols.dtype)
     for di in range(k):
         for dj in range(k):
-            dx[:, :, di:di + oh, dj:dj + ow] += d[:, :, di, dj]
-    return dx
+            dx[:, :, di:di + oh, dj:dj + ow] += d[:, di, dj]
+    return dx.transpose(1, 0, 2, 3)
 
 
 def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -266,11 +269,10 @@ def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
                 raise ValueError(f"layer {i} (conv2d): input channels {x.shape[1]} "
                                  f"do not match in_channels {in_c}")
             n, _, h, ww = x.shape
-            cols = _im2col(x, k)
-            y = np.einsum("of,nfl->nol", w.reshape(out_c, -1), cols)
+            y = w.reshape(out_c, -1) @ _im2col(x, k)
             if b is not None:
                 y = y + b[:, None]
-            x = y.reshape(n, out_c, h - k + 1, ww - k + 1)
+            x = y.reshape(out_c, n, h - k + 1, ww - k + 1).transpose(1, 0, 2, 3)
         elif spec.kind == "relu":
             x = np.maximum(x, 0.0)
         elif spec.kind == "flatten":
@@ -280,17 +282,11 @@ def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return x, cache
 
 
-def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    # Stable log-softmax; returns (mean loss, dloss/dlogits already / N).
-    n = logits.shape[0]
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    # Stable log-softmax; returns (mean loss, log-probabilities).
     z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    log_probs = z - log_norm
-    loss = float(-log_probs[np.arange(n), labels].mean())
-    dlogits = np.exp(log_probs)
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    return loss, dlogits
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(logits.shape[0]), labels].mean()), log_probs
 
 
 def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
@@ -307,8 +303,7 @@ def loss_only(net: Network, batch: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy of the batch, no gradients."""
     logits, _ = forward(net, batch)
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    loss, _ = _softmax_cross_entropy(logits, labels)
-    return loss
+    return _cross_entropy(logits, labels)[0]
 
 
 def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
@@ -318,9 +313,14 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
     `cache` must come from a forward() call on the same network and batch.
     """
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    loss, dx = _softmax_cross_entropy(logits, labels)
+    n = logits.shape[0]
+    loss, log_probs = _cross_entropy(logits, labels)
+    dx = np.exp(log_probs)
+    dx[np.arange(n), labels] -= 1.0
+    dx /= n
     gw: list[np.ndarray | None] = [None] * len(net.specs)
     gb: list[np.ndarray | None] = [None] * len(net.specs)
+    # layer 0's input is the batch itself, so no gradient is formed for it
     for i in range(len(net.specs) - 1, -1, -1):
         spec, x = net.specs[i], cache[i]
         if spec.kind == "dense":
@@ -328,21 +328,20 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
             gw[i] = dx.T @ x
             if net.biases[i] is not None:
                 gb[i] = dx.sum(axis=0)
-            dx = dx @ w
+            if i:
+                dx = dx @ w
         elif spec.kind == "conv2d":
             w = net.weights[i]
-            out_c, in_c, k, _ = w.shape
-            n = x.shape[0]
-            cols = _im2col(x, k)
-            dy = dx.reshape(n, out_c, -1)
-            gw[i] = np.einsum("nol,nfl->of", dy, cols).reshape(w.shape)
+            out_c, _, k, _ = w.shape
+            dy = dx.transpose(1, 0, 2, 3).reshape(out_c, -1)
+            gw[i] = (dy @ _im2col(x, k).T).reshape(w.shape)
             if net.biases[i] is not None:
-                gb[i] = dy.sum(axis=(0, 2))
-            dcols = np.einsum("of,nol->nfl", w.reshape(out_c, -1), dy)
-            dx = _col2im(dcols, x.shape, k)
-        elif spec.kind == "relu":
+                gb[i] = dy.sum(axis=1)
+            if i:
+                dx = _col2im(w.reshape(out_c, -1).T @ dy, x.shape, k)
+        elif spec.kind == "relu" and i:
             dx = dx * (x > 0.0)
-        elif spec.kind == "flatten":
+        elif spec.kind == "flatten" and i:
             dx = dx.reshape(x.shape)
     return loss, Gradients(gw, gb)
 
@@ -380,18 +379,17 @@ def evaluate(net: Network, dataset, batch_size: int = 256) -> tuple[float, float
 
     Batches are visited in fixed order, so the result is deterministic.
     """
-    images, labels = dataset.images, np.asarray(dataset.labels)
+    images = dataset.images
     n = images.shape[0]
     if n == 0:
         raise ValueError("evaluate: dataset is empty")
+    labels = _check_labels(dataset.labels, n, net.num_classes)
     loss_sum = 0.0
     correct = 0
     for start in range(0, n, batch_size):
         xb = images[start:start + batch_size]
         yb = labels[start:start + batch_size]
-        logits, _ = forward(net, xb)
-        yb = _check_labels(yb, logits.shape[0], logits.shape[1])
-        batch_loss, _ = _softmax_cross_entropy(logits, yb)
-        loss_sum += batch_loss * xb.shape[0]
+        logits = forward(net, xb)[0]  # drop the cache before the next batch
+        loss_sum += _cross_entropy(logits, yb)[0] * xb.shape[0]
         correct += int((logits.argmax(axis=1) == yb).sum())
     return loss_sum / n, correct / n

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,8 +9,10 @@ from sqwa.averaging import AveragedModel, CaptureBank, CaptureEntry
 from sqwa.checkpoint import CheckpointError
 from sqwa.nn import dense, evaluate, init_weights, relu
 from sqwa.data import synthetic_blobs
+from sqwa.pipeline import default_config, run_stages
 from sqwa.qat import ShadowModel
-from sqwa.quantizer import QuantizedModel, direct_quantize_model
+from sqwa.quantizer import (QuantizedModel, QuantizerConfig, direct_quantize_model,
+                            quantize_tensor)
 
 
 def _f32(arr):
@@ -74,16 +77,87 @@ def test_quantized_round_trip_evaluates_identically(tmp_path):
 
 
 def test_shadow_round_trip(tmp_path):
+    # shadow weights are stored as float64, so they reload exactly
     model = ShadowModel.from_network(_net(113), 2)
     ckpt.save(model, tmp_path / "s")
     back = ckpt.load(tmp_path / "s")
     assert isinstance(back, ShadowModel)
     assert back.bits == model.bits and back.steps == model.steps
     for i in model.shadow.param_layers():
+        np.testing.assert_array_equal(back.shadow.weights[i], model.shadow.weights[i])
+        np.testing.assert_array_equal(back.applied.weights[i],
+                                      model.applied.weights[i])
+
+
+def _quantizes_to_applied(model: ShadowModel) -> bool:
+    return all(np.array_equal(quantize_tensor(model.shadow.weights[i],
+                                              QuantizerConfig(model.bits, step)),
+                              model.applied.weights[i])
+               for i, step in zip(model.shadow.param_layers(), model.steps))
+
+
+def test_shadow_next_to_midpoint_reloads_on_its_level(tmp_path):
+    # A shadow weight just past -step/2 quantizes to -step; its nearest
+    # float32, -0.41025519371032715, lies inside the midpoint and would
+    # quantize to 0.
+    midpoint = 0.4102552003247113
+    step = 2.0 * midpoint
+    w = np.nextafter(-midpoint, -1.0)
+    assert float(np.float32(w)) == -0.41025519371032715
+    assert quantize_tensor(np.float32(w), QuantizerConfig(2, step)) == 0.0
+    net = _net(117)
+    net.weights[0][0, 0] = w
+    model = ShadowModel.from_network(net, 2, [step, step])
+    assert model.applied.weights[0][0, 0] == -step
+    ckpt.save(model, tmp_path / "s")
+    back = ckpt.load(tmp_path / "s")
+    assert back.shadow.weights[0][0, 0] == w
+    assert _quantizes_to_applied(back)
+
+
+def _rewrite_shadows_as_f32(path):
+    # The layout checkpoints had before shadow weights moved to float64.
+    manifest = json.loads((path / "manifest.json").read_text())
+    payload = (path / "payload.bin").read_bytes()
+    chunks, offset = [], 0
+    for desc in manifest["tensors"]:
+        start = desc["offset"]
+        size = {"f32": 4, "f64": 8, "i8": 1}[desc["encoding"]] * int(np.prod(desc["shape"]))
+        raw = payload[start:start + size]
+        if desc["encoding"] == "f64":
+            raw = np.frombuffer(raw, dtype="<f8").astype("<f4").tobytes()
+            desc["encoding"] = "f32"
+        desc["offset"] = offset
+        chunks.append(raw)
+        offset += len(raw)
+    payload = b"".join(chunks)
+    manifest["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    manifest["payload_bytes"] = len(payload)
+    (path / "payload.bin").write_bytes(payload)
+    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def test_f32_shadow_checkpoint_still_loads(tmp_path):
+    model = ShadowModel.from_network(_net(118), 2)
+    ckpt.save(model, tmp_path / "s")
+    _rewrite_shadows_as_f32(tmp_path / "s")
+    back = ckpt.load(tmp_path / "s")
+    for i in model.shadow.param_layers():
         np.testing.assert_array_equal(back.shadow.weights[i],
                                       _f32(model.shadow.weights[i]))
         np.testing.assert_array_equal(back.applied.weights[i],
                                       model.applied.weights[i])
+
+
+def test_reloaded_captures_keep_shadow_invariant_seed_33(tmp_path):
+    # On seed 33 a capture holds a shadow weight within one float32 rounding
+    # of a quantizer midpoint; a float32 shadow reloads on the other level.
+    cfg = default_config(str(tmp_path / "run"), 33)
+    paths = run_stages(cfg, "retrain-cyclical")["paths"]
+    bank = ckpt.load(paths["capture_bank"])
+    for entry in bank.entries:
+        reloaded = ShadowModel(entry.shadow, entry.model.net, bank.bits, list(bank.steps))
+        assert _quantizes_to_applied(reloaded), f"capture at epoch {entry.epoch}"
 
 
 def test_averaged_round_trip(tmp_path):

@@ -119,6 +119,112 @@ def test_gradients_match_finite_differences_conv():
     _assert_grads_close(net, grads, fd_w, fd_b)
 
 
+def _ref_conv(x, w, b):
+    # direct definition: out[n, o, i, j] = sum_{c, di, dj} x[n, c, i+di, j+dj] w[o, c, di, dj] + b[o]
+    n, _, h, ww = x.shape
+    out_c, _, k, _ = w.shape
+    out = np.zeros((n, out_c, h - k + 1, ww - k + 1))
+    for idx in np.ndindex(out.shape):
+        s, o, i, j = idx
+        out[idx] = np.sum(x[s, :, i:i + k, j:j + k] * w[o]) + b[o]
+    return out
+
+
+def _ref_conv_backward(x, w, dy):
+    # (dx, gw, gb) for the direct definition above, one output element at a time
+    k = w.shape[2]
+    dx, gw = np.zeros_like(x), np.zeros_like(w)
+    for idx in np.ndindex(dy.shape):
+        s, o, i, j = idx
+        gw[o] += dy[idx] * x[s, :, i:i + k, j:j + k]
+        dx[s, :, i:i + k, j:j + k] += dy[idx] * w[o]
+    return dx, gw, dy.sum(axis=(0, 2, 3))
+
+
+def _assert_rel_close(actual, expected, rtol=1e-12):
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("in_c,h,w,k0,k1", [
+    (3, 7, 5, 3, 2),   # several input channels, H != W
+    (2, 6, 4, 1, 3),   # 1x1 kernel at the first conv
+    (1, 5, 5, 2, 4),   # second kernel spans its whole input: 1x1 output
+    (2, 3, 3, 3, 1),   # first kernel spans its whole input, then a 1x1 kernel
+])
+def test_conv_matches_direct_reference(in_c, h, w, k0, k1):
+    rng = np.random.default_rng(24)
+    mid_c, out_c, classes, n = 3, 2, 4, 3
+    oh, ow = h - k0 - k1 + 2, w - k0 - k1 + 2
+    specs = [conv2d(in_c, mid_c, k0), relu(), conv2d(mid_c, out_c, k1), flatten(),
+             dense(out_c * oh * ow, classes)]
+    net = init_weights(specs, (in_c, h, w), seed=24)
+    for i in net.param_layers():
+        net.biases[i] = rng.normal(size=net.biases[i].shape)
+    x = rng.normal(size=(n, in_c, h, w))
+    y = rng.integers(0, classes, size=n)
+    (w0, b0), (w1, b1), (wd, bd) = [(net.weights[i], net.biases[i]) for i in (0, 2, 4)]
+
+    single = Network((in_c, h, w), [conv2d(in_c, mid_c, k0), flatten()], [w0, None], [b0, None])
+    _assert_rel_close(forward(single, x)[0], _ref_conv(x, w0, b0).reshape(n, -1))
+
+    a0 = _ref_conv(x, w0, b0)
+    r0 = np.maximum(a0, 0.0)
+    a1 = _ref_conv(r0, w1, b1)
+    logits = a1.reshape(n, -1) @ wd.T + bd
+    got_logits, cache = forward(net, x)
+    _assert_rel_close(got_logits, logits)
+
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    dlogits = (probs - np.eye(classes)[y]) / n
+    da1 = (dlogits @ wd).reshape(a1.shape)
+    dr0, gw1, gb1 = _ref_conv_backward(r0, w1, da1)
+    _, gw0, gb0 = _ref_conv_backward(x, w0, dr0 * (a0 > 0.0))
+    _, grads = loss_and_backward(net, cache, got_logits, y)
+    _assert_rel_close(grads.weights[2], gw1)
+    _assert_rel_close(grads.biases[2], gb1)
+    # layer 0's gradients are formed from the second conv's input gradient
+    _assert_rel_close(grads.weights[0], gw0)
+    _assert_rel_close(grads.biases[0], gb0)
+
+
+def test_gradients_match_finite_differences_conv_stack():
+    rng = np.random.default_rng(25)
+    specs = [conv2d(2, 3, 3), relu(), conv2d(3, 2, 2), relu(), flatten(), dense(2 * 3 * 2, 3)]
+    net = init_weights(specs, (2, 6, 5), seed=25)
+    for i in net.param_layers():
+        net.biases[i] = rng.normal(scale=0.1, size=net.biases[i].shape)
+    x = rng.normal(size=(4, 2, 6, 5))
+    y = rng.integers(0, 3, size=4)
+    logits, cache = forward(net, x)
+    _, grads = loss_and_backward(net, cache, logits, y)
+    fd_w, fd_b = _fd_gradients(net, x, y)
+    _assert_grads_close(net, grads, fd_w, fd_b)
+
+
+@pytest.mark.parametrize("specs,shape", [
+    ([dense(5, 4), relu(), dense(4, 3)], (5,)),
+    ([conv2d(2, 3, 3), relu(), flatten(), dense(3 * 3 * 2, 3)], (2, 5, 4)),
+])
+def test_first_layer_gradients_unchanged_without_input_gradient(specs, shape):
+    # A leading relu on a non-negative batch is the identity, and makes the
+    # same layer second, where its input gradient is formed.
+    rng = np.random.default_rng(26)
+    x = np.abs(rng.normal(size=(6, *shape)))
+    y = rng.integers(0, 3, size=6)
+    net = init_weights(specs, shape, seed=26)
+    shifted = Network(net.input_shape, [relu()] + net.specs, [None] + net.weights,
+                      [None] + net.biases)
+    logits, cache = forward(net, x)
+    _, grads = loss_and_backward(net, cache, logits, y)
+    logits, cache = forward(shifted, x)
+    _, shifted_grads = loss_and_backward(shifted, cache, logits, y)
+    for i in net.param_layers():
+        np.testing.assert_array_equal(grads.weights[i], shifted_grads.weights[i + 1])
+        np.testing.assert_array_equal(grads.biases[i], shifted_grads.biases[i + 1])
+
+
 def test_loss_and_backward_reports_forward_loss():
     rng = np.random.default_rng(23)
     net = init_weights([dense(4, 3)], (4,), seed=23)
@@ -186,6 +292,26 @@ def test_evaluate_is_order_deterministic():
     b = evaluate(net, data, batch_size=16)
     assert a[0] == pytest.approx(b[0], rel=1e-12)
     assert a[1] == b[1]
+
+
+def test_evaluate_is_batch_weighted_mean_of_loss_only():
+    rng = np.random.default_rng(33)
+    net = init_weights([dense(3, 4), relu(), dense(4, 3)], (3,), seed=33)
+    data = Dataset(images=rng.normal(size=(37, 3)),
+                   labels=rng.integers(0, 3, size=37), num_classes=3)
+    loss_sum, correct = 0.0, 0
+    for start in range(0, 37, 16):
+        xb, yb = data.images[start:start + 16], data.labels[start:start + 16]
+        loss_sum += loss_only(net, xb, yb) * xb.shape[0]
+        correct += int((forward(net, xb)[0].argmax(axis=1) == yb).sum())
+    assert evaluate(net, data, batch_size=16) == (loss_sum / 37, correct / 37)
+
+
+def test_evaluate_rejects_out_of_range_labels():
+    net = init_weights([dense(3, 2)], (3,), seed=34)
+    data = Dataset(images=np.zeros((5, 3)), labels=np.array([0, 1, 2, 0, 1]), num_classes=3)
+    with pytest.raises(ValueError, match="labels must lie in"):
+        evaluate(net, data, batch_size=2)
 
 
 def test_network_copy_is_deep():
