@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn import Network
-from .quantizer import QuantizedModel, select_step_size, quantize_network
+from .quantizer import QuantizedModel, direct_quantize_model
 
 __all__ = [
     "CaptureEntry",
@@ -39,9 +39,7 @@ class CaptureEntry:
     metrics: dict
 
     def __post_init__(self):
-        sw = [self.shadow.weights[i] for i in self.shadow.param_layers()]
-        qw = [self.model.net.weights[i] for i in self.model.net.param_layers()]
-        if [w.shape for w in sw] != [w.shape for w in qw]:
+        if self.shadow.layout != self.model.net.layout:
             raise ValueError("shadow and quantized weights disagree in shape")
 
 
@@ -57,10 +55,7 @@ class CaptureBank:
         if entry.model.bits != self.bits or list(entry.model.steps) != list(self.steps):
             raise ValueError("capture does not share the bank's quantizer configuration")
         if self.entries:
-            first = self.entries[0].model.net
-            new = entry.model.net
-            if [w.shape for w in first.weights if w is not None] != \
-                    [w.shape for w in new.weights if w is not None]:
+            if self.entries[0].model.net.layout != entry.model.net.layout:
                 raise ValueError("capture shapes do not match the bank")
             if entry.epoch <= self.entries[-1].epoch:
                 raise ValueError(f"capture epoch {entry.epoch} not after "
@@ -95,21 +90,15 @@ def effective_bits(n: int) -> int:
 
 def _average(entries: list[CaptureEntry], bits: int, steps: list[float]) -> AveragedModel:
     n = len(entries)
-    template = entries[0].model.net
-    out = template.copy()
-    param_idx = template.param_layers()
-    for j, i in enumerate(param_idx):
-        step = steps[j]
-        level_sum = np.zeros(template.weights[i].shape, dtype=np.int64)
-        for e in entries:
-            levels = np.rint(e.model.net.weights[i] / step)
-            if not np.array_equal(levels * step, e.model.net.weights[i]):
-                raise ValueError(f"layer {i}: captured weights are not on the shared grid")
-            level_sum += levels.astype(np.int64)
-        out.weights[i] = level_sum * (step / n)
-    for i, b in enumerate(template.biases):
-        if b is not None:
-            out.biases[i] = np.mean([e.model.net.biases[i] for e in entries], axis=0)
+    out = entries[0].model.net.copy()
+    for step, i in zip(steps, out.param_layers()):
+        weights = np.array([e.model.net.weights[i] for e in entries])
+        levels = np.rint(weights / step)
+        if not np.array_equal(levels * step, weights):
+            raise ValueError(f"layer {i}: captured weights are not on the shared grid")
+        out.weights[i][...] = levels.astype(np.int64).sum(axis=0) * (step / n)
+    nw = out.weight_size
+    out.flat[nw:] = np.mean([e.model.net.flat[nw:] for e in entries], axis=0)
     return AveragedModel(out, n, list(steps), effective_bits(n))
 
 
@@ -132,7 +121,4 @@ def requantize_averaged(avg: AveragedModel, target_bits: int) -> tuple[Quantized
     """Map an averaged model back onto a coarse grid with fresh per-layer
     MSE-minimizing step sizes. The result is the starting point for
     fine-tuning."""
-    idx = avg.net.param_layers()
-    steps = [select_step_size(avg.net.weights[i], target_bits) for i in idx]
-    qnet = quantize_network(avg.net, target_bits, steps)
-    return QuantizedModel(qnet, target_bits, steps), steps
+    return direct_quantize_model(avg.net, target_bits)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import AveragedModel, CaptureBank, CaptureEntry
-from .nn import LayerSpec, Network, output_shapes
+from .nn import LayerSpec, Network, zero_network
 from .qat import ShadowModel
 from .quantizer import QuantizedModel
 
@@ -177,34 +177,22 @@ def _read_payload(path: Path, manifest: dict) -> bytes:
 
 def _rebuild_network(manifest: dict, payload: bytes, weight_name="weight") -> Network:
     specs = [LayerSpec.from_dict(d) for d in manifest["layers"]]
-    input_shape = tuple(manifest["input_shape"])
-    tensors = {d["name"]: _decode(d, payload) for d in manifest["tensors"]}
-    weights: list[np.ndarray | None] = []
-    biases: list[np.ndarray | None] = []
-    output_shapes(specs, input_shape)
-    for i, spec in enumerate(specs):
-        if spec.has_params:
-            w = tensors.get(f"layer{i}.{weight_name}")
-            if w is None:
-                raise CheckpointError(f"layer{i}.{weight_name}: tensor missing from payload")
-            expected = ((spec.fan_out, spec.fan_in) if spec.kind == "dense" else
-                        (spec.out_channels, spec.in_channels, spec.kernel_size,
-                         spec.kernel_size))
-            if w.shape != expected:
-                raise CheckpointError(f"layer{i}.{weight_name}: shape mismatch, "
-                                      f"payload {w.shape} vs topology {expected}")
-            weights.append(w)
-            if spec.has_bias:
-                b = tensors.get(f"layer{i}.bias")
-                if b is None:
-                    raise CheckpointError(f"layer{i}.bias: tensor missing from payload")
-                biases.append(b)
-            else:
-                biases.append(None)
-        else:
-            weights.append(None)
-            biases.append(None)
-    return Network(input_shape, specs, weights, biases)
+    # a network of the topology's shapes; the payload overwrites every tensor
+    net = zero_network(specs, tuple(manifest["input_shape"]))
+    descriptors = {d["name"]: d for d in manifest["tensors"]}
+    for i in net.param_layers():
+        for name, view in ((f"layer{i}.{weight_name}", net.weights[i]),
+                           (f"layer{i}.bias", net.biases[i])):
+            if view is None:
+                continue
+            if name not in descriptors:
+                raise CheckpointError(f"{name}: tensor missing from payload")
+            t = _decode(descriptors[name], payload)
+            if t.shape != view.shape:
+                raise CheckpointError(f"{name}: shape mismatch, payload {t.shape} vs "
+                                      f"topology {view.shape}")
+            view[...] = t
+    return net
 
 
 def load(path):

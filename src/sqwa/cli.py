@@ -25,15 +25,6 @@ from .qat import ShadowModel
 
 log = logging.getLogger("sqwa")
 
-_STAGE_COMMANDS = {
-    "pretrain": "pretrain",
-    "quantize": "quantize",
-    "retrain-cyclical": "retrain-cyclical",
-    "average": "average",
-    "finetune": "finetune",
-    "sqwa": "report",
-}
-
 
 def _apply_overrides(d: dict, overrides: list[str]) -> dict:
     for item in overrides:
@@ -77,7 +68,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _cmd_stage(args) -> int:
     cfg = _load_config(args)
-    run_stages(cfg, _STAGE_COMMANDS[args.command])
+    # each stage command is named after its last stage, except `sqwa`
+    run_stages(cfg, "report" if args.command == "sqwa" else args.command)
     return 0
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .nn import _check_labels
+
 __all__ = [
     "Dataset",
     "IdxFormatError",
@@ -26,7 +28,8 @@ class IdxFormatError(ValueError):
 @dataclass
 class Dataset:
     """Images (N x features, or N x C x H x W), integer labels, and the
-    normalization that produced the images from raw values."""
+    normalization that produced the images from raw values. Labels are
+    checked once, at construction, and stored as int64."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -35,8 +38,7 @@ class Dataset:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.images.shape[0] != self.labels.shape[0]:
-            raise ValueError(f"{self.images.shape[0]} images vs {self.labels.shape[0]} labels")
+        self.labels = _check_labels(self.labels, self.images.shape[0], self.num_classes)
 
     def __len__(self) -> int:
         return self.images.shape[0]

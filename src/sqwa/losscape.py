@@ -42,30 +42,16 @@ _DEGENERATE_RTOL = 1e-10
 
 
 def params_to_vector(net: Network) -> np.ndarray:
-    """Flatten all weights and biases into one vector (layer order,
-    weight before bias)."""
-    parts = []
-    for i in net.param_layers():
-        parts.append(net.weights[i].ravel())
-        if net.biases[i] is not None:
-            parts.append(net.biases[i].ravel())
-    return np.concatenate(parts)
+    """Copy of the parameter buffer: all weights in layer order, then all biases."""
+    return net.flat.copy()
 
 
 def vector_to_network(template: Network, vec: np.ndarray) -> Network:
     """Inverse of params_to_vector, using `template` for shapes."""
+    if vec.shape != template.flat.shape:
+        raise ValueError(f"vector has {vec.size} values, template needs {template.flat.size}")
     out = template.copy()
-    pos = 0
-    for i in out.param_layers():
-        w = out.weights[i]
-        out.weights[i] = vec[pos:pos + w.size].reshape(w.shape).copy()
-        pos += w.size
-        b = out.biases[i]
-        if b is not None:
-            out.biases[i] = vec[pos:pos + b.size].copy()
-            pos += b.size
-    if pos != vec.size:
-        raise ValueError(f"vector has {vec.size} values, template needs {pos}")
+    out.flat[:] = vec
     return out
 
 
@@ -124,7 +110,7 @@ def quantized_grid_point(plane: LossPlane, x: float, y: float, template: Network
     """
     net = vector_to_network(template, grid_point(plane, x, y))
     for i, step in zip(net.param_layers(), steps):
-        net.weights[i] = quantize_tensor(net.weights[i], QuantizerConfig(bits, step))
+        net.weights[i][...] = quantize_tensor(net.weights[i], QuantizerConfig(bits, step))
     return params_to_vector(net)
 
 

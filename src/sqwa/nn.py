@@ -9,6 +9,7 @@ spawns threads; networks and datasets are safe to share read-only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "relu",
     "flatten",
     "output_shapes",
+    "zero_network",
     "init_weights",
     "forward",
     "loss_only",
@@ -117,12 +119,27 @@ def output_shapes(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[
     return out
 
 
+class ParamViews(list):
+    """Per-layer views into a flat parameter buffer, None where a layer has
+    no tensor. Assigning an entry copies the value into its view, so entries
+    never detach from the buffer."""
+
+    def __setitem__(self, i, value):
+        view = self[i] if isinstance(i, (int, np.integer)) else None
+        if view is None or np.shape(value) != view.shape:
+            raise ValueError(f"entry {i!r}: only a value of its own shape can replace it")
+        view[...] = value
+
+
 @dataclass
 class Network:
     """A layer stack plus its parameters, aligned by layer index.
 
     `weights[i]` / `biases[i]` are None for parameter-free layers. Dense
     weights are (fan_out, fan_in); conv weights are (out_c, in_c, k, k).
+    Construction copies the tensors into the network's own buffer `flat`,
+    biases from `weight_size` on; `layout` holds each tensor's (start, stop,
+    shape) in it, in buffer order.
     """
 
     input_shape: tuple[int, ...]
@@ -130,13 +147,24 @@ class Network:
     weights: list[np.ndarray | None]
     biases: list[np.ndarray | None]
 
+    def __post_init__(self):
+        if not len(self.weights) == len(self.biases) == len(self.specs):
+            raise ValueError("need one weight and one bias entry per layer")
+        tensors = [*self.weights, *self.biases]
+        sizes = [0 if t is None else np.size(t) for t in tensors]
+        self.layout = [None if t is None else (end - size, end, np.shape(t))
+                       for t, size, end in zip(tensors, sizes, itertools.accumulate(sizes))]
+        self.flat = np.concatenate([np.zeros(0), *(np.ravel(t) for t in tensors if t is not None)])
+        self.weights, self.biases = self.views_of(self.flat)
+        self.weight_size = sum(sizes[:len(self.specs)])
+
+    def views_of(self, flat: np.ndarray) -> tuple[ParamViews, ParamViews]:
+        """Per-layer weight and bias views of a buffer laid out like `flat`."""
+        views = [None if sp is None else flat[sp[0]:sp[1]].reshape(sp[2]) for sp in self.layout]
+        return ParamViews(views[:len(self.specs)]), ParamViews(views[len(self.specs):])
+
     def copy(self) -> "Network":
-        return Network(
-            tuple(self.input_shape),
-            list(self.specs),
-            [None if w is None else w.copy() for w in self.weights],
-            [None if b is None else b.copy() for b in self.biases],
-        )
+        return Network(tuple(self.input_shape), list(self.specs), self.weights, self.biases)
 
     def param_layers(self) -> list[int]:
         """Indices of layers that carry a weight tensor."""
@@ -149,10 +177,16 @@ class Network:
 
 @dataclass
 class Gradients:
-    """Per-layer gradient tensors, congruent with Network.weights/biases."""
+    """Per-layer gradient views into `flat`, laid out like the network's."""
 
+    flat: np.ndarray
     weights: list[np.ndarray | None]
     biases: list[np.ndarray | None]
+
+    @staticmethod
+    def like(net: Network) -> "Gradients":  # uninitialized
+        flat = np.empty_like(net.flat)
+        return Gradients(flat, *net.views_of(flat))
 
 
 @dataclass
@@ -160,11 +194,12 @@ class OptimizerState:
     """Classical momentum buffers plus the scalar hyperparameters.
 
     `l2_scale` is applied to weight tensors only; biases are updated with
-    plain momentum.
+    plain momentum. The buffers are views into `flat`.
     """
 
     momentum: float
     l2_scale: float
+    flat: np.ndarray
     buffers_w: list[np.ndarray | None]
     buffers_b: list[np.ndarray | None]
 
@@ -174,12 +209,22 @@ class OptimizerState:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         if l2_scale < 0.0:
             raise ValueError(f"l2_scale must be >= 0, got {l2_scale}")
-        return OptimizerState(
-            momentum,
-            l2_scale,
-            [None if w is None else np.zeros_like(w) for w in net.weights],
-            [None if b is None else np.zeros_like(b) for b in net.biases],
-        )
+        flat = np.zeros_like(net.flat)
+        return OptimizerState(momentum, l2_scale, flat, *net.views_of(flat))
+
+
+def zero_network(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> Network:
+    """A Network of the topology's shapes with every parameter zero."""
+    output_shapes(specs, input_shape)  # reject non-composable stacks up front
+    weights: list[np.ndarray | None] = []
+    biases: list[np.ndarray | None] = []
+    for spec in specs:
+        shape = ((spec.fan_out, spec.fan_in) if spec.kind == "dense" else
+                 (spec.out_channels, spec.in_channels, spec.kernel_size, spec.kernel_size)
+                 if spec.kind == "conv2d" else None)
+        weights.append(None if shape is None else np.zeros(shape))
+        biases.append(np.zeros(shape[0]) if shape and spec.has_bias else None)
+    return Network(tuple(int(s) for s in input_shape), list(specs), weights, biases)
 
 
 def init_weights(specs: list[LayerSpec], input_shape: tuple[int, ...], seed: int) -> Network:
@@ -188,25 +233,13 @@ def init_weights(specs: list[LayerSpec], input_shape: tuple[int, ...], seed: int
     Conv layers use fan_in = in_channels * kernel_size^2. Biases start at
     zero. The same seed reproduces the same network bit for bit.
     """
-    output_shapes(specs, input_shape)  # reject non-composable stacks up front
+    net = zero_network(specs, input_shape)
     rng = np.random.default_rng(seed)
-    weights: list[np.ndarray | None] = []
-    biases: list[np.ndarray | None] = []
-    for spec in specs:
-        if spec.kind == "dense":
-            bound = np.sqrt(6.0 / spec.fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(spec.fan_out, spec.fan_in)))
-            biases.append(np.zeros(spec.fan_out) if spec.has_bias else None)
-        elif spec.kind == "conv2d":
-            k = spec.kernel_size
-            bound = np.sqrt(6.0 / (spec.in_channels * k * k))
-            weights.append(rng.uniform(-bound, bound,
-                                       size=(spec.out_channels, spec.in_channels, k, k)))
-            biases.append(np.zeros(spec.out_channels) if spec.has_bias else None)
-        else:
-            weights.append(None)
-            biases.append(None)
-    return Network(tuple(int(s) for s in input_shape), list(specs), weights, biases)
+    for i in net.param_layers():
+        w = net.weights[i]
+        bound = np.sqrt(6.0 / (w.size // w.shape[0]))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
@@ -286,7 +319,7 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nd
     # Stable log-softmax; returns (mean loss, log-probabilities).
     z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(-log_probs[np.arange(logits.shape[0]), labels].mean()), log_probs
+    return float(-log_probs[np.arange(logits.shape[0]), labels].sum() / logits.shape[0]), log_probs
 
 
 def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
@@ -318,37 +351,36 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
     dx = np.exp(log_probs)
     dx[np.arange(n), labels] -= 1.0
     dx /= n
-    gw: list[np.ndarray | None] = [None] * len(net.specs)
-    gb: list[np.ndarray | None] = [None] * len(net.specs)
+    grads = Gradients.like(net)
     # layer 0's input is the batch itself, so no gradient is formed for it
     for i in range(len(net.specs) - 1, -1, -1):
         spec, x = net.specs[i], cache[i]
+        gw, gb = grads.weights[i], grads.biases[i]
         if spec.kind == "dense":
-            w = net.weights[i]
-            gw[i] = dx.T @ x
-            if net.biases[i] is not None:
-                gb[i] = dx.sum(axis=0)
+            np.matmul(dx.T, x, out=gw)
+            if gb is not None:
+                dx.sum(axis=0, out=gb)
             if i:
-                dx = dx @ w
+                dx = dx @ net.weights[i]
         elif spec.kind == "conv2d":
             w = net.weights[i]
             out_c, _, k, _ = w.shape
             dy = dx.transpose(1, 0, 2, 3).reshape(out_c, -1)
-            gw[i] = (dy @ _im2col(x, k).T).reshape(w.shape)
-            if net.biases[i] is not None:
-                gb[i] = dy.sum(axis=1)
+            np.matmul(dy, _im2col(x, k).T, out=gw.reshape(out_c, -1))
+            if gb is not None:
+                dy.sum(axis=1, out=gb)
             if i:
                 dx = _col2im(w.reshape(out_c, -1).T @ dy, x.shape, k)
         elif spec.kind == "relu" and i:
             dx = dx * (x > 0.0)
         elif spec.kind == "flatten" and i:
             dx = dx.reshape(x.shape)
-    return loss, Gradients(gw, gb)
+    return loss, grads
 
 
 def sgd_momentum_step(net: Network, grads: Gradients, state: OptimizerState,
                       lr: float) -> Network:
-    """One classical-momentum update, in place.
+    """One classical-momentum update of the whole parameter buffer, in place.
 
     buffer <- momentum * buffer + (grad + l2_scale * weight)
     weight <- weight - lr * buffer
@@ -357,20 +389,16 @@ def sgd_momentum_step(net: Network, grads: Gradients, state: OptimizerState,
     """
     if lr < 0.0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    m, l2 = state.momentum, state.l2_scale
-    for i in net.param_layers():
-        g = grads.weights[i]
-        if g is None or g.shape != net.weights[i].shape:
-            raise ValueError(f"layer {i}: gradient shape does not match weights")
-        buf = state.buffers_w[i]
-        buf *= m
-        buf += g + l2 * net.weights[i]
-        net.weights[i] -= lr * buf
-        if net.biases[i] is not None:
-            bbuf = state.buffers_b[i]
-            bbuf *= m
-            bbuf += grads.biases[i]
-            net.biases[i] -= lr * bbuf
+    if grads.flat.shape != net.flat.shape or state.flat.shape != net.flat.shape:
+        raise ValueError("gradients and momentum buffers must match the network's layout")
+    g, nw = grads.flat, net.weight_size
+    if state.l2_scale:
+        g = g.copy()
+        g[:nw] += state.l2_scale * net.flat[:nw]
+    buf = state.flat
+    buf *= state.momentum
+    buf += g
+    net.flat -= lr * buf
     return net
 
 

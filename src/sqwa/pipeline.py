@@ -22,10 +22,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .averaging import AveragedModel, average_models, requantize_averaged
-from .data import Dataset, load_idx, shuffle_batches, synthetic_blobs
-from .nn import (LayerSpec, Network, OptimizerState, evaluate, forward,
-                 init_weights, loss_and_backward, sgd_momentum_step)
-from .qat import ShadowModel, finetune, retrain
+from .data import Dataset, load_idx, synthetic_blobs
+from .nn import LayerSpec, Network, evaluate, init_weights
+from .qat import ShadowModel, finetune, fit, retrain
 from .quantizer import QuantizedModel, direct_quantize_model
 from .schedule import CyclicalSchedule, StepDecaySchedule, derive_cycle_bounds, lr_at
 
@@ -247,7 +246,6 @@ def _paths(cfg: RunConfig) -> dict[str, Path]:
         "pretrained": out / "pretrained",
         "direct_quantized": out / "direct_quantized",
         "capture_bank": out / "capture_bank",
-        "retrained_shadow": out / "retrained_shadow",
         "averaged": out / "averaged",
         "requantized": out / "requantized",
         "final": out / "final",
@@ -282,13 +280,8 @@ def _stage_pretrain(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) 
     sched = _pretrain_schedule(cfg)
     p = cfg.pretrain
     net = init_weights(specs, input_shape, cfg.seed)
-    opt = OptimizerState.for_network(net, p.momentum, p.l2_scale)
-    for epoch in range(p.epochs):
-        lr = lr_at(sched, epoch)
-        for xb, yb in shuffle_batches(train, p.batch_size, cfg.seed, epoch):
-            logits, cache = forward(net, xb)
-            _, grads = loss_and_backward(net, cache, logits, yb)
-            sgd_momentum_step(net, grads, opt, lr)
+    fit(net, train, [lr_at(sched, epoch) for epoch in range(p.epochs)], cfg.seed,
+        batch_size=p.batch_size, momentum=p.momentum, l2_scale=p.l2_scale)
     loss, acc = evaluate(net, test)
     log.info("pretrain: %d epochs, test loss %.4f, test accuracy %.4f",
              p.epochs, loss, acc)
@@ -309,26 +302,22 @@ def _stage_quantize(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) 
 
 
 def _stage_retrain(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) -> None:
-    if _done(paths["capture_bank"]) and _done(paths["retrained_shadow"]):
-        log.info("retrain-cyclical: artifacts exist, skipping")
+    if _done(paths["capture_bank"]):
+        log.info("retrain-cyclical: artifact exists, skipping")
         return
     net = ckpt.load(paths["pretrained"])
     qm = ckpt.load(paths["direct_quantized"])
     model = ShadowModel.from_network(net, cfg.bits, qm.steps)
     sched = _cyclical_schedule(cfg)
 
-    def _log_epoch(epoch, lr, m):
-        if (epoch + 1) % sched.period == 0:
-            loss, acc = evaluate(m.applied, test)
-            log.info("retrain-cyclical: epoch %d, lr %.2g, test accuracy %.4f",
-                     epoch, lr, acc)
+    def _log_capture(entry, lr):
+        log.info("retrain-cyclical: epoch %d, lr %.2g, test accuracy %.4f",
+                 entry.epoch, lr, entry.metrics["test_accuracy"])
 
-    model, bank = retrain(model, train, sched, cfg.cyclical.epochs, cfg.seed + 1,
-                          batch_size=cfg.pretrain.batch_size,
-                          momentum=cfg.pretrain.momentum, eval_dataset=test,
-                          on_epoch_end=_log_epoch)
+    _, bank = retrain(model, train, sched, cfg.cyclical.epochs, cfg.seed + 1,
+                      batch_size=cfg.pretrain.batch_size, momentum=cfg.pretrain.momentum,
+                      eval_dataset=test, on_capture=_log_capture)
     ckpt.save(bank, paths["capture_bank"], provenance={"stage": "retrain-cyclical"})
-    ckpt.save(model, paths["retrained_shadow"], provenance={"stage": "retrain-cyclical"})
     log.info("retrain-cyclical: %d captures banked", len(bank))
 
 

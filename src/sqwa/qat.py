@@ -18,11 +18,11 @@ import numpy as np
 from .averaging import CaptureBank, CaptureEntry
 from .data import Dataset, shuffle_batches
 from .nn import Network, OptimizerState, evaluate, forward, loss_and_backward, sgd_momentum_step
-from .quantizer import (QuantizedModel, QuantizerConfig, quantize_network,
-                        quantize_tensor, select_step_size)
+from .quantizer import (QuantizedModel, QuantizerConfig, _quantize, quantize_network,
+                        select_step_size)
 from .schedule import CyclicalSchedule, capture_epochs, lr_at
 
-__all__ = ["ShadowModel", "qat_train_step", "retrain", "finetune"]
+__all__ = ["ShadowModel", "qat_train_step", "fit", "retrain", "finetune"]
 
 
 @dataclass
@@ -30,13 +30,22 @@ class ShadowModel:
     """Full-precision shadow network plus its quantized applied view.
 
     Invariant: applied weights equal quantize(shadow weights) under the
-    frozen `steps`, and applied biases mirror the shadow biases.
+    frozen `steps`, and applied biases mirror the shadow biases. Both
+    networks share one parameter layout.
     """
 
     shadow: Network
     applied: Network
     bits: int
     steps: list[float]
+
+    def __post_init__(self):
+        idx = self.shadow.param_layers()
+        if len(self.steps) != len(idx) or self.applied.layout != self.shadow.layout:
+            raise ValueError("shadow, applied network and steps disagree in layout")
+        # the step of each weight-region element; QuantizerConfig checks bits and steps
+        self._step_of = np.repeat([QuantizerConfig(self.bits, step).step for step in self.steps],
+                                  [self.shadow.weights[i].size for i in idx])
 
     @staticmethod
     def from_network(net: Network, bits: int, steps: list[float] | None = None) -> "ShadowModel":
@@ -49,13 +58,11 @@ class ShadowModel:
         return ShadowModel(shadow, applied, bits, list(steps))
 
     def refresh_applied(self) -> None:
-        """Re-quantize the shadow into the applied view."""
-        idx = self.shadow.param_layers()
-        for i, step in zip(idx, self.steps):
-            self.applied.weights[i] = quantize_tensor(
-                self.shadow.weights[i], QuantizerConfig(self.bits, step))
-        for i, b in enumerate(self.shadow.biases):
-            self.applied.biases[i] = None if b is None else b.copy()
+        """Re-quantize the shadow's weight region into the applied view and
+        copy the biases."""
+        nw = self.shadow.weight_size
+        self.applied.flat[:nw] = _quantize(self.shadow.flat[:nw], self._step_of, self.bits)
+        self.applied.flat[nw:] = self.shadow.flat[nw:]
 
     def as_quantized(self) -> QuantizedModel:
         """Deep-copied snapshot of the applied model."""
@@ -65,23 +72,43 @@ class ShadowModel:
         return ShadowModel(self.shadow.copy(), self.applied.copy(), self.bits, list(self.steps))
 
 
-def qat_train_step(model: ShadowModel, batch: np.ndarray, labels: np.ndarray,
-                   lr: float, opt: OptimizerState) -> ShadowModel:
+def qat_train_step(model: ShadowModel | Network, batch: np.ndarray, labels: np.ndarray,
+                   lr: float, opt: OptimizerState) -> ShadowModel | Network:
     """One training step on quantized weights.
 
     Forward, loss, and gradients are computed on the applied (quantized)
     network; the momentum update lands on the shadow; the applied view is
-    rebuilt from the updated shadow. Mutates `model` and returns it.
+    rebuilt from the updated shadow. A plain Network is the no-quantizer
+    case, its own applied and shadow network. Mutates `model` and returns it.
     """
-    logits, cache = forward(model.applied, batch)
-    _, grads = loss_and_backward(model.applied, cache, logits, labels)
-    sgd_momentum_step(model.shadow, grads, opt, lr)
-    model.refresh_applied()
+    quantized = isinstance(model, ShadowModel)
+    applied = model.applied if quantized else model
+    logits, cache = forward(applied, batch)
+    _, grads = loss_and_backward(applied, cache, logits, labels)
+    sgd_momentum_step(model.shadow if quantized else model, grads, opt, lr)
+    if quantized:
+        model.refresh_applied()
     return model
 
 
-def _run_epoch(model: ShadowModel, dataset: Dataset, lr: float, opt: OptimizerState,
-               batch_size: int, seed: int, epoch: int) -> None:
+def fit(model: ShadowModel | Network, dataset: Dataset, lrs: list[float], seed: int, *,
+        batch_size: int = 32, momentum: float = 0.9, l2_scale: float = 0.0,
+        after_epoch=None) -> ShadowModel | Network:
+    """The training loop: one epoch of shuffled batches per rate in `lrs`,
+    each batch one qat_train_step, with fresh momentum buffers, and
+    `after_epoch(epoch, lr)` after every epoch. Mutates `model`, returns it.
+    """
+    net = model.applied if isinstance(model, ShadowModel) else model
+    opt = OptimizerState.for_network(net, momentum, l2_scale)
+    for epoch, lr in enumerate(lrs):
+        _run_epoch(model, dataset, lr, opt, batch_size, seed, epoch)
+        if after_epoch is not None:
+            after_epoch(epoch, lr)
+    return model
+
+
+def _run_epoch(model: ShadowModel | Network, dataset: Dataset, lr: float,
+               opt: OptimizerState, batch_size: int, seed: int, epoch: int) -> None:
     for xb, yb in shuffle_batches(dataset, batch_size, seed, epoch):
         qat_train_step(model, xb, yb, lr, opt)
 
@@ -89,32 +116,33 @@ def _run_epoch(model: ShadowModel, dataset: Dataset, lr: float, opt: OptimizerSt
 def retrain(model: ShadowModel, dataset: Dataset, schedule: CyclicalSchedule,
             epochs: int, seed: int, *, batch_size: int = 32, momentum: float = 0.9,
             eval_dataset: Dataset | None = None,
-            on_epoch_end=None) -> tuple[ShadowModel, CaptureBank]:
+            on_capture=None) -> tuple[ShadowModel, CaptureBank]:
     """Cyclical-rate retraining with a capture at the end of every period.
 
     No L2 penalty is applied: it fights the clipping built into the
     quantizer. Captures hold a deep copy of the applied model, the shadow
     behind it, and metrics on `dataset` (plus `eval_dataset` when given).
-    `on_epoch_end(epoch, lr, model)` is called after every epoch.
+    `on_capture(entry, lr)` is called after every capture.
     """
     if not (1 <= epochs <= schedule.total_epochs):
         raise ValueError(f"epochs must be in [1, {schedule.total_epochs}], got {epochs}")
-    opt = OptimizerState.for_network(model.shadow, momentum, l2_scale=0.0)
     capture_at = set(capture_epochs(schedule))
     bank = CaptureBank(model.bits, list(model.steps))
-    for epoch in range(epochs):
-        lr = lr_at(schedule, epoch)
-        _run_epoch(model, dataset, lr, opt, batch_size, seed, epoch)
-        if on_epoch_end is not None:
-            on_epoch_end(epoch, lr, model)
-        if epoch in capture_at:
-            loss, acc = evaluate(model.applied, dataset)
-            metrics = {"train_loss": loss, "train_accuracy": acc}
-            if eval_dataset is not None:
-                tl, ta = evaluate(model.applied, eval_dataset)
-                metrics["test_loss"] = tl
-                metrics["test_accuracy"] = ta
-            bank.add(CaptureEntry(epoch, model.as_quantized(), model.shadow.copy(), metrics))
+
+    def capture(epoch, lr):
+        if epoch not in capture_at:
+            return
+        metrics = dict(zip(("train_loss", "train_accuracy"), evaluate(model.applied, dataset)))
+        if eval_dataset is not None:
+            metrics.update(zip(("test_loss", "test_accuracy"),
+                               evaluate(model.applied, eval_dataset)))
+        entry = CaptureEntry(epoch, model.as_quantized(), model.shadow.copy(), metrics)
+        bank.add(entry)
+        if on_capture is not None:
+            on_capture(entry, lr)
+
+    fit(model, dataset, [lr_at(schedule, epoch) for epoch in range(epochs)], seed,
+        batch_size=batch_size, momentum=momentum, after_epoch=capture)
     return model, bank
 
 
@@ -129,8 +157,5 @@ def finetune(model: ShadowModel, dataset: Dataset, initial_lr: float, epochs: in
         raise ValueError("epochs must be >= 0")
     if epochs and (initial_lr <= 0.0 or not (0.0 < decay <= 1.0)):
         raise ValueError("need initial_lr > 0 and decay in (0, 1]")
-    opt = OptimizerState.for_network(model.shadow, momentum, l2_scale=0.0)
-    for epoch in range(epochs):
-        lr = initial_lr * decay ** epoch
-        _run_epoch(model, dataset, lr, opt, batch_size, seed, epoch)
-    return model
+    lrs = [initial_lr * decay ** epoch for epoch in range(epochs)]
+    return fit(model, dataset, lrs, seed, batch_size=batch_size, momentum=momentum)

@@ -62,13 +62,16 @@ class QuantizerConfig:
         return levels_count(self.bits)
 
 
+def _quantize(w: np.ndarray, step, bits: int) -> np.ndarray:
+    # The quantizer formula, for a scalar step or one step per element.
+    if bits == 1:
+        return np.where(w >= 0.0, step, -step)
+    mag = np.minimum(np.floor(np.abs(w) / step + 0.5), (levels_count(bits) - 1) // 2)
+    return np.sign(w) * step * mag
+
+
 def quantize_tensor(w: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if cfg.bits == 1:
-        return np.where(w >= 0.0, cfg.step, -cfg.step)
-    half_levels = (cfg.levels - 1) // 2
-    mag = np.minimum(np.floor(np.abs(w) / cfg.step + 0.5), half_levels)
-    return np.sign(w) * cfg.step * mag
+    return _quantize(np.asarray(w, dtype=np.float64), cfg.step, cfg.bits)
 
 
 def quantization_error(w: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
@@ -135,7 +138,7 @@ def quantize_network(net: Network, bits: int, steps: list[float]) -> Network:
         raise ValueError(f"expected {len(idx)} step sizes, got {len(steps)}")
     out = net.copy()
     for i, step in zip(idx, steps):
-        out.weights[i] = quantize_tensor(out.weights[i], QuantizerConfig(bits, step))
+        out.weights[i][...] = quantize_tensor(net.weights[i], QuantizerConfig(bits, step))
     return out
 
 

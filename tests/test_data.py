@@ -148,3 +148,15 @@ def test_shuffle_batches_epoch_changes_order():
     e0 = shuffle_batches(ds, 16, seed=1, epoch=0)
     e1 = shuffle_batches(ds, 16, seed=1, epoch=1)
     assert not np.array_equal(e0[0][0], e1[0][0])
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2], [0, -1, 1]])
+def test_dataset_rejects_out_of_range_labels(labels):
+    with pytest.raises(ValueError, match="labels must lie in"):
+        Dataset(images=np.zeros((3, 2)), labels=np.array(labels), num_classes=2)
+
+
+def test_dataset_stores_int64_labels():
+    ds = Dataset(images=np.zeros((3, 2)), labels=np.array([0, 1, 1], dtype=np.uint8),
+                 num_classes=2)
+    assert ds.labels.dtype == np.int64

@@ -1,0 +1,238 @@
+"""The flat parameter layout: one float64 buffer per network, all weights in
+layer order and then all biases, with per-layer views into it."""
+
+import numpy as np
+import pytest
+
+from sqwa import checkpoint as ckpt
+from sqwa.averaging import CaptureBank, CaptureEntry, average_models
+from sqwa.losscape import params_to_vector, vector_to_network
+from sqwa.nn import (Gradients, OptimizerState, conv2d, dense, flatten, forward,
+                     init_weights, loss_and_backward, relu, sgd_momentum_step,
+                     zero_network)
+from sqwa.qat import ShadowModel
+from sqwa.quantizer import QuantizerConfig, quantize_network, quantize_tensor
+
+
+def _conv_net(seed=90):
+    # conv with bias, dense without, dense with: every kind of entry
+    specs = [conv2d(2, 3, 3), relu(), flatten(), dense(3 * 3 * 2, 5, has_bias=False), relu(),
+             dense(5, 4)]
+    net = init_weights(specs, (2, 5, 4), seed=seed)
+    rng = np.random.default_rng(seed)
+    for i in net.param_layers():
+        if net.biases[i] is not None:
+            net.biases[i] = rng.normal(scale=0.1, size=net.biases[i].shape)
+    return net
+
+
+def _assert_one_buffer(net):
+    weights = [w for w in net.weights if w is not None]
+    biases = [b for b in net.biases if b is not None]
+    for t in weights + biases:
+        assert t.base is net.flat
+    assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
+    assert net.weight_size == sum(w.size for w in weights)
+    assert net.flat.size == net.weight_size + sum(b.size for b in biases)
+    # weights first in layer order, then biases in layer order
+    np.testing.assert_array_equal(net.flat[:net.weight_size],
+                                  np.concatenate([w.ravel() for w in weights]))
+    np.testing.assert_array_equal(net.flat[net.weight_size:],
+                                  np.concatenate([b.ravel() for b in biases]))
+
+
+def _bank(net, bits=2):
+    steps = [0.05] * len(net.param_layers())
+    bank = CaptureBank(bits, steps)
+    rng = np.random.default_rng(91)
+    for epoch in (3, 7, 11):
+        shadow = net.copy()
+        shadow.flat[:] += rng.normal(scale=0.05, size=shadow.flat.shape)
+        model = ShadowModel.from_network(shadow, bits, steps)
+        bank.add(CaptureEntry(epoch, model.as_quantized(), model.shadow.copy(), {}))
+    return bank
+
+
+def test_every_entry_views_the_one_buffer(tmp_path):
+    net = _conv_net()
+    _assert_one_buffer(net)
+    _assert_one_buffer(net.copy())
+    _assert_one_buffer(quantize_network(net, 2, [0.1, 0.1, 0.1]))
+    _assert_one_buffer(vector_to_network(net, params_to_vector(net) * 2.0))
+    bank = _bank(net)
+    _assert_one_buffer(average_models(bank, 3).net)
+
+    model = ShadowModel.from_network(net, 2)
+    ckpt.save(net, tmp_path / "n")
+    ckpt.save(model, tmp_path / "s")
+    ckpt.save(model.as_quantized(), tmp_path / "q")
+    ckpt.save(average_models(bank, 2), tmp_path / "a")
+    ckpt.save(bank, tmp_path / "b")
+    _assert_one_buffer(ckpt.load(tmp_path / "n"))
+    back = ckpt.load(tmp_path / "s")
+    _assert_one_buffer(back.shadow)
+    _assert_one_buffer(back.applied)
+    _assert_one_buffer(ckpt.load(tmp_path / "q").net)
+    _assert_one_buffer(ckpt.load(tmp_path / "a").net)
+    for entry in ckpt.load(tmp_path / "b").entries:
+        _assert_one_buffer(entry.model.net)
+        _assert_one_buffer(entry.shadow)
+
+
+def test_copy_owns_its_buffer():
+    net = _conv_net()
+    dup = net.copy()
+    dup.flat[:] = 0.0
+    assert np.abs(net.flat).max() > 0.0
+
+
+def test_zero_network_has_the_layout_of_init_weights():
+    net = _conv_net()
+    zero = zero_network(net.specs, net.input_shape)
+    _assert_one_buffer(zero)
+    assert zero.layout == net.layout and not zero.flat.any()
+
+
+def test_loading_draws_no_random_numbers(tmp_path, monkeypatch):
+    net = _conv_net()
+    ckpt.save(net, tmp_path / "n")
+    ckpt.save(ShadowModel.from_network(net, 2), tmp_path / "s")
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("checkpoint loading drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    assert np.array_equal(ckpt.load(tmp_path / "n").flat, net.flat.astype(np.float32))
+    assert ckpt.load(tmp_path / "s").shadow.layout == net.layout
+
+
+def test_assigning_an_entry_writes_into_the_buffer():
+    net = _conv_net()
+    flat = net.flat
+    new = np.full(net.weights[3].shape, 0.25)
+    net.weights[3] = new
+    assert net.flat is flat
+    assert net.weights[3].base is flat
+    np.testing.assert_array_equal(net.weights[3], 0.25)
+    new[...] = 1.0  # the network keeps a copy, not the assigned array
+    np.testing.assert_array_equal(net.weights[3], 0.25)
+    net.biases[0] = [1.0, 2.0, 3.0]
+    np.testing.assert_array_equal(net.flat[net.weight_size:net.weight_size + 3], [1.0, 2.0, 3.0])
+    _assert_one_buffer(net)
+
+
+@pytest.mark.parametrize("index,value", [
+    (0, np.zeros((3, 2, 2, 2))),   # wrong shape
+    (0, 0.0),                      # scalar broadcast is not an overwrite
+    (1, np.zeros(3)),              # relu carries no tensor
+    (slice(0, 1), [None]),         # no slice assignment
+])
+def test_rebinding_an_entry_is_rejected(index, value):
+    net = _conv_net()
+    before = net.flat.copy()
+    with pytest.raises(ValueError, match="only a value of its own shape"):
+        net.weights[index] = value
+    np.testing.assert_array_equal(net.flat, before)
+    _assert_one_buffer(net)
+
+
+def _old_per_layer_sgd(weights, biases, grads, bufs_w, bufs_b, momentum, l2, lr):
+    # the per-layer update the flat one replaced, on plain per-layer arrays
+    for i, w in enumerate(weights):
+        if w is None:
+            continue
+        bufs_w[i] *= momentum
+        bufs_w[i] += grads.weights[i] + l2 * w
+        w -= lr * bufs_w[i]
+        if biases[i] is not None:
+            bufs_b[i] *= momentum
+            bufs_b[i] += grads.biases[i]
+            biases[i] -= lr * bufs_b[i]
+
+
+@pytest.mark.parametrize("l2", [0.0, 5e-4, 0.3])
+def test_flat_sgd_equals_per_layer_formula(l2):
+    rng = np.random.default_rng(92)
+    net = _conv_net()
+    weights = [None if w is None else w.copy() for w in net.weights]
+    biases = [None if b is None else b.copy() for b in net.biases]
+    bufs_w = [None if w is None else np.zeros_like(w) for w in weights]
+    bufs_b = [None if b is None else np.zeros_like(b) for b in biases]
+    state = OptimizerState.for_network(net, momentum=0.9, l2_scale=l2)
+    for step in range(5):
+        x = rng.normal(size=(6, 2, 5, 4))
+        y = rng.integers(0, 4, size=6)
+        logits, cache = forward(net, x)
+        _, grads = loss_and_backward(net, cache, logits, y)
+        lr = 0.05 * (step + 1)
+        _old_per_layer_sgd(weights, biases, grads, bufs_w, bufs_b, 0.9, l2, lr)
+        sgd_momentum_step(net, grads, state, lr)
+        for i in net.param_layers():
+            assert np.array_equal(net.weights[i], weights[i])
+            assert np.array_equal(state.buffers_w[i], bufs_w[i])
+            if biases[i] is not None:
+                assert np.array_equal(net.biases[i], biases[i])
+                assert np.array_equal(state.buffers_b[i], bufs_b[i])
+
+
+def test_biases_get_no_l2_term():
+    net = _conv_net()
+    state = OptimizerState.for_network(net, momentum=0.0, l2_scale=0.5)
+    grads = Gradients.like(net)
+    grads.flat[:] = 0.0
+    before = net.flat.copy()
+    sgd_momentum_step(net, grads, state, lr=1.0)
+    nw = net.weight_size
+    np.testing.assert_array_equal(net.flat[:nw], before[:nw] - 0.5 * before[:nw])
+    np.testing.assert_array_equal(net.flat[nw:], before[nw:])
+
+
+def test_sgd_rejects_gradients_of_another_layout():
+    net = _conv_net()
+    other = init_weights([dense(4, 3)], (4,), seed=1)
+    state = OptimizerState.for_network(net, momentum=0.9)
+    with pytest.raises(ValueError, match="layout"):
+        sgd_momentum_step(net, Gradients.like(other), state, lr=0.1)
+
+
+def test_gradients_share_the_network_layout():
+    rng = np.random.default_rng(93)
+    net = _conv_net()
+    logits, cache = forward(net, rng.normal(size=(4, 2, 5, 4)))
+    _, grads = loss_and_backward(net, cache, logits, rng.integers(0, 4, size=4))
+    assert grads.flat.shape == net.flat.shape
+    for g, t in zip([*grads.weights, *grads.biases], [*net.weights, *net.biases]):
+        assert (g is None) == (t is None)
+        if g is not None:
+            assert g.base is grads.flat and g.shape == t.shape
+
+
+@pytest.mark.parametrize("bits", [1, 2, 4])
+def test_refresh_equals_per_layer_quantize_tensor(bits):
+    rng = np.random.default_rng(94 + bits)
+    net = _conv_net()
+    model = ShadowModel.from_network(net, bits)
+    for _ in range(3):
+        model.shadow.flat[:] += rng.normal(scale=0.1, size=model.shadow.flat.shape)
+        # exact zeros and exact midpoints exercise sign(0) and ties
+        model.shadow.weights[0][0, 0, 0, 0] = 0.0
+        model.shadow.weights[3][0, 0] = -0.5 * model.steps[1]
+        model.refresh_applied()
+        for i, step in zip(model.shadow.param_layers(), model.steps):
+            expected = quantize_tensor(model.shadow.weights[i], QuantizerConfig(bits, step))
+            assert np.array_equal(model.applied.weights[i], expected)
+            if model.shadow.biases[i] is not None:
+                assert np.array_equal(model.applied.biases[i], model.shadow.biases[i])
+
+
+def test_shadow_model_rejects_mismatched_parts():
+    net = _conv_net()
+    applied = quantize_network(net, 2, [0.1, 0.1, 0.1])
+    with pytest.raises(ValueError, match="disagree"):
+        ShadowModel(net, applied, 2, [0.1, 0.1])
+    other = init_weights([dense(4, 3)], (4,), seed=1)
+    with pytest.raises(ValueError, match="disagree"):
+        ShadowModel(net, other, 2, [0.1, 0.1, 0.1])
+    with pytest.raises(ValueError, match="step"):
+        ShadowModel(net, applied, 2, [0.1, -0.1, 0.1])
+

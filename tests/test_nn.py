@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sqwa.nn import (
+    Gradients,
     Network,
     OptimizerState,
     conv2d,
@@ -241,14 +242,12 @@ def test_momentum_update_sequence():
     net = Network(input_shape=(1,), specs=[dense(1, 1, has_bias=False)],
                   weights=[np.zeros((1, 1))], biases=[None])
     state = OptimizerState.for_network(net, momentum=0.9)
-
-    class G:
-        weights = [np.ones((1, 1))]
-        biases = [None]
+    grads = Gradients.like(net)
+    grads.flat[:] = 1.0
 
     seen = []
     for _ in range(3):
-        sgd_momentum_step(net, G, state, lr=0.1)
+        sgd_momentum_step(net, grads, state, lr=0.1)
         seen.append(net.weights[0][0, 0])
     np.testing.assert_allclose(seen, [-0.1, -0.29, -0.561], atol=1e-12)
     assert state.buffers_w[0][0, 0] == pytest.approx(2.71, abs=1e-12)
@@ -259,12 +258,10 @@ def test_l2_applies_to_weights_not_biases():
     net.weights[0][:] = 1.0
     net.biases[0][:] = 1.0
     state = OptimizerState.for_network(net, momentum=0.0, l2_scale=0.5)
+    grads = Gradients.like(net)
+    grads.flat[:] = 0.0
 
-    class G:
-        weights = [np.zeros((2, 2))]
-        biases = [np.zeros(2)]
-
-    sgd_momentum_step(net, G, state, lr=1.0)
+    sgd_momentum_step(net, grads, state, lr=1.0)
     np.testing.assert_allclose(net.weights[0], 0.5)
     np.testing.assert_allclose(net.biases[0], 1.0)
 
@@ -319,3 +316,14 @@ def test_network_copy_is_deep():
     dup = net.copy()
     dup.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != dup.weights[0][0, 0]
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 3, 0, 1], [0, 1, -1, 0, 1]])
+def test_direct_calls_reject_out_of_range_labels(labels):
+    net = init_weights([dense(3, 3)], (3,), seed=35)
+    x = np.zeros((5, 3))
+    logits, cache = forward(net, x)
+    with pytest.raises(ValueError, match="labels must lie in"):
+        loss_only(net, x, np.array(labels))
+    with pytest.raises(ValueError, match="labels must lie in"):
+        loss_and_backward(net, cache, logits, np.array(labels))

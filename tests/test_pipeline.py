@@ -1,8 +1,13 @@
+import hashlib
 import json
+import logging
+import sys
 from pathlib import Path
 
 import pytest
 
+import sqwa
+import sqwa.nn
 from sqwa.cli import main
 from sqwa.pipeline import (
     PipelineError,
@@ -95,9 +100,9 @@ def test_full_run_writes_all_artifacts(tmp_path):
     result = run_sqwa(_small_cfg(tmp_path))
     paths = result["paths"]
     for key in ("pretrained", "direct_quantized", "capture_bank",
-                "retrained_shadow", "averaged", "requantized", "final",
-                "final_quantized"):
+                "averaged", "requantized", "final", "final_quantized"):
         assert (paths[key] / "manifest.json").is_file(), key
+    assert not (tmp_path / "retrained_shadow").exists()
     assert paths["config"].is_file()
     assert paths["metrics"].is_file()
     assert paths["summary"].is_file()
@@ -244,3 +249,103 @@ def test_cli_missing_checkpoint_exits_nonzero(tmp_path, capsys):
     code = main(["eval", *_cli_args(out), "--checkpoint", str(out / "nothing")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of `module.name` through every `sqwa` module that
+    binds it, the package re-exports included."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "sqwa" or mod_name.startswith("sqwa.")) \
+                and mod.__dict__.get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+# sha256 of the default recipe's outputs at seed 101. Any change that moves
+# one of them changes the recipe's arithmetic and must say so.
+DEFAULT_SEED_101 = {
+    "metrics.csv": "7d6e3cbcf98d3bca57edf155522656719e50d78fdd5cd81cad130d98c21a6ade",
+    "pretrained/payload.bin": "12c2fcd901cd6df864669eb24b3c533170bfd51e25c11326ebc990b093535204",
+    "direct_quantized/payload.bin":
+        "d94c8f5f48926d232e9d0c00890a014b7704b7a49c5815de0f161779d8308b12",
+    "averaged/payload.bin": "9193182ac5cf182bdc19541bc3434fd0e4128b31cbbbc1e68f262a6b1818c12f",
+    "requantized/payload.bin": "1bc25acc05ae283ca7989cd70d25cf5f19238ecffedb3954a0ae3600e2215f05",
+    "final/payload.bin": "39a949cb299dc619e445e8171bb6d3a4b2d19711d8673995bdd300fae5291792",
+    "final_quantized/payload.bin":
+        "5dee236d2c106d91376b0f7b8e49c2c270796291a3bb3b19b0c7e9ec83b0e623",
+    **{f"capture_bank/entry_{k:03d}/payload.bin": digest for k, digest in enumerate([
+        "28f64fc379df7eebf7aedc36b6ac946db4956409d9c2ad6aaf87009cf13aa632",
+        "48b357c9e02f967668f00b1aa00d486da8a52763de89ca979e34fdb9cbc790b8",
+        "3ddadf2772c4af0e7264cbb2f72f7b0adc671b81d5c15e9e28c6792fe03d5951",
+        "f8db2882b2fcdd00bf1b0d77dd022fbbfd462ef72c5bd9af02992fa6adf21474",
+        "da24a1ba3761ed17e59db221789361ef1673dc7baa2e294f1d77df60849c1b54",
+        "e30f6a4620ee7b53fd936c7f1827e3f6bcc59ea7c29cf7154253b64d2727b722",
+        "a7e2e7f6018ddad3e97a8046687e59882b96259da0da6673a6ba30bb1ab35c7e",
+        "15cf413988fc666c1ebe62dc12a6463f2ba40d772d95ce000977001d07abd2ca",
+        "6ee2be57d42b8a3a7578405f568267620e333b95ead44799f37824ec541a532b",
+        "bea07736241562f233d7705474f7ab7764e6526d779de95b292d509e9953b788",
+        "a61bcc9331eaf202347943fa79c8ad6f95cd0cb29b181e1762c0af63680f36f7",
+        "3d6241c01b313740a02b6a0cfa15c334e01e23daa4b16634ae358b9f8d91eee5",
+        "7b7e749c4ba03ab5b331e328870c410de7dd7b72a9c97c6ede77304cc3645529",
+        "8e08ca1b26b82fb1a6cb8c64beea7fed5bdab71563f2f519e13a3988f167db93",
+    ])},
+}
+
+
+@pytest.fixture(scope="module")
+def default_run_101(tmp_path_factory):
+    """The full default recipe at seed 101, with its SGD steps counted."""
+    out = tmp_path_factory.mktemp("default101")
+    with pytest.MonkeyPatch.context() as mp:
+        steps = _count_calls(mp, sqwa.nn, "sgd_momentum_step")
+        run_sqwa(default_config(out, seed=101))
+    return out, len(steps)
+
+
+def test_default_recipe_outputs_are_pinned(default_run_101):
+    out, _ = default_run_101
+    written = {str(p.relative_to(out)) for p in out.rglob("payload.bin")} | {"metrics.csv"}
+    assert written == set(DEFAULT_SEED_101)
+    for rel, digest in DEFAULT_SEED_101.items():
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+
+
+def test_default_recipe_makes_20096_sgd_steps(default_run_101):
+    # 157 batches in each of 40 pretrain, 84 cyclical and 4 fine-tune epochs
+    assert default_run_101[1] == 157 * (40 + 84 + 4) == 20096
+
+
+def test_retrain_evaluates_each_split_once_per_capture(tmp_path, monkeypatch, caplog):
+    run_stages(_small_cfg(tmp_path), "quantize")
+    evaluations = _count_calls(monkeypatch, sqwa.nn, "evaluate")
+    with caplog.at_level(logging.INFO, logger="sqwa"):
+        run_stages(_small_cfg(tmp_path), "retrain-cyclical")
+    bank = sqwa.load(tmp_path / "capture_bank")
+    assert len(evaluations) == 2 * len(bank) == 4
+    logged = [r.getMessage() for r in caplog.records if "test accuracy" in r.getMessage()]
+    assert logged == [f"retrain-cyclical: epoch {e.epoch}, lr {0.0001:.2g}, "
+                      f"test accuracy {e.metrics['test_accuracy']:.4f}" for e in bank.entries]
+
+
+def test_run_directory_with_retrained_shadow_resumes_unchanged(tmp_path):
+    # Earlier builds also wrote `retrained_shadow` (the last capture's shadow
+    # model); such a directory must resume as if it were not there.
+    fresh_dir, old_dir = tmp_path / "fresh", tmp_path / "old"
+    run_sqwa(_small_cfg(fresh_dir))
+    run_stages(_small_cfg(old_dir), "retrain-cyclical")
+    last = sqwa.load(old_dir / "capture_bank").entries[-1]
+    shadow = sqwa.ShadowModel(last.shadow, last.model.net, last.model.bits, last.model.steps)
+    sqwa.save(shadow, old_dir / "retrained_shadow", provenance={"stage": "retrain-cyclical"})
+    kept = (old_dir / "retrained_shadow" / "payload.bin").read_bytes()
+    run_sqwa(_small_cfg(old_dir))
+    assert (old_dir / "retrained_shadow" / "payload.bin").read_bytes() == kept
+    for p in fresh_dir.rglob("payload.bin"):
+        assert (old_dir / p.relative_to(fresh_dir)).read_bytes() == p.read_bytes()
+    assert (old_dir / "metrics.csv").read_text() == (fresh_dir / "metrics.csv").read_text()

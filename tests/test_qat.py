@@ -3,7 +3,7 @@ import pytest
 
 from sqwa.data import synthetic_blobs
 from sqwa.nn import OptimizerState, dense, evaluate, init_weights, relu
-from sqwa.qat import ShadowModel, finetune, qat_train_step, retrain
+from sqwa.qat import ShadowModel, finetune, fit, qat_train_step, retrain
 from sqwa.quantizer import QuantizerConfig, quantize_tensor
 from sqwa.schedule import CyclicalSchedule
 
@@ -196,3 +196,25 @@ def test_finetune_validates_arguments():
         finetune(_small_model(), data, initial_lr=0.0, epochs=2, decay=0.1, seed=58)
     with pytest.raises(ValueError):
         finetune(_small_model(), data, initial_lr=0.001, epochs=2, decay=1.5, seed=58)
+
+
+def test_fit_rejects_more_classes_than_outputs():
+    data = synthetic_blobs(4, 10, 4, 0.4, seed=59)
+    with pytest.raises(ValueError, match="labels must lie in"):
+        fit(_small_model(seed=59), data, [0.01], seed=59)
+
+
+def test_fit_without_quantizer_is_plain_sgd():
+    from sqwa.data import shuffle_batches
+    from sqwa.nn import forward, loss_and_backward, sgd_momentum_step
+    data = synthetic_blobs(3, 20, 4, 0.4, seed=60)
+    net = init_weights([dense(4, 8), relu(), dense(8, 3)], (4,), seed=60)
+    ref = net.copy()
+    opt = OptimizerState.for_network(ref, momentum=0.9, l2_scale=1e-3)
+    for epoch, lr in enumerate([0.1, 0.05]):
+        for xb, yb in shuffle_batches(data, 16, 60, epoch):
+            logits, cache = forward(ref, xb)
+            _, grads = loss_and_backward(ref, cache, logits, yb)
+            sgd_momentum_step(ref, grads, opt, lr)
+    assert fit(net, data, [0.1, 0.05], 60, batch_size=16, l2_scale=1e-3) is net
+    assert np.array_equal(net.flat, ref.flat)
