@@ -9,90 +9,36 @@ module maps full-precision and quantized loss landscapes over the plane
 through three weight vectors.
 """
 
-from .averaging import (AveragedModel, CaptureBank, CaptureEntry, average_epoch_range,
-                        average_models, effective_bits, requantize_averaged)
-from .checkpoint import CheckpointError, load, load_manifest, save
-from .data import (Dataset, IdxFormatError, load_idx, read_idx, shuffle_batches,
-                   synthetic_blobs, write_idx)
-from .losscape import (LossPlane, SurfaceGrid, build_plane, evaluate_surface,
-                       export_grid, grid_point, load_grid, params_to_vector,
-                       quantized_grid_point, vector_to_network)
-from .nn import (Gradients, LayerSpec, Network, OptimizerState, conv2d, dense,
-                 evaluate, flatten, forward, init_weights, loss_and_backward,
-                 loss_only, relu, sgd_momentum_step)
-from .pipeline import (PipelineError, RunConfig, default_config, run_sqwa, run_stages)
-from .qat import ShadowModel, finetune, qat_train_step, retrain
-from .quantizer import (QuantizedModel, QuantizerConfig, direct_quantize_model,
-                        levels_count, quantization_error, quantize_network,
-                        quantize_tensor, select_step_size)
-from .schedule import (CyclicalSchedule, StepDecaySchedule, capture_epochs,
-                       derive_cycle_bounds, ladder, lr_at)
+from .averaging import average_models, requantize_averaged
+from .checkpoint import load, save
+from .data import synthetic_blobs, write_idx
+from .losscape import build_plane, evaluate_surface, export_grid, load_grid, params_to_vector
+from .nn import evaluate
+from .pipeline import RunConfig, default_config, run_sqwa
+from .qat import ShadowModel, retrain
+from .quantizer import QuantizerConfig, direct_quantize_model, levels_count, quantize_tensor
 
 __all__ = [
-    "AveragedModel",
-    "CaptureBank",
-    "CaptureEntry",
-    "CheckpointError",
-    "CyclicalSchedule",
-    "Dataset",
-    "Gradients",
-    "IdxFormatError",
-    "LayerSpec",
-    "LossPlane",
-    "Network",
-    "OptimizerState",
-    "PipelineError",
-    "QuantizedModel",
     "QuantizerConfig",
     "RunConfig",
     "ShadowModel",
-    "StepDecaySchedule",
-    "SurfaceGrid",
-    "average_epoch_range",
     "average_models",
     "build_plane",
-    "capture_epochs",
-    "conv2d",
     "default_config",
-    "dense",
-    "derive_cycle_bounds",
     "direct_quantize_model",
-    "effective_bits",
     "evaluate",
     "evaluate_surface",
     "export_grid",
-    "finetune",
-    "flatten",
-    "forward",
-    "grid_point",
-    "init_weights",
-    "ladder",
     "levels_count",
     "load",
     "load_grid",
-    "load_idx",
-    "load_manifest",
-    "loss_and_backward",
-    "loss_only",
-    "lr_at",
     "params_to_vector",
-    "qat_train_step",
-    "quantization_error",
-    "quantize_network",
     "quantize_tensor",
-    "quantized_grid_point",
-    "read_idx",
-    "relu",
     "requantize_averaged",
     "retrain",
     "run_sqwa",
-    "run_stages",
     "save",
-    "select_step_size",
-    "sgd_momentum_step",
-    "shuffle_batches",
     "synthetic_blobs",
-    "vector_to_network",
     "write_idx",
 ]
 

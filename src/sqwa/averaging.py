@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn import Network
-from .quantizer import QuantizedModel, direct_quantize_model
+from .quantizer import QuantizedModel, _weight_steps, direct_quantize_model
 
 __all__ = [
     "CaptureEntry",
@@ -91,13 +91,15 @@ def effective_bits(n: int) -> int:
 def _average(entries: list[CaptureEntry], bits: int, steps: list[float]) -> AveragedModel:
     n = len(entries)
     out = entries[0].model.net.copy()
-    for step, i in zip(steps, out.param_layers()):
-        weights = np.array([e.model.net.weights[i] for e in entries])
-        levels = np.rint(weights / step)
-        if not np.array_equal(levels * step, weights):
-            raise ValueError(f"layer {i}: captured weights are not on the shared grid")
-        out.weights[i][...] = levels.astype(np.int64).sum(axis=0) * (step / n)
     nw = out.weight_size
+    step_of = _weight_steps(out, bits, steps)
+    weights = np.array([e.model.net.flat[:nw] for e in entries])
+    levels = np.rint(weights / step_of)
+    off_grid = np.flatnonzero((levels * step_of != weights).any(axis=0))
+    if off_grid.size:
+        layer = next(i for i in out.param_layers() if out.layout[i][1] > off_grid[0])
+        raise ValueError(f"layer {layer}: captured weights are not on the shared grid")
+    out.flat[:nw] = levels.astype(np.int64).sum(axis=0) * (step_of / n)
     out.flat[nw:] = np.mean([e.model.net.flat[nw:] for e in entries], axis=0)
     return AveragedModel(out, n, list(steps), effective_bits(n))
 

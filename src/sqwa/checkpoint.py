@@ -84,12 +84,10 @@ class _PayloadBuilder:
 
 
 def _add_network(builder: _PayloadBuilder, net: Network, *, weight_encoding="f32",
-                 steps=None, denominator=1, weight_prefix="weight"):
+                 steps=None, denominator=1):
     for j, i in enumerate(net.param_layers()):
-        scale = None
-        if weight_encoding == "i8":
-            scale = steps[j] / denominator if denominator != 1 else steps[j]
-        builder.add(f"layer{i}.{weight_prefix}", net.weights[i], weight_encoding, scale)
+        scale = steps[j] / denominator if weight_encoding == "i8" else None
+        builder.add(f"layer{i}.weight", net.weights[i], weight_encoding, scale)
         if net.biases[i] is not None:
             builder.add(f"layer{i}.bias", net.biases[i], "f32")
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .nn import Network, evaluate
-from .quantizer import QuantizerConfig, quantize_tensor
+from .quantizer import _quantize, _weight_steps
 
 __all__ = [
     "LossPlane",
@@ -105,13 +105,15 @@ def quantized_grid_point(plane: LossPlane, x: float, y: float, template: Network
                          bits: int, steps: list[float]) -> np.ndarray:
     """grid_point pushed through the per-layer quantizer.
 
-    Weight segments are quantized under their layer's step; bias segments
-    pass through untouched.
+    The weight region (laid out as in `template`) is quantized under each
+    layer's step; the biases pass through untouched.
     """
-    net = vector_to_network(template, grid_point(plane, x, y))
-    for i, step in zip(net.param_layers(), steps):
-        net.weights[i][...] = quantize_tensor(net.weights[i], QuantizerConfig(bits, step))
-    return params_to_vector(net)
+    vec = grid_point(plane, x, y)
+    if vec.shape != template.flat.shape:
+        raise ValueError(f"vector has {vec.size} values, template needs {template.flat.size}")
+    nw = template.weight_size
+    vec[:nw] = _quantize(vec[:nw], _weight_steps(template, bits, steps), bits)
+    return vec
 
 
 @dataclass
@@ -191,13 +193,13 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
 
     loss = np.empty((rx, ry))
     acc = np.empty((rx, ry))
+    net = vector_to_network(template, plane.origin)  # the one working copy
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             if mode == "quantized":
-                vec = quantized_grid_point(plane, x, y, template, bits, steps)
+                net.flat[:] = quantized_grid_point(plane, x, y, template, bits, steps)
             else:
-                vec = grid_point(plane, x, y)
-            net = vector_to_network(template, vec)
+                net.flat[:] = grid_point(plane, x, y)
             loss[i, j], acc[i, j] = evaluate(net, dataset, batch_size)
     return SurfaceGrid(xs, ys, loss, acc, mode, bits,
                        None if steps is None else list(steps),

@@ -18,7 +18,7 @@ import numpy as np
 from .averaging import CaptureBank, CaptureEntry
 from .data import Dataset, shuffle_batches
 from .nn import Network, OptimizerState, evaluate, forward, loss_and_backward, sgd_momentum_step
-from .quantizer import (QuantizedModel, QuantizerConfig, _quantize, quantize_network,
+from .quantizer import (QuantizedModel, _quantize, _weight_steps, quantize_network,
                         select_step_size)
 from .schedule import CyclicalSchedule, capture_epochs, lr_at
 
@@ -40,12 +40,9 @@ class ShadowModel:
     steps: list[float]
 
     def __post_init__(self):
-        idx = self.shadow.param_layers()
-        if len(self.steps) != len(idx) or self.applied.layout != self.shadow.layout:
-            raise ValueError("shadow, applied network and steps disagree in layout")
-        # the step of each weight-region element; QuantizerConfig checks bits and steps
-        self._step_of = np.repeat([QuantizerConfig(self.bits, step).step for step in self.steps],
-                                  [self.shadow.weights[i].size for i in idx])
+        if self.applied.layout != self.shadow.layout:
+            raise ValueError("shadow and applied network disagree in layout")
+        self._step_of = _weight_steps(self.shadow, self.bits, self.steps)
 
     @staticmethod
     def from_network(net: Network, bits: int, steps: list[float] | None = None) -> "ShadowModel":

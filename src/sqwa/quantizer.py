@@ -79,9 +79,18 @@ def quantization_error(w: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     return quantize_tensor(w, cfg) - np.asarray(w, dtype=np.float64)
 
 
+def _weight_steps(net: Network, bits: int, steps) -> np.ndarray:
+    # The step of each element of net.flat[:net.weight_size]: one step per
+    # weighted layer, in layer order. QuantizerConfig checks bits and steps.
+    idx = net.param_layers()
+    if len(steps) != len(idx):
+        raise ValueError(f"{len(steps)} step sizes disagree with {len(idx)} weighted layers")
+    return np.repeat([QuantizerConfig(bits, step).step for step in steps],
+                     [net.weights[i].size for i in idx])
+
+
 def _mse(w: np.ndarray, bits: int, step: float) -> float:
-    q = quantize_tensor(w, QuantizerConfig(bits, step))
-    return float(np.mean((q - w) ** 2))
+    return float(np.mean((_quantize(w, step, bits) - w) ** 2))
 
 
 def select_step_size(w: np.ndarray, bits: int) -> float:
@@ -94,10 +103,13 @@ def select_step_size(w: np.ndarray, bits: int) -> float:
     """
     w = np.asarray(w, dtype=np.float64).ravel()
     m = levels_count(bits)
+    if not np.isfinite(w).all():
+        raise ValueError("cannot select a step size for a tensor holding NaN or infinite values")
     w_max = float(np.max(np.abs(w))) if w.size else 0.0
     if w_max == 0.0:
         raise ValueError("cannot select a step size for an all-zero tensor")
-    hi = 2.0 * w_max / max(m - 1, 1)
+    # QuantizerConfig rejects an upper end that overflows to inf
+    hi = QuantizerConfig(bits, 2.0 * w_max / max(m - 1, 1)).step
     lo = 1e-9 * hi
     tol = _SEARCH_TOL * w_max
 
@@ -133,12 +145,9 @@ def quantize_network(net: Network, bits: int, steps: list[float]) -> Network:
 
     Biases stay full precision; `steps` is aligned with net.param_layers().
     """
-    idx = net.param_layers()
-    if len(steps) != len(idx):
-        raise ValueError(f"expected {len(idx)} step sizes, got {len(steps)}")
     out = net.copy()
-    for i, step in zip(idx, steps):
-        out.weights[i][...] = quantize_tensor(net.weights[i], QuantizerConfig(bits, step))
+    nw = out.weight_size
+    out.flat[:nw] = _quantize(out.flat[:nw], _weight_steps(out, bits, steps), bits)
     return out
 
 

@@ -6,8 +6,10 @@ import pytest
 
 from sqwa import checkpoint as ckpt
 from sqwa.averaging import CaptureBank, CaptureEntry, average_models
-from sqwa.losscape import params_to_vector, vector_to_network
-from sqwa.nn import (Gradients, OptimizerState, conv2d, dense, flatten, forward,
+from sqwa.data import Dataset
+from sqwa.losscape import (build_plane, evaluate_surface, grid_point, params_to_vector,
+                           quantized_grid_point, vector_to_network)
+from sqwa.nn import (Gradients, OptimizerState, conv2d, dense, evaluate, flatten, forward,
                      init_weights, loss_and_backward, relu, sgd_momentum_step,
                      zero_network)
 from sqwa.qat import ShadowModel
@@ -207,22 +209,82 @@ def test_gradients_share_the_network_layout():
             assert g.base is grads.flat and g.shape == t.shape
 
 
+def _per_layer_quantized(net, bits, steps):
+    # reference: a copy of `net` quantized layer by layer with quantize_tensor
+    out = net.copy()
+    for i, step in zip(out.param_layers(), steps):
+        out.weights[i] = quantize_tensor(net.weights[i], QuantizerConfig(bits, step))
+    return out
+
+
+def _assert_same_parameters(got, expected):
+    for i in expected.param_layers():
+        assert np.array_equal(got.weights[i], expected.weights[i])
+        if expected.biases[i] is not None:
+            assert np.array_equal(got.biases[i], expected.biases[i])
+
+
 @pytest.mark.parametrize("bits", [1, 2, 4])
 def test_refresh_equals_per_layer_quantize_tensor(bits):
+    # refresh_applied, quantize_network, quantized_grid_point and
+    # average_models each quantize the weight region in one flat pass
     rng = np.random.default_rng(94 + bits)
     net = _conv_net()
     model = ShadowModel.from_network(net, bits)
-    for _ in range(3):
+    bank = CaptureBank(bits, model.steps)
+    shadows = []
+    for epoch in range(3):
         model.shadow.flat[:] += rng.normal(scale=0.1, size=model.shadow.flat.shape)
         # exact zeros and exact midpoints exercise sign(0) and ties
         model.shadow.weights[0][0, 0, 0, 0] = 0.0
         model.shadow.weights[3][0, 0] = -0.5 * model.steps[1]
         model.refresh_applied()
-        for i, step in zip(model.shadow.param_layers(), model.steps):
-            expected = quantize_tensor(model.shadow.weights[i], QuantizerConfig(bits, step))
-            assert np.array_equal(model.applied.weights[i], expected)
-            if model.shadow.biases[i] is not None:
-                assert np.array_equal(model.applied.biases[i], model.shadow.biases[i])
+        expected = _per_layer_quantized(model.shadow, bits, model.steps)
+        _assert_same_parameters(model.applied, expected)
+        _assert_same_parameters(quantize_network(model.shadow, bits, model.steps), expected)
+        bank.add(CaptureEntry(epoch, model.as_quantized(), model.shadow.copy(), {}))
+        shadows.append(model.shadow.copy())
+
+    plane = build_plane(*[params_to_vector(sh) for sh in shadows])
+    for x, y in [(0.0, 0.0), (0.3, -0.2), *plane.anchors[1:]]:
+        fresh = vector_to_network(net, grid_point(plane, x, y))
+        got = vector_to_network(net, quantized_grid_point(plane, x, y, net, bits, model.steps))
+        _assert_same_parameters(got, _per_layer_quantized(fresh, bits, model.steps))
+
+    avg = average_models(bank, 3).net
+    for i, step in zip(net.param_layers(), model.steps):
+        levels = sum(np.rint(quantize_tensor(sh.weights[i], QuantizerConfig(bits, step)) / step)
+                     .astype(np.int64) for sh in shadows)
+        assert np.array_equal(avg.weights[i], levels * (step / 3))
+        if net.biases[i] is not None:
+            assert np.array_equal(avg.biases[i], np.mean([sh.biases[i] for sh in shadows], axis=0))
+
+
+@pytest.mark.parametrize("layer,index", [(0, (1, 0, 2, 2)), (3, (4, 17)), (5, (3, 4))])
+def test_average_names_the_off_grid_layer(layer, index):
+    bank = _bank(_conv_net())
+    bank.entries[1].model.net.weights[layer][index] += 0.01
+    with pytest.raises(ValueError, match=f"layer {layer}: .* not on the shared grid"):
+        average_models(bank, 3)
+
+
+def test_quantized_surface_equals_a_fresh_network_per_point():
+    # the surface reuses one network; every point must see only its own
+    # weights and biases
+    rng = np.random.default_rng(95)
+    net = _conv_net()
+    plane = build_plane(*[net.flat + rng.normal(scale=0.3, size=net.flat.shape)
+                          for _ in range(3)])
+    data = Dataset(rng.normal(size=(40, 2, 5, 4)), rng.integers(0, 4, size=40), 4)
+    steps = [0.1, 0.15, 0.2]
+    grid = evaluate_surface(plane, net, data, resolution=5, mode="quantized", bits=2,
+                            steps=steps)
+    assert np.unique(grid.loss).size > 1
+    for i, x in enumerate(grid.xs):
+        for j, y in enumerate(grid.ys):
+            fresh = _per_layer_quantized(vector_to_network(net, grid_point(plane, x, y)), 2,
+                                         steps)
+            assert (grid.loss[i, j], grid.accuracy[i, j]) == evaluate(fresh, data)
 
 
 def test_shadow_model_rejects_mismatched_parts():

@@ -34,6 +34,10 @@ def test_vector_length_checked():
     vec = params_to_vector(net)
     with pytest.raises(ValueError):
         vector_to_network(net, vec[:-1])
+    plane = build_plane(vec, 2.0 * vec, vec + np.arange(vec.size))
+    wider = init_weights([dense(3, 6), relu(), dense(6, 2)], (3,), seed=73)
+    with pytest.raises(ValueError, match="template needs"):
+        quantized_grid_point(plane, 0.1, 0.1, wider, 2, [0.1, 0.1])
 
 
 def test_plane_orthonormal_basis():
@@ -128,6 +132,22 @@ def test_surface_quantized_grid_residency():
         lv = np.rint(net.weights[i] / steps[j])
         np.testing.assert_array_equal(lv * steps[j], net.weights[i])
         assert np.abs(lv).max() <= 1
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_quantized_mode_rejects_a_step_list_of_the_wrong_length(count):
+    # 8->24->10 MLP: one step would leave layer 2 at full precision, and a
+    # third step has no layer to go to
+    nets = [init_weights([dense(8, 24), relu(), dense(24, 10)], (8,), seed=s)
+            for s in (101, 102, 103)]
+    plane = build_plane(*[params_to_vector(n) for n in nets])
+    steps = [0.1] * count
+    with pytest.raises(ValueError, match="disagree"):
+        quantized_grid_point(plane, 0.1, 0.2, nets[0], 2, steps)
+    data = synthetic_blobs(10, 2, 8, 0.5, seed=101)
+    with pytest.raises(ValueError, match="disagree"):
+        evaluate_surface(plane, nets[0], data, resolution=3, mode="quantized", bits=2,
+                         steps=steps)
 
 
 def test_surface_explicit_ranges_and_rectangular_resolution():

@@ -139,6 +139,26 @@ def test_select_step_exact_fit():
 def test_select_step_rejects_degenerate():
     with pytest.raises(ValueError):
         select_step_size(np.zeros(10), 2)
+    # finite, but the search's upper end 2 * max|w| overflows
+    with pytest.raises(ValueError, match="positive finite"):
+        select_step_size(np.array([1e308, -1.0]), 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bits", [1, 2])
+def test_select_step_rejects_non_finite_input(bad, bits):
+    w = np.array([0.3, -0.2, bad, 0.1])
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        select_step_size(w, bits)
+
+
+def test_quantize_network_rejects_a_step_list_of_the_wrong_length():
+    net = init_weights([dense(6, 5), relu(), dense(5, 3)], (6,), seed=3)
+    for steps in ([0.2], [0.2, 0.3, 0.4]):
+        with pytest.raises(ValueError, match="disagree"):
+            quantize_network(net, 2, steps)
+    with pytest.raises(ValueError, match="step"):
+        quantize_network(net, 2, [0.2, np.nan])
 
 
 def test_quantize_network_leaves_biases():
