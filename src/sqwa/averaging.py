@@ -3,9 +3,10 @@
 n captured models sharing a common per-layer step all have weights of the
 form k * step, so their elementwise mean lives on the finer step / n grid.
 The mean is computed by summing the integer levels and scaling once, which
-keeps the result exactly grid-resident. Averaging n ternary models yields
-at most 2n + 1 distinct values per layer, i.e. an effective bit width of
-the smallest b' with 2^b' - 1 >= 2n + 1.
+keeps the result exactly grid-resident. Averaging n models on an M-level
+grid yields at most n (M - 1) + 1 distinct values per layer (2n + 1 for
+ternary models), i.e. an effective bit width of the smallest b' whose
+level count covers them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn import Network
-from .quantizer import QuantizedModel, _weight_steps, direct_quantize_model
+from .quantizer import QuantizedModel, _weight_steps, direct_quantize_model, levels_count
 
 __all__ = [
     "CaptureEntry",
@@ -77,13 +78,14 @@ class AveragedModel:
     effective_bits: int
 
 
-def effective_bits(n: int) -> int:
-    """Smallest bit width whose 2^b - 1 levels cover the 2n + 1 values an
-    n-model ternary average can take."""
+def effective_bits(n: int, bits: int) -> int:
+    """Smallest bit width whose levels cover the n (M - 1) + 1 values an
+    average of n models on the M-level `bits` grid can take."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    b = 2
-    while 2 ** b - 1 < 2 * n + 1:
+    values = n * (levels_count(bits) - 1) + 1
+    b = 1
+    while levels_count(b) < values:
         b += 1
     return b
 
@@ -101,7 +103,7 @@ def _average(entries: list[CaptureEntry], bits: int, steps: list[float]) -> Aver
         raise ValueError(f"layer {layer}: captured weights are not on the shared grid")
     out.flat[:nw] = levels.astype(np.int64).sum(axis=0) * (step_of / n)
     out.flat[nw:] = np.mean([e.model.net.flat[nw:] for e in entries], axis=0)
-    return AveragedModel(out, n, list(steps), effective_bits(n))
+    return AveragedModel(out, n, list(steps), effective_bits(n, bits))
 
 
 def average_models(bank: CaptureBank, last_n: int) -> AveragedModel:

@@ -8,7 +8,8 @@ quantizes to its applied weights even when it sits next to a quantizer
 midpoint; other full-precision tensors are stored as little-endian 32-bit
 floats. Grid-resident tensors are stored as signed 8-bit integer levels
 with their scale kept at full precision in the manifest, so quantized
-values reload bit for bit.
+values reload bit for bit. The manifest is written last and renamed into
+place, so a directory holding `manifest.json` is complete.
 
 Capture banks are directories of entry checkpoints plus an ordering
 manifest.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +34,9 @@ __all__ = ["CheckpointError", "SCHEMA_VERSION", "save", "load", "load_manifest"]
 
 SCHEMA_VERSION = 1
 
+# Largest level magnitude that signed 8-bit level storage holds.
+MAX_I8_LEVEL = 127
+
 
 class CheckpointError(ValueError):
     """Unreadable, tampered, or structurally wrong checkpoint."""
@@ -42,7 +47,7 @@ _FLOAT_DTYPES = {"f32": "<f4", "f64": "<f8"}
 
 def _i8_bytes(arr: np.ndarray, scale: float, name: str) -> bytes:
     levels = np.rint(arr / scale)
-    if np.abs(levels).max(initial=0.0) > 127:
+    if np.abs(levels).max(initial=0.0) > MAX_I8_LEVEL:
         raise CheckpointError(f"{name}: quantized levels exceed signed 8-bit storage")
     if not np.array_equal(levels * scale, arr):
         raise CheckpointError(f"{name}: values are not on the recorded grid")
@@ -83,24 +88,37 @@ class _PayloadBuilder:
         self.offset += len(raw)
 
 
-def _add_network(builder: _PayloadBuilder, net: Network, *, weight_encoding="f32",
-                 steps=None, denominator=1):
-    for j, i in enumerate(net.param_layers()):
-        scale = steps[j] / denominator if weight_encoding == "i8" else None
-        builder.add(f"layer{i}.weight", net.weights[i], weight_encoding, scale)
-        if net.biases[i] is not None:
-            builder.add(f"layer{i}.bias", net.biases[i], "f32")
+def _parts(obj):
+    """(kind, network, quantization record, weight streams) of a model. The
+    network gives the topology and the biases; each weight stream is
+    (tensor suffix, source network, encoding, per-layer scales or None)."""
+    if isinstance(obj, Network):
+        return "network", obj, None, [("weight", obj, "f32", None)]
+    if isinstance(obj, QuantizedModel):
+        return ("quantized", obj.net, {"bits": obj.bits, "steps": list(obj.steps)},
+                [("weight", obj.net, "i8", obj.steps)])
+    if isinstance(obj, ShadowModel):
+        return ("shadow", obj.shadow, {"bits": obj.bits, "steps": list(obj.steps)},
+                [("shadow_weight", obj.shadow, "f64", None),
+                 ("applied_weight", obj.applied, "i8", obj.steps)])
+    if isinstance(obj, AveragedModel):
+        quantization = {
+            "bits": obj.effective_bits,
+            "base_steps": list(obj.base_steps),
+            "denominator": obj.count,
+            "effective_bits": obj.effective_bits,
+        }
+        return ("averaged", obj.net, quantization,
+                [("weight", obj.net, "i8", [s / obj.count for s in obj.base_steps])])
+    raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
 
 
-def _base_manifest(kind: str, net: Network, provenance=None) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "input_shape": list(net.input_shape),
-        "layers": [s.to_dict() for s in net.specs],
-        "provenance": provenance,
-        "quantization": None,
-    }
+def _write_manifest(path: Path, manifest: dict) -> None:
+    # Write a sibling file, then rename it over manifest.json, so a crash
+    # mid-write never leaves a torn manifest that marks the directory done.
+    tmp = path / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    os.replace(tmp, path / "manifest.json")
 
 
 def save(obj, path, provenance: dict | None = None) -> Path:
@@ -109,43 +127,29 @@ def save(obj, path, provenance: dict | None = None) -> Path:
     path = Path(path)
     if isinstance(obj, CaptureBank):
         return _save_bank(obj, path, provenance)
+    kind, net, quantization, streams = _parts(obj)
     builder = _PayloadBuilder()
-    if isinstance(obj, Network):
-        manifest = _base_manifest("network", obj, provenance)
-        _add_network(builder, obj)
-    elif isinstance(obj, QuantizedModel):
-        manifest = _base_manifest("quantized", obj.net, provenance)
-        manifest["quantization"] = {"bits": obj.bits, "steps": list(obj.steps)}
-        _add_network(builder, obj.net, weight_encoding="i8", steps=obj.steps)
-    elif isinstance(obj, ShadowModel):
-        manifest = _base_manifest("shadow", obj.shadow, provenance)
-        manifest["quantization"] = {"bits": obj.bits, "steps": list(obj.steps)}
-        for j, i in enumerate(obj.shadow.param_layers()):
-            builder.add(f"layer{i}.shadow_weight", obj.shadow.weights[i], "f64")
-            builder.add(f"layer{i}.applied_weight", obj.applied.weights[i], "i8",
-                        obj.steps[j])
-            if obj.shadow.biases[i] is not None:
-                builder.add(f"layer{i}.bias", obj.shadow.biases[i], "f32")
-    elif isinstance(obj, AveragedModel):
-        manifest = _base_manifest("averaged", obj.net, provenance)
-        manifest["quantization"] = {
-            "bits": obj.effective_bits,
-            "base_steps": list(obj.base_steps),
-            "denominator": obj.count,
-            "effective_bits": obj.effective_bits,
-        }
-        _add_network(builder, obj.net, weight_encoding="i8", steps=obj.base_steps,
-                     denominator=obj.count)
-    else:
-        raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
-
+    for j, i in enumerate(net.param_layers()):
+        for suffix, source, encoding, scales in streams:
+            builder.add(f"layer{i}.{suffix}", source.weights[i], encoding,
+                        None if scales is None else scales[j])
+        if net.biases[i] is not None:
+            builder.add(f"layer{i}.bias", net.biases[i], "f32")
     payload = b"".join(builder.chunks)
-    manifest["tensors"] = builder.descriptors
-    manifest["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-    manifest["payload_bytes"] = len(payload)
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "input_shape": list(net.input_shape),
+        "layers": [s.to_dict() for s in net.specs],
+        "provenance": provenance,
+        "quantization": quantization,
+        "tensors": builder.descriptors,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_bytes": len(payload),
+    }
     path.mkdir(parents=True, exist_ok=True)
     (path / "payload.bin").write_bytes(payload)
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _write_manifest(path, manifest)
     return path
 
 
@@ -236,7 +240,7 @@ def _save_bank(bank: CaptureBank, path: Path, provenance=None) -> Path:
         "entries": entries,
         "provenance": provenance,
     }
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _write_manifest(path, manifest)
     return path
 
 

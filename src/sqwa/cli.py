@@ -20,7 +20,7 @@ from . import checkpoint as ckpt
 from .losscape import build_plane, evaluate_surface, export_grid, params_to_vector
 from .nn import evaluate
 from .pipeline import (PipelineError, RunConfig, as_network, build_datasets,
-                       dataset_id, default_config, run_stages)
+                       dataset_id, run_stages)
 from .qat import ShadowModel
 
 log = logging.getLogger("sqwa")
@@ -49,7 +49,8 @@ def _load_config(args) -> RunConfig:
     else:
         if not args.output_dir:
             raise ValueError("need --config or --output-dir")
-        d = default_config(args.output_dir, args.seed or 0).to_dict()
+        # unresolved, so that derived fields follow the overrides below
+        d = RunConfig(seed=args.seed or 0, output_dir=args.output_dir).to_dict()
     if args.output_dir:
         d["output_dir"] = args.output_dir
     if args.seed is not None:

@@ -1,13 +1,15 @@
 """End-to-end run orchestration: pretrain, quantize, retrain with cyclical
 rates, average, re-quantize + fine-tune, report.
 
-Every stage writes its artifact as a checkpoint directory under the run's
-output directory, and every stage reads its inputs back from disk. That
-makes runs resumable: rerunning with the same config skips stages whose
-artifacts already exist and yields byte-identical results, because fresh
-and resumed runs consume the same persisted bytes. A frozen copy of the
-resolved config is written at the start of the run and must match on
-resume. Failed stages leave their partial artifacts in place.
+Each stage is a plain function from its input artifacts to its output
+artifacts. One runner, `run_stages`, loads the inputs from checkpoint
+directories under the run's output directory, calls the stage and saves
+what it returns. That makes runs resumable: rerunning with the same config
+skips stages whose outputs already exist and yields byte-identical
+results, because fresh and resumed runs consume the same persisted bytes.
+A frozen copy of the resolved config is written at the start of the run
+and must match on resume. A checkpoint counts as written only once its
+manifest is in place, so a failed stage runs again on the next run.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .averaging import AveragedModel, average_models, requantize_averaged
+from .averaging import AveragedModel, CaptureBank, average_models, requantize_averaged
 from .data import Dataset, load_idx, synthetic_blobs
 from .nn import LayerSpec, Network, evaluate, init_weights
 from .qat import ShadowModel, finetune, fit, retrain
-from .quantizer import QuantizedModel, direct_quantize_model
+from .quantizer import QuantizedModel, direct_quantize_model, levels_count
 from .schedule import CyclicalSchedule, StepDecaySchedule, derive_cycle_bounds, lr_at
 
 __all__ = [
@@ -47,9 +49,6 @@ __all__ = [
 log = logging.getLogger("sqwa")
 
 CONFIG_SCHEMA_VERSION = 1
-
-STAGES = ["pretrain", "quantize", "retrain-cyclical", "average", "finetune", "report"]
-
 
 class PipelineError(RuntimeError):
     pass
@@ -151,6 +150,9 @@ class RunConfig:
         cfg.finetune = dataclasses.replace(self.finetune)
         if cfg.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not (isinstance(cfg.bits, int) and 1 <= cfg.bits <= 8):
+            raise ValueError(f"bits must be an integer in 1..8 (8-bit level storage), "
+                             f"got {cfg.bits!r}")
         if cfg.dataset.kind == "blobs":
             if cfg.dataset.train_seed is None:
                 cfg.dataset.train_seed = cfg.seed
@@ -183,6 +185,12 @@ class RunConfig:
         if not (1 <= cfg.average_last_n <= captures):
             raise ValueError(f"average_last_n {cfg.average_last_n} exceeds the "
                              f"{captures} captures the cyclical stage will produce")
+        # the averaged model stores summed levels, up to n times the top level
+        top_level = max(1, (levels_count(cfg.bits) - 1) // 2)
+        if cfg.average_last_n * top_level > ckpt.MAX_I8_LEVEL:
+            raise ValueError(f"averaging {cfg.average_last_n} {cfg.bits}-bit models sums "
+                             f"levels up to {cfg.average_last_n * top_level}, beyond the "
+                             f"{ckpt.MAX_I8_LEVEL} of 8-bit level storage")
         return cfg
 
 
@@ -239,43 +247,11 @@ def as_network(obj) -> Network:
 
 # --- stages ---------------------------------------------------------------
 
-def _paths(cfg: RunConfig) -> dict[str, Path]:
-    out = Path(cfg.output_dir)
-    return {
-        "config": out / "config.json",
-        "pretrained": out / "pretrained",
-        "direct_quantized": out / "direct_quantized",
-        "capture_bank": out / "capture_bank",
-        "averaged": out / "averaged",
-        "requantized": out / "requantized",
-        "final": out / "final",
-        "final_quantized": out / "final_quantized",
-        "metrics": out / "metrics.csv",
-        "summary": out / "summary.txt",
-    }
+# Each stage is a function (cfg, train, test, *inputs) of its loaded input
+# artifacts. It returns {artifact: (object, provenance)}, except the report,
+# which returns its rows and the text of the report files.
 
-
-def _done(path: Path) -> bool:
-    return (path / "manifest.json").is_file()
-
-
-def _freeze_config(cfg: RunConfig, paths: dict) -> None:
-    resolved = cfg.to_dict()
-    path = paths["config"]
-    if path.is_file():
-        existing = json.loads(path.read_text())
-        if existing != json.loads(json.dumps(resolved)):
-            raise ValueError(f"{path} was written by a run with a different config; "
-                             "refusing to mix artifacts")
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(resolved, indent=2, sort_keys=True))
-
-
-def _stage_pretrain(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) -> None:
-    if _done(paths["pretrained"]):
-        log.info("pretrain: artifact exists, skipping")
-        return
+def _stage_pretrain(cfg: RunConfig, train: Dataset, test: Dataset) -> dict:
     specs, input_shape = _network_template(cfg)
     sched = _pretrain_schedule(cfg)
     p = cfg.pretrain
@@ -285,28 +261,19 @@ def _stage_pretrain(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) 
     loss, acc = evaluate(net, test)
     log.info("pretrain: %d epochs, test loss %.4f, test accuracy %.4f",
              p.epochs, loss, acc)
-    ckpt.save(net, paths["pretrained"],
-              provenance={"stage": "pretrain", "seed": cfg.seed, "epochs": p.epochs})
+    return {"pretrained": (net, {"seed": cfg.seed, "epochs": p.epochs})}
 
 
-def _stage_quantize(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) -> None:
-    if _done(paths["direct_quantized"]):
-        log.info("quantize: artifact exists, skipping")
-        return
-    net = ckpt.load(paths["pretrained"])
+def _stage_quantize(cfg: RunConfig, train: Dataset, test: Dataset, net: Network) -> dict:
     qm, steps = direct_quantize_model(net, cfg.bits)
     loss, acc = evaluate(qm.net, test)
     log.info("quantize: %d-bit direct, steps %s, test accuracy %.4f",
              cfg.bits, [f"{s:.4g}" for s in steps], acc)
-    ckpt.save(qm, paths["direct_quantized"], provenance={"stage": "quantize"})
+    return {"direct_quantized": (qm, {})}
 
 
-def _stage_retrain(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) -> None:
-    if _done(paths["capture_bank"]):
-        log.info("retrain-cyclical: artifact exists, skipping")
-        return
-    net = ckpt.load(paths["pretrained"])
-    qm = ckpt.load(paths["direct_quantized"])
+def _stage_retrain(cfg: RunConfig, train: Dataset, test: Dataset, net: Network,
+                   qm: QuantizedModel) -> dict:
     model = ShadowModel.from_network(net, cfg.bits, qm.steps)
     sched = _cyclical_schedule(cfg)
 
@@ -317,30 +284,21 @@ def _stage_retrain(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) -
     _, bank = retrain(model, train, sched, cfg.cyclical.epochs, cfg.seed + 1,
                       batch_size=cfg.pretrain.batch_size, momentum=cfg.pretrain.momentum,
                       eval_dataset=test, on_capture=_log_capture)
-    ckpt.save(bank, paths["capture_bank"], provenance={"stage": "retrain-cyclical"})
     log.info("retrain-cyclical: %d captures banked", len(bank))
+    return {"capture_bank": (bank, {})}
 
 
-def _stage_average(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) -> None:
-    if _done(paths["averaged"]):
-        log.info("average: artifact exists, skipping")
-        return
-    bank = ckpt.load(paths["capture_bank"])
+def _stage_average(cfg: RunConfig, train: Dataset, test: Dataset, bank: CaptureBank) -> dict:
     avg = average_models(bank, cfg.average_last_n)
     loss, acc = evaluate(avg.net, test)
     log.info("average: %d models, effective %d-bit, test accuracy %.4f",
              avg.count, avg.effective_bits, acc)
-    ckpt.save(avg, paths["averaged"], provenance={"stage": "average"})
+    return {"averaged": (avg, {})}
 
 
-def _stage_finetune(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) -> None:
-    if _done(paths["requantized"]) and _done(paths["final"]) \
-            and _done(paths["final_quantized"]):
-        log.info("finetune: artifacts exist, skipping")
-        return
-    avg = ckpt.load(paths["averaged"])
+def _stage_finetune(cfg: RunConfig, train: Dataset, test: Dataset,
+                    avg: AveragedModel) -> dict:
     qm, steps = requantize_averaged(avg, cfg.bits)
-    ckpt.save(qm, paths["requantized"], provenance={"stage": "finetune"})
     model = ShadowModel.from_network(avg.net, cfg.bits, steps)
     f = cfg.finetune
     model = finetune(model, train, f.initial_lr, f.epochs, f.decay, cfg.seed + 2,
@@ -348,9 +306,8 @@ def _stage_finetune(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) 
     loss, acc = evaluate(model.applied, test)
     log.info("finetune: %d epochs from lr %.2g, test accuracy %.4f",
              f.epochs, f.initial_lr, acc)
-    ckpt.save(model, paths["final"], provenance={"stage": "finetune"})
-    ckpt.save(model.as_quantized(), paths["final_quantized"],
-              provenance={"stage": "finetune"})
+    return {"requantized": (qm, {}), "final": (model, {}),
+            "final_quantized": (model.as_quantized(), {})}
 
 
 def _metric_row(label: str, epoch, bits, net: Network, train: Dataset,
@@ -362,11 +319,9 @@ def _metric_row(label: str, epoch, bits, net: Network, train: Dataset,
             "test_loss": test_loss, "test_accuracy": test_acc}
 
 
-def _stage_report(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) -> list[dict]:
-    bank = ckpt.load(paths["capture_bank"])
-    avg = ckpt.load(paths["averaged"])
-    requant = ckpt.load(paths["requantized"])
-    final = ckpt.load(paths["final_quantized"])
+def _stage_report(cfg: RunConfig, train: Dataset, test: Dataset, bank: CaptureBank,
+                  avg: AveragedModel, requant: QuantizedModel, final: QuantizedModel,
+                  pre: Network, direct0: QuantizedModel) -> tuple[list[dict], dict]:
     rows = []
     for entry in bank.entries[-cfg.average_last_n:]:
         rows.append(_metric_row("capture", entry.epoch, bank.bits, entry.model.net,
@@ -382,10 +337,7 @@ def _stage_report(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) ->
         lines.append(",".join("" if r[k] is None else
                               (repr(r[k]) if isinstance(r[k], float) else str(r[k]))
                               for k in header))
-    paths["metrics"].write_text("\n".join(lines) + "\n")
 
-    pre = ckpt.load(paths["pretrained"])
-    direct0 = ckpt.load(paths["direct_quantized"])
     fp_loss, fp_acc = evaluate(pre, test)
     d_loss, d_acc = evaluate(direct0.net, test)
     summary = [
@@ -398,26 +350,54 @@ def _stage_report(cfg: RunConfig, paths: dict, train: Dataset, test: Dataset) ->
         epoch = "" if r["epoch"] is None else r["epoch"]
         summary.append(f"{r['label']:<10}{epoch:>6}{r['bits']:>5}"
                        f"{r['train_accuracy']:>11.4f}{r['test_accuracy']:>10.4f}")
-    paths["summary"].write_text("\n".join(summary) + "\n")
     for line in summary:
         log.info("report: %s", line)
-    return rows
+    return rows, {"metrics": "\n".join(lines) + "\n", "summary": "\n".join(summary) + "\n"}
 
 
-_STAGE_FNS = {
-    "pretrain": _stage_pretrain,
-    "quantize": _stage_quantize,
-    "retrain-cyclical": _stage_retrain,
-    "average": _stage_average,
-    "finetune": _stage_finetune,
-    "report": _stage_report,
+# stage -> (function, input artifacts, output artifacts), in run order. A
+# stage whose outputs all have a manifest.json is skipped; the report has
+# none and always runs.
+_STAGE_TABLE = {
+    "pretrain": (_stage_pretrain, (), ("pretrained",)),
+    "quantize": (_stage_quantize, ("pretrained",), ("direct_quantized",)),
+    "retrain-cyclical": (_stage_retrain, ("pretrained", "direct_quantized"),
+                         ("capture_bank",)),
+    "average": (_stage_average, ("capture_bank",), ("averaged",)),
+    "finetune": (_stage_finetune, ("averaged",),
+                 ("requantized", "final", "final_quantized")),
+    "report": (_stage_report, ("capture_bank", "averaged", "requantized",
+                               "final_quantized", "pretrained", "direct_quantized"), ()),
 }
+
+STAGES = list(_STAGE_TABLE)
+
+
+def _paths(cfg: RunConfig) -> dict[str, Path]:
+    # one checkpoint directory per stage output, named after the artifact
+    out = Path(cfg.output_dir)
+    paths = {a: out / a for _, _, outputs in _STAGE_TABLE.values() for a in outputs}
+    return {"config": out / "config.json", **paths,
+            "metrics": out / "metrics.csv", "summary": out / "summary.txt"}
+
+
+def _freeze_config(cfg: RunConfig, paths: dict) -> None:
+    resolved = cfg.to_dict()
+    path = paths["config"]
+    if path.is_file():
+        existing = json.loads(path.read_text())
+        if existing != json.loads(json.dumps(resolved)):
+            raise ValueError(f"{path} was written by a run with a different config; "
+                             "refusing to mix artifacts")
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(resolved, indent=2, sort_keys=True))
 
 
 def run_stages(cfg: RunConfig, last_stage: str) -> dict:
     """Run every stage up to and including `last_stage`, skipping stages
-    whose artifacts already exist. Returns paths and, when the report stage
-    runs, its rows."""
+    whose outputs all exist. Returns paths and, when the report stage runs,
+    its rows."""
     if last_stage not in STAGES:
         raise ValueError(f"unknown stage {last_stage!r}")
     cfg = cfg.resolve()
@@ -427,12 +407,21 @@ def run_stages(cfg: RunConfig, last_stage: str) -> dict:
     train, test = build_datasets(cfg)
     result = {"paths": paths, "config": cfg}
     for name in STAGES[:STAGES.index(last_stage) + 1]:
+        fn, inputs, outputs = _STAGE_TABLE[name]
+        if outputs and all((paths[a] / "manifest.json").is_file() for a in outputs):
+            log.info("%s: artifacts exist, skipping", name)
+            continue
         try:
-            out = _STAGE_FNS[name](cfg, paths, train, test)
+            out = fn(cfg, train, test, *[ckpt.load(paths[a]) for a in inputs])
+            if name == "report":
+                result["report"], files = out
+                for artifact, text in files.items():
+                    paths[artifact].write_text(text)
+            else:
+                for artifact, (obj, provenance) in out.items():
+                    ckpt.save(obj, paths[artifact], provenance={"stage": name, **provenance})
         except Exception as exc:
             raise PipelineError(f"stage '{name}': {exc}") from exc
-        if name == "report":
-            result["report"] = out
     return result
 
 

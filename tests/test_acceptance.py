@@ -144,7 +144,7 @@ def test_criterion_02_level_counts():
 
 
 def test_criterion_02_effective_bits():
-    assert [effective_bits(n) for n in (3, 7, 15, 31)] == [3, 4, 5, 6]
+    assert [effective_bits(n, bits=2) for n in (3, 7, 15, 31)] == [3, 4, 5, 6]
 
 
 # --- criterion 3: averaging grid exactness ----------------------------------

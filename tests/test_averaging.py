@@ -11,7 +11,7 @@ from sqwa.averaging import (
     requantize_averaged,
 )
 from sqwa.nn import Network, dense, init_weights, relu
-from sqwa.quantizer import QuantizedModel, QuantizerConfig, quantize_tensor
+from sqwa.quantizer import QuantizedModel, QuantizerConfig, levels_count, quantize_tensor
 
 
 def _ternary_net(levels, step, bias=None):
@@ -31,12 +31,28 @@ def _entry(epoch, levels, step, bias=None, metrics=None):
 
 
 def test_effective_bits_table():
-    assert [effective_bits(n) for n in (1, 3, 7, 15, 31)] == [2, 3, 4, 5, 6]
+    assert [effective_bits(n, bits=2) for n in (1, 3, 7, 15, 31)] == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_effective_bits_covers_the_values_of_an_n_model_average(bits):
+    # n models on an M-level grid average to at most n (M - 1) + 1 values
+    for n in range(1, 32):
+        values = n * (levels_count(bits) - 1) + 1
+        b = effective_bits(n, bits)
+        assert levels_count(b) >= values
+        assert b == 1 or levels_count(b - 1) < values
+
+
+def test_effective_bits_beyond_ternary():
+    assert effective_bits(3, bits=4) == 6      # 43 values: 3 models of 15 levels
+    assert effective_bits(7, bits=4) == 7      # 99 values
+    assert [effective_bits(n, bits=1) for n in (1, 2, 3, 7)] == [1, 2, 3, 4]
 
 
 def test_effective_bits_rejects_nonpositive():
     with pytest.raises(ValueError):
-        effective_bits(0)
+        effective_bits(0, bits=2)
 
 
 def test_hand_example_six_sevenths():

@@ -274,3 +274,34 @@ def test_off_grid_values_rejected(tmp_path):
     model.net.weights[0][0, 0] = model.steps[0] * 0.5
     with pytest.raises(CheckpointError, match="grid"):
         ckpt.save(model, tmp_path / "x")
+
+
+def test_every_kind_writes_per_layer_weight_streams_then_bias(tmp_path):
+    # The payload format of every kind: per weighted layer its weight
+    # stream(s), then its bias if it has one, back to back.
+    net = init_weights([dense(4, 6, has_bias=False), relu(), dense(6, 3)], (4,), seed=112)
+    qm, steps = direct_quantize_model(net, 2)
+    sm = ShadowModel.from_network(net, 2, steps)
+    avg = AveragedModel(qm.net.copy(), count=3, base_steps=steps, effective_bits=3)
+    expected = {
+        "network": [("layer0.weight", "f32", None), ("layer2.weight", "f32", None),
+                    ("layer2.bias", "f32", None)],
+        "quantized": [("layer0.weight", "i8", steps[0]), ("layer2.weight", "i8", steps[1]),
+                      ("layer2.bias", "f32", None)],
+        "shadow": [("layer0.shadow_weight", "f64", None),
+                   ("layer0.applied_weight", "i8", steps[0]),
+                   ("layer2.shadow_weight", "f64", None),
+                   ("layer2.applied_weight", "i8", steps[1]), ("layer2.bias", "f32", None)],
+        "averaged": [("layer0.weight", "i8", steps[0] / 3), ("layer2.weight", "i8", steps[1] / 3),
+                     ("layer2.bias", "f32", None)],
+    }
+    for obj in (net, qm, sm, avg):
+        manifest = json.loads((ckpt.save(obj, tmp_path / "c") / "manifest.json").read_text())
+        tensors = manifest["tensors"]
+        assert [(t["name"], t["encoding"], t.get("scale")) for t in tensors] == \
+            expected[manifest["kind"]]
+        sizes = [int(np.prod(t["shape"])) * {"f32": 4, "f64": 8, "i8": 1}[t["encoding"]]
+                 for t in tensors]
+        assert [t["offset"] for t in tensors] == list(np.cumsum([0, *sizes[:-1]]))
+        assert manifest["payload_bytes"] == sum(sizes)
+        assert not (tmp_path / "c" / "manifest.json.tmp").exists()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import shutil
 import sys
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 
 import sqwa
 import sqwa.nn
+from sqwa import pipeline
+from sqwa.averaging import effective_bits
 from sqwa.cli import main
 from sqwa.pipeline import (
     PipelineError,
@@ -349,3 +352,158 @@ def test_run_directory_with_retrained_shadow_resumes_unchanged(tmp_path):
     for p in fresh_dir.rglob("payload.bin"):
         assert (old_dir / p.relative_to(fresh_dir)).read_bytes() == p.read_bytes()
     assert (old_dir / "metrics.csv").read_text() == (fresh_dir / "metrics.csv").read_text()
+
+
+# --- CLI defaults ------------------------------------------------------------
+
+def _default_cli_args(output_dir, *overrides):
+    # the default recipe with no --config, on a small dataset
+    args = ["--output-dir", str(output_dir), "--set", "dataset.samples_per_class=10",
+            "--set", "dataset.test_samples_per_class=10"]
+    for item in overrides:
+        args += ["--set", item]
+    return args
+
+
+def test_cli_set_without_config_rederives_dependent_rates(tmp_path):
+    out = tmp_path / "run"
+    assert main(["pretrain", *_default_cli_args(out, "pretrain.initial_lr=0.05")]) == 0
+    frozen = json.loads((out / "config.json").read_text())
+    # pretraining rates 0.05, 0.005, 0.0005: the cycle runs at a tenth of them
+    assert frozen["cyclical"]["max_lr"] == pytest.approx(0.005)
+    assert frozen["cyclical"]["min_lr"] == pytest.approx(0.00005)
+    assert frozen["finetune"]["initial_lr"] == pytest.approx(0.0005)
+
+
+def test_cli_set_dims_without_config_reshapes_default_network(tmp_path):
+    out = tmp_path / "run"
+    assert main(["pretrain", *_default_cli_args(out, "dataset.dims=5")]) == 0
+    frozen = json.loads((out / "config.json").read_text())
+    assert frozen["network"]["input_shape"] == [5]
+    assert sqwa.load(out / "pretrained").weights[0].shape == (24, 5)
+
+
+# --- bit widths the 8-bit level storage holds ------------------------------
+
+@pytest.mark.parametrize("bits", [0, 9, -1])
+def test_resolve_rejects_bits_outside_1_to_8(tmp_path, bits):
+    d = _small_dict(tmp_path)
+    d["bits"] = bits
+    with pytest.raises(ValueError, match="8-bit level storage"):
+        RunConfig.from_dict(d).resolve()
+
+
+# top level of each bit width: 1 for b = 1, else (2^b - 2) / 2; averaging n
+# models sums levels up to n times it, and 8-bit level storage holds 127
+TOP_LEVEL = {1: 1, 2: 1, 3: 3, 4: 7, 5: 15, 6: 31, 7: 63, 8: 127}
+
+
+@pytest.mark.parametrize("bits", sorted(TOP_LEVEL))
+def test_resolve_bounds_summed_levels_by_8_bit_storage(tmp_path, bits):
+    d = _small_dict(tmp_path)
+    n = 127 // TOP_LEVEL[bits]  # 127, 127, 42, 18, 8, 4, 2, 1
+    d["bits"] = bits
+    d["cyclical"]["epochs"] = 4 * (n + 1)  # n + 1 captures, so only storage limits n
+    d["average_last_n"] = n
+    RunConfig.from_dict(d).resolve()
+    d["average_last_n"] = n + 1
+    with pytest.raises(ValueError, match=f"up to {(n + 1) * TOP_LEVEL[bits]}, beyond the "
+                                         "127 of 8-bit level storage"):
+        RunConfig.from_dict(d).resolve()
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_every_accepted_bit_width_runs_end_to_end(tmp_path, bits):
+    d = _small_dict(tmp_path)
+    d.update(bits=bits, average_last_n=min(2, 127 // TOP_LEVEL[bits]))
+    rows = run_sqwa(RunConfig.from_dict(d))["report"]
+    avg = sqwa.load(tmp_path / "averaged")
+    assert avg.count == d["average_last_n"]
+    assert [r["bits"] for r in rows if r["label"] != "average"] == [bits] * (avg.count + 2)
+    assert next(r for r in rows if r["label"] == "average")["bits"] == \
+        effective_bits(avg.count, bits)
+
+
+# --- the stage runner ----------------------------------------------------------
+
+def _manifests(out: Path) -> set[str]:
+    return {p.parent.name for p in out.glob("*/manifest.json")}
+
+
+def test_each_stage_saves_exactly_its_declared_outputs(tmp_path):
+    declared = []
+    for name in pipeline.STAGES:
+        before = _manifests(tmp_path)
+        run_stages(_small_cfg(tmp_path), name)
+        outputs = pipeline._STAGE_TABLE[name][2]
+        assert _manifests(tmp_path) - before == set(outputs), name
+        declared += outputs
+    assert len(declared) == len(set(declared)) == 7
+
+
+@pytest.mark.parametrize("removed", ["requantized", "final", "final_quantized"])
+def test_missing_finetune_output_reruns_only_finetune(tmp_path, caplog, removed):
+    run_stages(_small_cfg(tmp_path), "finetune")
+    outputs = ("requantized", "final", "final_quantized")
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in files}
+    shutil.rmtree(tmp_path / removed)
+    with caplog.at_level(logging.INFO, logger="sqwa"):
+        run_stages(_small_cfg(tmp_path), "finetune")
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 5
+    for stage, message in zip(pipeline.STAGES[:4], messages):
+        assert message.startswith(f"{stage}: ") and message.endswith("skipping")
+    assert messages[4].startswith("finetune: ") and "test accuracy" in messages[4]
+    for p, (data, mtime) in before.items():
+        assert p.read_bytes() == data, p
+        if p.relative_to(tmp_path).parts[0] not in outputs:
+            assert p.stat().st_mtime_ns == mtime, p
+
+
+@pytest.mark.parametrize("artifact, loader, last_written", [
+    ("direct_quantized", "retrain-cyclical", "quantize"),
+    ("capture_bank/entry_000", "average", "retrain-cyclical"),
+    ("averaged", "finetune", "average"),
+    ("final_quantized", "report", "finetune"),
+])
+def test_corrupt_input_is_an_error_of_the_stage_that_loads_it(tmp_path, artifact, loader,
+                                                             last_written):
+    run_stages(_small_cfg(tmp_path), last_written)
+    payload = tmp_path / artifact / "payload.bin"
+    raw = bytearray(payload.read_bytes())
+    raw[3] ^= 0xFF
+    payload.write_bytes(bytes(raw))
+    with pytest.raises(PipelineError, match=f"stage '{loader}': .*checksum mismatch"):
+        run_sqwa(_small_cfg(tmp_path))
+
+
+@pytest.mark.parametrize("stage, marker", [
+    ("pretrain", '"kind": "network"'),
+    ("retrain-cyclical", '"kind": "capture-bank"'),
+])
+def test_manifest_torn_mid_write_makes_the_stage_run_again(tmp_path, monkeypatch, stage,
+                                                          marker):
+    # A crash while a manifest is written must not leave a directory that a
+    # later run takes for a finished stage.
+    fresh_dir, torn_dir = tmp_path / "fresh", tmp_path / "torn"
+    run_sqwa(_small_cfg(fresh_dir))
+    if stage != "pretrain":
+        run_stages(_small_cfg(torn_dir), pipeline.STAGES[pipeline.STAGES.index(stage) - 1])
+    write_text = Path.write_text
+
+    def torn(self, data, *args, **kwargs):
+        if marker in data:
+            write_text(self, data[:len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        return write_text(self, data, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Path, "write_text", torn)
+        with pytest.raises(PipelineError, match=f"stage '{stage}': no space left"):
+            run_stages(_small_cfg(torn_dir), stage)
+    run_sqwa(_small_cfg(torn_dir))
+    assert not list(torn_dir.rglob("manifest.json.tmp"))
+    for p in fresh_dir.rglob("*"):
+        if p.is_file() and p.name != "config.json":
+            assert (torn_dir / p.relative_to(fresh_dir)).read_bytes() == p.read_bytes(), p
