@@ -113,12 +113,13 @@ def _parts(obj):
     raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
 
 
-def _write_manifest(path: Path, manifest: dict) -> None:
-    # Write a sibling file, then rename it over manifest.json, so a crash
-    # mid-write never leaves a torn manifest that marks the directory done.
-    tmp = path / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    os.replace(tmp, path / "manifest.json")
+def write_json(path: Path, obj) -> None:
+    """Write `obj` as indented, key-sorted JSON to a sibling file, then
+    rename that over `path`, so a crash mid-write never leaves a torn file
+    (a torn manifest would mark its directory done)."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True))
+    os.replace(tmp, path)
 
 
 def save(obj, path, provenance: dict | None = None) -> Path:
@@ -149,7 +150,7 @@ def save(obj, path, provenance: dict | None = None) -> Path:
     }
     path.mkdir(parents=True, exist_ok=True)
     (path / "payload.bin").write_bytes(payload)
-    _write_manifest(path, manifest)
+    write_json(path / "manifest.json", manifest)
     return path
 
 
@@ -240,7 +241,7 @@ def _save_bank(bank: CaptureBank, path: Path, provenance=None) -> Path:
         "entries": entries,
         "provenance": provenance,
     }
-    _write_manifest(path, manifest)
+    write_json(path / "manifest.json", manifest)
     return path
 
 

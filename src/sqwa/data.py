@@ -158,5 +158,7 @@ def shuffle_batches(dataset: Dataset, batch_size: int, seed: int,
     if seed < 0 or epoch < 0:
         raise ValueError("seed and epoch must be non-negative")
     perm = np.random.default_rng([seed, epoch]).permutation(len(dataset))
-    return [(dataset.images[perm[s:s + batch_size]], dataset.labels[perm[s:s + batch_size]])
+    # one gather per epoch; the batches are views into it
+    images, labels = dataset.images[perm], dataset.labels[perm]
+    return [(images[s:s + batch_size], labels[s:s + batch_size])
             for s in range(0, len(dataset), batch_size)]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,11 +109,19 @@ def quantized_grid_point(plane: LossPlane, x: float, y: float, template: Network
     The weight region (laid out as in `template`) is quantized under each
     layer's step; the biases pass through untouched.
     """
+    if plane.origin.shape != template.flat.shape:
+        raise ValueError(f"vector has {plane.origin.size} values, "
+                         f"template needs {template.flat.size}")
+    return _quantized_point(plane, x, y, template.weight_size,
+                            _weight_steps(template, bits, steps), bits)
+
+
+def _quantized_point(plane: LossPlane, x: float, y: float, nw: int,
+                     weight_steps: np.ndarray, bits: int) -> np.ndarray:
+    # grid_point with its first nw entries (the weight region) quantized,
+    # weight_steps holding the step of each of them
     vec = grid_point(plane, x, y)
-    if vec.shape != template.flat.shape:
-        raise ValueError(f"vector has {vec.size} values, template needs {template.flat.size}")
-    nw = template.weight_size
-    vec[:nw] = _quantize(vec[:nw], _weight_steps(template, bits, steps), bits)
+    vec[:nw] = _quantize(vec[:nw], weight_steps, bits)
     return vec
 
 
@@ -152,6 +161,39 @@ def _axis_with_anchors(lo: float, hi: float, count: int, anchor_values) -> np.nd
     return axis
 
 
+def _usable_cores() -> int:
+    # Cores this process may run on; 1 inside a daemonic process, which
+    # cannot start workers of its own. multiprocessing is imported here, not
+    # at module level, so that processes that map no surface never load it.
+    import multiprocessing
+    if multiprocessing.current_process().daemon:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _surface_rows(xs: np.ndarray, ys: np.ndarray, plane: LossPlane, template: Network,
+                  dataset, mode: str, bits: int | None, steps: list[float] | None,
+                  batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    # Loss and accuracy at every (x, y) of one block of rows. The per-element
+    # step vector is built once per block.
+    net = vector_to_network(template, plane.origin)  # the one working copy
+    if mode == "quantized":
+        nw, weight_steps = template.weight_size, _weight_steps(template, bits, steps)
+    loss = np.empty((len(xs), len(ys)))
+    acc = np.empty((len(xs), len(ys)))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            if mode == "quantized":
+                net.flat[:] = _quantized_point(plane, x, y, nw, weight_steps, bits)
+            else:
+                net.flat[:] = grid_point(plane, x, y)
+            loss[i, j], acc[i, j] = evaluate(net, dataset, batch_size)
+    return loss, acc
+
+
 def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
                      resolution: int = 25, x_range: tuple[float, float] | None = None,
                      y_range: tuple[float, float] | None = None, margin: float = 0.2,
@@ -162,8 +204,11 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
 
     Default ranges cover all three anchors with a relative `margin` on each
     side, and the grid axes are nudged so the anchor coordinates appear among
-    the evaluated points. Grid points are independent and evaluation order is
-    fixed, so the output is deterministic.
+    the evaluated points. Grid points are independent, so the x rows are
+    split into contiguous blocks, one per usable core: this process
+    evaluates the first block and worker processes the others. Each point is
+    computed the same way in any block, so the output is deterministic and
+    identical for every core count.
 
     Args:
         resolution: points per axis (>= 2), or an (rx, ry) pair.
@@ -191,16 +236,24 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
     xs = _axis_with_anchors(x_range[0], x_range[1], rx, ax)
     ys = _axis_with_anchors(y_range[0], y_range[1], ry, ay)
 
-    loss = np.empty((rx, ry))
-    acc = np.empty((rx, ry))
-    net = vector_to_network(template, plane.origin)  # the one working copy
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            if mode == "quantized":
-                net.flat[:] = quantized_grid_point(plane, x, y, template, bits, steps)
-            else:
-                net.flat[:] = grid_point(plane, x, y)
-            loss[i, j], acc[i, j] = evaluate(net, dataset, batch_size)
+    # Contiguous row blocks, the first for this process and one for each
+    # worker. Workers are spawned, not forked, because forking a process
+    # that runs threads is unsafe; they get their inputs as pickled
+    # arguments. An executor, unlike multiprocessing.Pool, raises when a
+    # worker dies instead of waiting for its result forever.
+    cores = min(_usable_cores(), rx)
+    blocks = [(block, ys, plane, template, dataset, mode, bits, steps, batch_size)
+              for block in np.array_split(xs, cores)]
+    if cores == 1:
+        parts = [_surface_rows(*blocks[0])]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(cores - 1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            pending = [pool.submit(_surface_rows, *block) for block in blocks[1:]]
+            parts = [_surface_rows(*blocks[0]), *(f.result() for f in pending)]
+    loss = np.concatenate([p[0] for p in parts])
+    acc = np.concatenate([p[1] for p in parts])
     return SurfaceGrid(xs, ys, loss, acc, mode, bits,
                        None if steps is None else list(steps),
                        plane.anchors.copy(), dataset_id, split)

@@ -166,6 +166,12 @@ class Network:
     def copy(self) -> "Network":
         return Network(tuple(self.input_shape), list(self.specs), self.weights, self.biases)
 
+    def __reduce__(self):
+        # Pickle the tensors, not the buffer and its views, which would
+        # unpickle as separate arrays.
+        return Network, (tuple(self.input_shape), list(self.specs),
+                         list(self.weights), list(self.biases))
+
     def param_layers(self) -> list[int]:
         """Indices of layers that carry a weight tensor."""
         return [i for i, w in enumerate(self.weights) if w is not None]

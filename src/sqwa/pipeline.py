@@ -391,7 +391,7 @@ def _freeze_config(cfg: RunConfig, paths: dict) -> None:
                              "refusing to mix artifacts")
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(resolved, indent=2, sort_keys=True))
+    ckpt.write_json(path, resolved)
 
 
 def run_stages(cfg: RunConfig, last_stage: str) -> dict:

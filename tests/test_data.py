@@ -160,3 +160,17 @@ def test_dataset_stores_int64_labels():
     ds = Dataset(images=np.zeros((3, 2)), labels=np.array([0, 1, 1], dtype=np.uint8),
                  num_classes=2)
     assert ds.labels.dtype == np.int64
+
+
+@pytest.mark.parametrize("seed, epoch", [(0, 0), (1, 3), (7, 12)])
+def test_shuffle_batches_equal_a_per_batch_gather(seed, epoch):
+    # 37 samples in batches of 8: the last batch is short
+    ds = synthetic_blobs(3, 13, 4, 0.5, seed=9)
+    ds = Dataset(ds.images[:37], ds.labels[:37], ds.num_classes)
+    perm = np.random.default_rng([seed, epoch]).permutation(len(ds))
+    batches = shuffle_batches(ds, 8, seed, epoch)
+    assert [len(b[1]) for b in batches] == [8, 8, 8, 8, 5]
+    for k, (x, y) in enumerate(batches):
+        idx = perm[8 * k:8 * k + 8]
+        assert np.array_equal(x, ds.images[idx]) and x.dtype == ds.images.dtype
+        assert np.array_equal(y, ds.labels[idx]) and y.dtype == ds.labels.dtype

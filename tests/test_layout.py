@@ -1,6 +1,8 @@
 """The flat parameter layout: one float64 buffer per network, all weights in
 layer order and then all biases, with per-layer views into it."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,9 @@ def test_every_entry_views_the_one_buffer(tmp_path):
     _assert_one_buffer(net.copy())
     _assert_one_buffer(quantize_network(net, 2, [0.1, 0.1, 0.1]))
     _assert_one_buffer(vector_to_network(net, params_to_vector(net) * 2.0))
+    unpickled = pickle.loads(pickle.dumps(net))
+    _assert_one_buffer(unpickled)
+    np.testing.assert_array_equal(unpickled.flat, net.flat)
     bank = _bank(net)
     _assert_one_buffer(average_models(bank, 3).net)
 

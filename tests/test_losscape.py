@@ -1,6 +1,13 @@
+import multiprocessing
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from sqwa import losscape
 from sqwa.data import synthetic_blobs
 from sqwa.losscape import (
     build_plane,
@@ -189,3 +196,122 @@ def test_export_csv_header_and_row_count(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "x,y,loss,accuracy"
     assert len(lines) == 1 + 9
+
+
+# --- the surface split across processes ------------------------------------
+
+def _surface_inputs(seed=95):
+    nets = [_net(s) for s in (seed, seed + 1, seed + 2)]
+    plane = build_plane(*[params_to_vector(n) for n in nets])
+    return plane, nets[0], synthetic_blobs(2, 6, 3, 0.5, seed=seed)
+
+
+def _force_cores(monkeypatch, cores):
+    monkeypatch.setattr(losscape, "_usable_cores", lambda: cores)
+
+
+@pytest.mark.parametrize("mode, quant", [("full_precision", {}),
+                                         ("quantized", {"bits": 2, "steps": [0.15, 0.25]})])
+@pytest.mark.parametrize("resolution", [(7, 4), (2, 5)])
+def test_surface_is_identical_for_every_core_count(monkeypatch, mode, quant, resolution):
+    # 7 rows do not split evenly over 2 or 3 cores; 2 rows are fewer than 3.
+    # The x range holds one anchor only, so that 2 rows can include it.
+    plane, template, data = _surface_inputs()
+    calls = []
+    real_evaluate = losscape.evaluate
+
+    def counted(*args):
+        calls.append(os.getpid())
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(losscape, "evaluate", counted)
+    grids = {}
+    for cores in (1, 2, 3):
+        _force_cores(monkeypatch, cores)
+        calls.clear()
+        grids[cores] = evaluate_surface(plane, template, data, resolution=resolution,
+                                        x_range=(-0.5, 1.0), y_range=(-1.0, 1.0),
+                                        mode=mode, **quant)
+        # this process evaluated only its own block, the first of the split
+        first_block = -(-resolution[0] // min(cores, resolution[0]))
+        assert calls == [os.getpid()] * first_block * resolution[1]
+    for cores in (2, 3):
+        for field in ("xs", "ys", "loss", "accuracy"):
+            assert np.array_equal(getattr(grids[cores], field), getattr(grids[1], field))
+
+
+def _surface_in_a_daemon(plane, template, data):
+    # three cores on offer, but a daemonic process may start no workers
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1, 2}, create=True):
+        cores = losscape._usable_cores()
+        grid = evaluate_surface(plane, template, data, resolution=4)
+    return multiprocessing.current_process().daemon, cores, grid.loss, grid.accuracy
+
+
+def test_surface_inside_a_daemonic_worker_runs_in_process():
+    plane, template, data = _surface_inputs()
+    expected = evaluate_surface(plane, template, data, resolution=4)
+    with multiprocessing.Pool(1) as pool:
+        daemon, cores, loss, acc = pool.apply(_surface_in_a_daemon, (plane, template, data))
+    assert daemon and cores == 1
+    assert np.array_equal(loss, expected.loss) and np.array_equal(acc, expected.accuracy)
+
+
+def test_surface_error_matches_the_serial_path(monkeypatch):
+    plane, _, data = _surface_inputs()
+    # as many parameters as the plane, but two input features for three
+    template = init_weights([dense(2, 6), relu(), dense(6, 2)], (2,), seed=95)
+    errors = {}
+    for cores in (1, 3):
+        _force_cores(monkeypatch, cores)
+        with pytest.raises(Exception) as info:
+            evaluate_surface(plane, template, data, resolution=5)
+        errors[cores] = (type(info.value), str(info.value))
+    assert errors[3] == errors[1] == (ValueError, "network input: expected batch of shape "
+                                                  "(N, 2), got (12, 3)")
+
+
+class _UnreadableInWorkers:
+    """A dataset whose images cannot be read outside the process that made
+    it: reading them there raises, or with `die` ends the process."""
+
+    def __init__(self, dataset, die=False):
+        self.dataset, self.pid, self.die = dataset, os.getpid(), die
+
+    @property
+    def images(self):
+        if os.getpid() != self.pid:
+            if self.die:
+                os._exit(1)
+            raise ValueError("images read in a worker")
+        return self.dataset.images
+
+    @property
+    def labels(self):
+        return self.dataset.labels
+
+
+def test_an_error_raised_in_a_worker_reaches_the_caller(monkeypatch):
+    plane, template, data = _surface_inputs()
+    _force_cores(monkeypatch, 3)
+    with pytest.raises(ValueError, match="^images read in a worker$"):
+        evaluate_surface(plane, template, _UnreadableInWorkers(data), resolution=5)
+
+
+def test_a_worker_that_dies_makes_the_surface_raise(monkeypatch):
+    plane, template, data = _surface_inputs()
+    _force_cores(monkeypatch, 2)
+    raised = []
+
+    def run():
+        try:
+            evaluate_surface(plane, template, _UnreadableInWorkers(data, die=True),
+                             resolution=4)
+        except Exception as exc:  # handed to the test thread below
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "the surface waited for a dead worker"
+    assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool)

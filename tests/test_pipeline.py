@@ -507,3 +507,24 @@ def test_manifest_torn_mid_write_makes_the_stage_run_again(tmp_path, monkeypatch
     for p in fresh_dir.rglob("*"):
         if p.is_file() and p.name != "config.json":
             assert (torn_dir / p.relative_to(fresh_dir)).read_bytes() == p.read_bytes(), p
+
+
+def test_config_torn_mid_write_does_not_block_later_runs(tmp_path, monkeypatch):
+    # A crash while config.json is written must leave no torn file that
+    # every later run of the directory fails to parse.
+    write_text = Path.write_text
+
+    def torn(self, data, *args, **kwargs):
+        if self.name.startswith("config.json"):
+            write_text(self, data[:len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        return write_text(self, data, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Path, "write_text", torn)
+        with pytest.raises(OSError, match="no space left"):
+            run_stages(_small_cfg(tmp_path), "pretrain")
+    run_stages(_small_cfg(tmp_path), "pretrain")
+    frozen = json.loads((tmp_path / "config.json").read_text())
+    assert frozen == json.loads(json.dumps(_small_cfg(tmp_path).resolve().to_dict()))
+    assert not list(tmp_path.glob("config.json.tmp"))
