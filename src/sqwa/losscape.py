@@ -41,6 +41,13 @@ __all__ = [
 # as degenerate.
 _DEGENERATE_RTOL = 1e-10
 
+# Fewest point-samples (grid points times dataset samples) a row block must
+# hold before the surface starts worker processes: on a 2-core machine a
+# spawned worker takes about 0.25 s to start, the time a block of about
+# 500,000 point-samples takes to evaluate. The 41x41 grid over 5,000
+# samples still splits in two.
+_MIN_BLOCK_SAMPLES = 1_000_000
+
 
 def params_to_vector(net: Network) -> np.ndarray:
     """Copy of the parameter buffer: all weights in layer order, then all biases."""
@@ -194,6 +201,24 @@ def _surface_rows(xs: np.ndarray, ys: np.ndarray, plane: LossPlane, template: Ne
     return loss, acc
 
 
+def _surface_rows_in_workers(blocks: list[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
+    # _surface_rows of the first block in this process, of the others in a
+    # pool of spawned workers, in block order
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        with ProcessPoolExecutor(len(blocks) - 1,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            pending = [pool.submit(_surface_rows, *block) for block in blocks[1:]]
+            return [_surface_rows(*blocks[0]), *(f.result() for f in pending)]
+    except BrokenProcessPool as exc:
+        raise BrokenProcessPool(
+            f"a loss-surface worker process died ({exc}) The usual cause: spawned "
+            "workers re-run the main script, so a script that calls evaluate_surface "
+            "must keep its top-level code under `if __name__ == \"__main__\":`") from exc
+
+
 def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
                      resolution: int = 25, x_range: tuple[float, float] | None = None,
                      y_range: tuple[float, float] | None = None, margin: float = 0.2,
@@ -206,9 +231,11 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
     side, and the grid axes are nudged so the anchor coordinates appear among
     the evaluated points. Grid points are independent, so the x rows are
     split into contiguous blocks, one per usable core: this process
-    evaluates the first block and worker processes the others. Each point is
-    computed the same way in any block, so the output is deterministic and
-    identical for every core count.
+    evaluates the first block and worker processes the others. A grid too
+    small to repay starting a worker (see _MIN_BLOCK_SAMPLES) is evaluated
+    in this process alone. Each point is computed the same way in any
+    block, so the output is deterministic and identical for every core
+    count.
 
     Args:
         resolution: points per axis (>= 2), or an (rx, ry) pair.
@@ -237,21 +264,19 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
     ys = _axis_with_anchors(y_range[0], y_range[1], ry, ay)
 
     # Contiguous row blocks, the first for this process and one for each
-    # worker. Workers are spawned, not forked, because forking a process
-    # that runs threads is unsafe; they get their inputs as pickled
-    # arguments. An executor, unlike multiprocessing.Pool, raises when a
-    # worker dies instead of waiting for its result forever.
-    cores = min(_usable_cores(), rx)
+    # worker, with no more blocks than hold _MIN_BLOCK_SAMPLES each. Workers
+    # are spawned, not forked, because forking a process that runs threads
+    # is unsafe; they get their inputs as pickled arguments. An executor,
+    # unlike multiprocessing.Pool, raises when a worker dies instead of
+    # waiting for its result forever.
+    samples = rx * ry * len(dataset.labels)
+    cores = max(1, min(_usable_cores(), rx, samples // _MIN_BLOCK_SAMPLES))
     blocks = [(block, ys, plane, template, dataset, mode, bits, steps, batch_size)
               for block in np.array_split(xs, cores)]
     if cores == 1:
         parts = [_surface_rows(*blocks[0])]
     else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(cores - 1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            pending = [pool.submit(_surface_rows, *block) for block in blocks[1:]]
-            parts = [_surface_rows(*blocks[0]), *(f.result() for f in pending)]
+        parts = _surface_rows_in_workers(blocks)
     loss = np.concatenate([p[0] for p in parts])
     acc = np.concatenate([p[1] for p in parts])
     return SurfaceGrid(xs, ys, loss, acc, mode, bits,

@@ -274,6 +274,13 @@ def _col2im(dcols: np.ndarray, x_shape: tuple, k: int) -> np.ndarray:
     return dx.transpose(1, 0, 2, 3)
 
 
+def _check_input(net: Network, x: np.ndarray) -> None:
+    if x.ndim < 2 or x.shape[1:] != tuple(net.input_shape):
+        raise ValueError(
+            f"network input: expected batch of shape (N, {', '.join(map(str, net.input_shape))}), "
+            f"got {x.shape}")
+
+
 def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run a batch through the network.
 
@@ -286,10 +293,7 @@ def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
         holds each layer's input, as needed by loss_and_backward.
     """
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim < 2 or x.shape[1:] != tuple(net.input_shape):
-        raise ValueError(
-            f"network input: expected batch of shape (N, {', '.join(map(str, net.input_shape))}), "
-            f"got {x.shape}")
+    _check_input(net, x)
     cache: list[np.ndarray] = []
     for i, spec in enumerate(net.specs):
         cache.append(x)
@@ -321,10 +325,16 @@ def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return x, cache
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    # Stable log-softmax; returns (mean loss, log-probabilities).
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    # Stable log-softmax over each row, as a new array.
     z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    # Returns (mean loss, log-probabilities).
+    log_probs = _log_softmax(logits)
     return float(-log_probs[np.arange(logits.shape[0]), labels].sum() / logits.shape[0]), log_probs
 
 
@@ -350,14 +360,26 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
     """Mean softmax cross-entropy plus batch-averaged parameter gradients.
 
     `cache` must come from a forward() call on the same network and batch.
+    The gradients are a fresh buffer of their own.
     """
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    n = logits.shape[0]
     loss, log_probs = _cross_entropy(logits, labels)
-    dx = np.exp(log_probs)
+    grads = Gradients.like(net)
+    _backward(net, cache, log_probs, labels, grads)
+    return loss, grads
+
+
+def _backward(net: Network, cache: list[np.ndarray], log_probs: np.ndarray,
+              labels: np.ndarray, grads: Gradients) -> None:
+    # The backward pass of loss_and_backward and of the training loop. Turns
+    # `log_probs` (the logits' log-softmax, overwritten) into the
+    # batch-averaged softmax gradient in place and writes every gradient
+    # view of `grads`, so a reused buffer holds nothing of an earlier batch.
+    # Labels are not checked and no loss is formed.
+    n = log_probs.shape[0]
+    dx = np.exp(log_probs, out=log_probs)
     dx[np.arange(n), labels] -= 1.0
     dx /= n
-    grads = Gradients.like(net)
     # layer 0's input is the batch itself, so no gradient is formed for it
     for i in range(len(net.specs) - 1, -1, -1):
         spec, x = net.specs[i], cache[i]
@@ -381,7 +403,6 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
             dx = dx * (x > 0.0)
         elif spec.kind == "flatten" and i:
             dx = dx.reshape(x.shape)
-    return loss, grads
 
 
 def sgd_momentum_step(net: Network, grads: Gradients, state: OptimizerState,

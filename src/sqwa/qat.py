@@ -17,7 +17,8 @@ import numpy as np
 
 from .averaging import CaptureBank, CaptureEntry
 from .data import Dataset, shuffle_batches
-from .nn import Network, OptimizerState, evaluate, forward, loss_and_backward, sgd_momentum_step
+from .nn import (Gradients, Network, OptimizerState, _backward, _check_input, _check_labels,
+                 _log_softmax, evaluate, forward, sgd_momentum_step)
 from .quantizer import (QuantizedModel, _quantize, _weight_steps, quantize_network,
                         select_step_size)
 from .schedule import CyclicalSchedule, capture_epochs, lr_at
@@ -69,6 +70,26 @@ class ShadowModel:
         return ShadowModel(self.shadow.copy(), self.applied.copy(), self.bits, list(self.steps))
 
 
+class _StepWorkspace:
+    """What the steps of one training loop share: the momentum state and
+    one gradient buffer, which every step overwrites whole."""
+
+    def __init__(self, net: Network, opt: OptimizerState):
+        self.opt = opt
+        self.grads = Gradients.like(net)
+
+    def update(self, model: ShadowModel | Network, logits: np.ndarray,
+               cache: list[np.ndarray], labels: np.ndarray, lr: float) -> None:
+        """Backward pass on the applied network, momentum update of the
+        trained one, re-quantization. `labels` must already be checked."""
+        quantized = isinstance(model, ShadowModel)
+        applied = model.applied if quantized else model
+        _backward(applied, cache, _log_softmax(logits), labels, self.grads)
+        sgd_momentum_step(model.shadow if quantized else model, self.grads, self.opt, lr)
+        if quantized:
+            model.refresh_applied()
+
+
 def qat_train_step(model: ShadowModel | Network, batch: np.ndarray, labels: np.ndarray,
                    lr: float, opt: OptimizerState) -> ShadowModel | Network:
     """One training step on quantized weights.
@@ -76,15 +97,13 @@ def qat_train_step(model: ShadowModel | Network, batch: np.ndarray, labels: np.n
     Forward, loss, and gradients are computed on the applied (quantized)
     network; the momentum update lands on the shadow; the applied view is
     rebuilt from the updated shadow. A plain Network is the no-quantizer
-    case, its own applied and shadow network. Mutates `model` and returns it.
+    case, its own applied and shadow network. The labels are checked on
+    every call. Mutates `model` and returns it.
     """
-    quantized = isinstance(model, ShadowModel)
-    applied = model.applied if quantized else model
+    applied = model.applied if isinstance(model, ShadowModel) else model
     logits, cache = forward(applied, batch)
-    _, grads = loss_and_backward(applied, cache, logits, labels)
-    sgd_momentum_step(model.shadow if quantized else model, grads, opt, lr)
-    if quantized:
-        model.refresh_applied()
+    labels = _check_labels(labels, logits.shape[0], logits.shape[1])
+    _StepWorkspace(applied, opt).update(model, logits, cache, labels, lr)
     return model
 
 
@@ -92,22 +111,49 @@ def fit(model: ShadowModel | Network, dataset: Dataset, lrs: list[float], seed: 
         batch_size: int = 32, momentum: float = 0.9, l2_scale: float = 0.0,
         after_epoch=None) -> ShadowModel | Network:
     """The training loop: one epoch of shuffled batches per rate in `lrs`,
-    each batch one qat_train_step, with fresh momentum buffers, and
-    `after_epoch(epoch, lr)` after every epoch. Mutates `model`, returns it.
+    each batch one training step as in qat_train_step, with fresh momentum
+    buffers, and `after_epoch(epoch, lr)` after every epoch. Mutates
+    `model`, returns it.
+
+    The dataset's input shape and labels are checked once, before the
+    first step, and all steps share one gradient buffer. After every epoch
+    a trained parameter that is not finite, or a weighted layer whose
+    weights are all zero at float32 precision, raises ValueError naming the
+    epoch and layer.
     """
-    net = model.applied if isinstance(model, ShadowModel) else model
-    opt = OptimizerState.for_network(net, momentum, l2_scale)
+    quantized = isinstance(model, ShadowModel)
+    net = model.applied if quantized else model
+    ws = _StepWorkspace(net, OptimizerState.for_network(net, momentum, l2_scale))
+    _check_input(net, dataset.images)
+    _check_labels(dataset.labels, len(dataset), net.num_classes)
     for epoch, lr in enumerate(lrs):
-        _run_epoch(model, dataset, lr, opt, batch_size, seed, epoch)
+        _run_epoch(model, dataset, lr, ws, batch_size, seed, epoch)
+        _check_alive(model.shadow if quantized else model, epoch)
         if after_epoch is not None:
             after_epoch(epoch, lr)
     return model
 
 
 def _run_epoch(model: ShadowModel | Network, dataset: Dataset, lr: float,
-               opt: OptimizerState, batch_size: int, seed: int, epoch: int) -> None:
+               ws: _StepWorkspace, batch_size: int, seed: int, epoch: int) -> None:
+    applied = model.applied if isinstance(model, ShadowModel) else model
     for xb, yb in shuffle_batches(dataset, batch_size, seed, epoch):
-        qat_train_step(model, xb, yb, lr, opt)
+        ws.update(model, *forward(applied, xb), yb, lr)
+
+
+def _check_alive(net: Network, epoch: int) -> None:
+    # A diverged or dead model stops training here, not at a later stage
+    # that cannot use it: an all-zero layer has no quantizer step. Zero is
+    # judged at float32, the precision checkpoints keep plain weights at,
+    # so weights that decayed below it count as zero, as they load.
+    for i in net.param_layers():
+        where = f"epoch {epoch}: layer {i} ({net.specs[i].kind})"
+        w, b = net.weights[i], net.biases[i]
+        if not (np.isfinite(w).all() and (b is None or np.isfinite(b).all())):
+            raise ValueError(f"{where} holds non-finite parameters; training diverged")
+        if not w.astype(np.float32).any():
+            raise ValueError(f"{where} weights are all zero at float32 precision; "
+                             "training left the layer dead")
 
 
 def retrain(model: ShadowModel, dataset: Dataset, schedule: CyclicalSchedule,

@@ -1,5 +1,9 @@
+import concurrent.futures
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
@@ -207,7 +211,9 @@ def _surface_inputs(seed=95):
 
 
 def _force_cores(monkeypatch, cores):
+    # and split grids of any size, however small
     monkeypatch.setattr(losscape, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(losscape, "_MIN_BLOCK_SAMPLES", 1)
 
 
 @pytest.mark.parametrize("mode, quant", [("full_precision", {}),
@@ -315,3 +321,69 @@ def test_a_worker_that_dies_makes_the_surface_raise(monkeypatch):
     thread.join(timeout=60)
     assert not thread.is_alive(), "the surface waited for a dead worker"
     assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool)
+
+
+def test_a_small_surface_starts_no_pool(monkeypatch):
+    plane, template, data = _surface_inputs()
+    monkeypatch.setattr(losscape, "_usable_cores", lambda: 3)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    grid = evaluate_surface(plane, template, data, resolution=3)
+    assert grid.loss.shape == (3, 3) and np.isfinite(grid.loss).all()
+
+
+@pytest.mark.parametrize("resolution, samples, blocks", [
+    (41, 5_000, 2),     # the benchmark's surface still splits across 2 cores
+    (41, 500, 1),       # a tenth of the samples does not repay a worker
+])
+def test_rows_go_to_workers_only_in_blocks_worth_a_worker(monkeypatch, resolution, samples,
+                                                          blocks):
+    plane, template, _ = _surface_inputs()
+    monkeypatch.setattr(losscape, "_usable_cores", lambda: 2)
+    split = []
+
+    def rows(xs, ys, *args):
+        return np.zeros((len(xs), len(ys))), np.zeros((len(xs), len(ys)))
+
+    def in_workers(parts):
+        split.append(len(parts))
+        return [rows(*block) for block in parts]
+
+    monkeypatch.setattr(losscape, "_surface_rows", rows)
+    monkeypatch.setattr(losscape, "_surface_rows_in_workers", in_workers)
+    labels_only = mock.Mock(labels=np.zeros(samples, dtype=np.int64))
+    evaluate_surface(plane, template, labels_only, resolution=resolution)
+    assert split == ([blocks] if blocks > 1 else [])
+
+
+def test_a_script_without_a_main_guard_is_told_to_add_one(tmp_path):
+    # The spawned worker re-runs the script, calls evaluate_surface while
+    # it is still starting up, and dies.
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent("""
+        from sqwa import losscape
+        from sqwa.data import synthetic_blobs
+        from sqwa.losscape import build_plane, evaluate_surface, params_to_vector
+        from sqwa.nn import dense, init_weights, relu
+
+        losscape._usable_cores = lambda: 2
+        losscape._MIN_BLOCK_SAMPLES = 1
+        nets = [init_weights([dense(3, 6), relu(), dense(6, 2)], (3,), seed=s)
+                for s in (95, 96, 97)]
+        plane = build_plane(*[params_to_vector(n) for n in nets])
+        evaluate_surface(plane, nets[0], synthetic_blobs(2, 6, 3, 0.5, seed=95),
+                         resolution=4)
+    """))
+    src = os.path.dirname(os.path.dirname(losscape.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    last = proc.stderr.strip().splitlines()[-1]
+    assert proc.returncode != 0
+    assert last.startswith("concurrent.futures.process.BrokenProcessPool: "
+                           "a loss-surface worker process died")
+    assert 'if __name__ == "__main__":' in last

@@ -327,3 +327,22 @@ def test_direct_calls_reject_out_of_range_labels(labels):
         loss_only(net, x, np.array(labels))
     with pytest.raises(ValueError, match="labels must lie in"):
         loss_and_backward(net, cache, logits, np.array(labels))
+
+
+def test_backward_kernel_overwrites_every_gradient_view():
+    # the training loop reuses one gradient buffer, so the kernel must write
+    # all of it: a buffer of NaNs comes out equal to a fresh call's gradients
+    from sqwa.nn import _backward, _log_softmax
+    rng = np.random.default_rng(38)
+    net = init_weights([conv2d(2, 3, 3), relu(), conv2d(3, 2, 2, has_bias=False), relu(),
+                        flatten(), dense(18, 5, has_bias=False), relu(), dense(5, 4)],
+                       (2, 6, 6), seed=38)
+    x = rng.normal(size=(6, 2, 6, 6))
+    y = rng.integers(0, 4, size=6)
+    logits, cache = forward(net, x)
+    loss, expected = loss_and_backward(net, cache, logits, y)
+    grads = Gradients.like(net)
+    grads.flat[:] = np.nan
+    _backward(net, cache, _log_softmax(logits), y, grads)
+    assert np.array_equal(grads.flat, expected.flat)
+    assert loss == loss_only(net, x, y)

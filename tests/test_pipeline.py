@@ -528,3 +528,22 @@ def test_config_torn_mid_write_does_not_block_later_runs(tmp_path, monkeypatch):
     frozen = json.loads((tmp_path / "config.json").read_text())
     assert frozen == json.loads(json.dumps(_small_cfg(tmp_path).resolve().to_dict()))
     assert not list(tmp_path.glob("config.json.tmp"))
+
+
+# --- a dead or diverged model stops its stage ------------------------------------
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("initial_lr, fault", [
+    # the weights decay below float32 while the first-layer biases blow up,
+    # so the checkpoint would hold an all-zero layer with no quantizer step
+    (50, r"epoch 14: layer 0 \(dense\) weights are all zero at float32 precision"),
+    (1e6, r"epoch 0: layer 0 \(dense\) holds non-finite parameters"),
+])
+def test_a_dead_or_diverged_pretrain_fails_its_stage_and_saves_nothing(tmp_path, initial_lr,
+                                                                       fault):
+    # the default recipe at seed 5, as `sqwa sqwa --set pretrain.initial_lr=...` builds it
+    d = RunConfig(seed=5, output_dir=str(tmp_path)).to_dict()
+    d["pretrain"]["initial_lr"] = initial_lr
+    with pytest.raises(PipelineError, match=rf"^stage 'pretrain': {fault}"):
+        run_sqwa(RunConfig.from_dict(d))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

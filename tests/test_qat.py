@@ -218,3 +218,111 @@ def test_fit_without_quantizer_is_plain_sgd():
             sgd_momentum_step(ref, grads, opt, lr)
     assert fit(net, data, [0.1, 0.05], 60, batch_size=16, l2_scale=1e-3) is net
     assert np.array_equal(net.flat, ref.flat)
+
+
+# --- the training loop's step workspace ----------------------------------------
+
+def _reference_fit(model, data, lrs, seed, batch_size):
+    # fit of a ShadowModel spelled out with the public per-call functions: a
+    # fresh gradient buffer and a label check on every step
+    from sqwa.data import shuffle_batches
+    from sqwa.nn import forward, loss_and_backward, sgd_momentum_step
+    opt = OptimizerState.for_network(model.shadow, momentum=0.9)
+    for epoch, lr in enumerate(lrs):
+        for xb, yb in shuffle_batches(data, batch_size, seed, epoch):
+            logits, cache = forward(model.applied, xb)
+            _, grads = loss_and_backward(model.applied, cache, logits, yb)
+            sgd_momentum_step(model.shadow, grads, opt, lr)
+            model.refresh_applied()
+    return model
+
+
+def _conv_case():
+    from sqwa.data import Dataset
+    from sqwa.nn import conv2d, flatten
+    rng = np.random.default_rng(61)
+    data = Dataset(rng.normal(size=(40, 1, 8, 8)), rng.integers(0, 3, size=40), 3)
+    specs = [conv2d(1, 3, 3), relu(), conv2d(3, 4, 3, has_bias=False), relu(), flatten(),
+             dense(64, 3)]
+    net = init_weights(specs, (1, 8, 8), seed=61)
+    return ShadowModel.from_network(net, 4), data, 16
+
+
+def _workspace_cases():
+    # the plain network with L2 is test_fit_without_quantizer_is_plain_sgd
+    blobs = synthetic_blobs(3, 20, 4, 0.4, seed=62)
+    for bits in (1, 2, 4):
+        yield f"{bits}-bit shadow", _small_model(seed=62, bits=bits), blobs, 16
+    yield "conv 4-bit", *_conv_case()
+    # 60 samples: batches of 7 leave a short last batch of 4
+    yield "short last batch", _small_model(seed=63), blobs, 7
+
+
+@pytest.mark.parametrize("case", list(_workspace_cases()), ids=lambda c: c[0])
+def test_fit_equals_the_per_call_reference_loop(case):
+    _, model, data, batch_size = case
+    ref = _reference_fit(model.copy(), data, [0.1, 0.05, 0.02], 64, batch_size)
+    assert fit(model, data, [0.1, 0.05, 0.02], 64, batch_size=batch_size) is model
+    assert np.array_equal(model.shadow.flat, ref.shadow.flat)
+    assert np.array_equal(model.applied.flat, ref.applied.flat)
+
+
+def _first_step_error(model, data):
+    # the error a per-call training step raises on the dataset as one batch
+    opt = OptimizerState.for_network(model.shadow, momentum=0.9)
+    with pytest.raises(ValueError) as info:
+        qat_train_step(model.copy(), data.images, data.labels, 0.1, opt)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("wrong", ["input shape", "labels"])
+def test_fit_checks_the_dataset_once_before_the_first_step(monkeypatch, wrong):
+    import sqwa.qat as qat_mod
+    if wrong == "input shape":
+        data = synthetic_blobs(3, 10, 5, 0.4, seed=65)     # 5 features for 4 inputs
+    else:
+        data = synthetic_blobs(4, 10, 4, 0.4, seed=65)     # labels 0..3 for 3 outputs
+    model = _small_model(seed=65)
+    before = model.shadow.flat.copy()
+    expected = _first_step_error(model, data)
+    assert expected.startswith("network input: expected" if wrong == "input shape"
+                               else "labels must lie in [0, 3)")
+    epochs = []
+    monkeypatch.setattr(qat_mod, "_run_epoch", lambda *args: epochs.append(args))
+    with pytest.raises(ValueError) as info:
+        fit(model, data, [0.1], seed=65)
+    assert str(info.value) == expected
+    assert epochs == [] and np.array_equal(model.shadow.flat, before)
+
+
+def test_qat_train_step_checks_labels_on_every_call():
+    rng = np.random.default_rng(66)
+    model = _small_model(seed=66)
+    opt = OptimizerState.for_network(model.shadow, momentum=0.9)
+    x = rng.normal(size=(8, 4))
+    qat_train_step(model, x, rng.integers(0, 3, size=8), 0.1, opt)
+    before = model.shadow.flat.copy(), opt.flat.copy()
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\), got range \[0, 3\]"):
+        qat_train_step(model, x, np.array([0, 1, 2, 3, 0, 1, 2, 0]), 0.1, opt)
+    with pytest.raises(ValueError, match=r"labels: expected shape \(8,\), got \(7,\)"):
+        qat_train_step(model, x, np.zeros(7, dtype=int), 0.1, opt)
+    assert np.array_equal(model.shadow.flat, before[0]) and np.array_equal(opt.flat, before[1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_stops_at_the_end_of_the_epoch_that_diverges():
+    data = synthetic_blobs(3, 20, 4, 0.4, seed=68)
+    seen = []
+    model = _small_model(seed=68)
+    with pytest.raises(ValueError, match=r"^epoch 1: layer 2 \(dense\) holds non-finite"):
+        fit(model, data, [1e-3, 1e200], 68, after_epoch=lambda epoch, lr: seen.append(epoch))
+    assert seen == [0]
+    assert not np.isfinite(model.shadow.flat).all()
+
+
+def test_fit_stops_when_a_layer_dies():
+    data = synthetic_blobs(3, 20, 4, 0.4, seed=69)
+    net = init_weights([dense(4, 8), relu(), dense(8, 3)], (4,), seed=69)
+    net.weights[0] = np.full((8, 4), 1e-50)    # zero once stored as float32
+    with pytest.raises(ValueError, match=r"^epoch 0: layer 0 \(dense\) weights are all zero"):
+        fit(net, data, [0.0], 69)
