@@ -249,29 +249,29 @@ def init_weights(specs: list[LayerSpec], input_shape: tuple[int, ...], seed: int
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    # (N, C, H, W) -> (C*k*k, N*oh*ow): rows ordered (channel, di, dj) to match
-    # weight.reshape(out_c, -1), columns ordered (n, i, j), so a conv layer is
-    # one 2-D matmul
-    n, c, h, w = x.shape
+    # (C, H, W, N) -> (C*k*k, oh*ow*N): rows ordered (channel, di, dj) to match
+    # weight.reshape(out_c, -1), columns ordered (i, j, n), so a conv layer is
+    # one 2-D matmul; with the batch innermost each slice copy moves runs of
+    # ow*N contiguous values
+    c, h, w, n = x.shape
     oh, ow = h - k + 1, w - k + 1
-    xc = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, k, k, n, oh, ow), dtype=x.dtype)
+    cols = np.empty((c, k, k, oh, ow, n), dtype=x.dtype)
     for di in range(k):
         for dj in range(k):
-            cols[:, di, dj] = xc[:, :, di:di + oh, dj:dj + ow]
-    return cols.reshape(c * k * k, n * oh * ow)
+            cols[:, di, dj] = x[:, di:di + oh, dj:dj + ow]
+    return cols.reshape(c * k * k, oh * ow * n)
 
 
 def _col2im(dcols: np.ndarray, x_shape: tuple, k: int) -> np.ndarray:
-    # adjoint of _im2col: (C*k*k, N*oh*ow) summed back into (N, C, H, W)
-    n, c, h, w = x_shape
+    # adjoint of _im2col: (C*k*k, oh*ow*N) summed back into (C, H, W, N)
+    c, h, w, n = x_shape
     oh, ow = h - k + 1, w - k + 1
-    d = dcols.reshape(c, k, k, n, oh, ow)
-    dx = np.zeros((c, n, h, w), dtype=dcols.dtype)
+    d = dcols.reshape(c, k, k, oh, ow, n)
+    dx = np.zeros(x_shape, dtype=dcols.dtype)
     for di in range(k):
         for dj in range(k):
-            dx[:, :, di:di + oh, dj:dj + ow] += d[:, di, dj]
-    return dx.transpose(1, 0, 2, 3)
+            dx[:, di:di + oh, dj:dj + ow] += d[:, di, dj]
+    return dx
 
 
 def _check_input(net: Network, x: np.ndarray) -> None:
@@ -291,9 +291,15 @@ def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     Returns:
         (logits, cache) where logits has shape (N, num_classes) and cache
         holds each layer's input, as needed by loss_and_backward.
+
+    Every 4-D activation is held batch-innermost, as (C, H, W, N): an image
+    batch is transposed once on entry, and flatten turns it back into the
+    (N, C*H*W) rows that dense layers take, in the same C order.
     """
     x = np.asarray(batch, dtype=np.float64)
     _check_input(net, x)
+    if x.ndim == 4:
+        x = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
     cache: list[np.ndarray] = []
     for i, spec in enumerate(net.specs):
         cache.append(x)
@@ -308,18 +314,19 @@ def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
         elif spec.kind == "conv2d":
             w, b = net.weights[i], net.biases[i]
             out_c, in_c, k, _ = w.shape
-            if x.shape[1] != in_c:
-                raise ValueError(f"layer {i} (conv2d): input channels {x.shape[1]} "
+            if x.shape[0] != in_c:
+                raise ValueError(f"layer {i} (conv2d): input channels {x.shape[0]} "
                                  f"do not match in_channels {in_c}")
-            n, _, h, ww = x.shape
+            _, h, ww, n = x.shape
             y = w.reshape(out_c, -1) @ _im2col(x, k)
             if b is not None:
-                y = y + b[:, None]
-            x = y.reshape(out_c, n, h - k + 1, ww - k + 1).transpose(1, 0, 2, 3)
+                y = y + b[:, None]  # not in place: see README "Parameter layout"
+            x = y.reshape(out_c, h - k + 1, ww - k + 1, n)
         elif spec.kind == "relu":
             x = np.maximum(x, 0.0)
         elif spec.kind == "flatten":
-            x = x.reshape(x.shape[0], -1)
+            x = (np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T) if x.ndim == 4
+                 else x.reshape(x.shape[0], -1))
         else:
             raise ValueError(f"layer {i}: unknown layer kind {spec.kind!r}")
     return x, cache
@@ -393,7 +400,7 @@ def _backward(net: Network, cache: list[np.ndarray], log_probs: np.ndarray,
         elif spec.kind == "conv2d":
             w = net.weights[i]
             out_c, _, k, _ = w.shape
-            dy = dx.transpose(1, 0, 2, 3).reshape(out_c, -1)
+            dy = dx.reshape(out_c, -1)
             np.matmul(dy, _im2col(x, k).T, out=gw.reshape(out_c, -1))
             if gb is not None:
                 dy.sum(axis=1, out=gb)
@@ -402,7 +409,7 @@ def _backward(net: Network, cache: list[np.ndarray], log_probs: np.ndarray,
         elif spec.kind == "relu" and i:
             dx = dx * (x > 0.0)
         elif spec.kind == "flatten" and i:
-            dx = dx.reshape(x.shape)
+            dx = dx.T.reshape(x.shape) if x.ndim == 4 else dx.reshape(x.shape)
 
 
 def sgd_momentum_step(net: Network, grads: Gradients, state: OptimizerState,

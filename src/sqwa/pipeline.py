@@ -25,7 +25,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .averaging import AveragedModel, CaptureBank, average_models, requantize_averaged
 from .data import Dataset, load_idx, synthetic_blobs
-from .nn import LayerSpec, Network, evaluate, init_weights
+from .nn import LayerSpec, Network, evaluate, forward, init_weights
 from .qat import ShadowModel, finetune, fit, retrain
 from .quantizer import QuantizedModel, direct_quantize_model, levels_count
 from .schedule import CyclicalSchedule, StepDecaySchedule, derive_cycle_bounds, lr_at
@@ -258,10 +258,25 @@ def _stage_pretrain(cfg: RunConfig, train: Dataset, test: Dataset) -> dict:
     net = init_weights(specs, input_shape, cfg.seed)
     fit(net, train, [lr_at(sched, epoch) for epoch in range(p.epochs)], cfg.seed,
         batch_size=p.batch_size, momentum=p.momentum, l2_scale=p.l2_scale)
+    _check_responsive(net, train)
     loss, acc = evaluate(net, test)
     log.info("pretrain: %d epochs, test loss %.4f, test accuracy %.4f",
              p.epochs, loss, acc)
     return {"pretrained": (net, {"seed": cfg.seed, "epochs": p.epochs})}
+
+
+def _check_responsive(net: Network, train: Dataset) -> None:
+    # A pretrained model whose logits do not change with its input predicts
+    # one class whatever it is shown, and no later stage can revive it; its
+    # weights can be tiny but nonzero, which fit's dead-layer guard misses.
+    # Identical probe samples say nothing about that, so they pass.
+    x = train.images[:256]
+    if (x == x[:1]).all():
+        return
+    logits = forward(net, x)[0]
+    if (np.ptp(logits, axis=0) <= 1e-9 * np.abs(logits).max()).all():
+        raise ValueError(f"the pretrained model gives the same logits for all {len(x)} "
+                         "probe samples; training left it dead")
 
 
 def _stage_quantize(cfg: RunConfig, train: Dataset, test: Dataset, net: Network) -> dict:

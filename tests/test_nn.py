@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqwa.nn import (
     Gradients,
@@ -17,6 +20,7 @@ from sqwa.nn import (
     relu,
     sgd_momentum_step,
 )
+from sqwa.nn import _col2im, _im2col
 from sqwa.data import Dataset
 
 
@@ -147,31 +151,47 @@ def _assert_rel_close(actual, expected, rtol=1e-12):
     assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("in_c,h,w,k0,k1", [
-    (3, 7, 5, 3, 2),   # several input channels, H != W
-    (2, 6, 4, 1, 3),   # 1x1 kernel at the first conv
-    (1, 5, 5, 2, 4),   # second kernel spans its whole input: 1x1 output
-    (2, 3, 3, 3, 1),   # first kernel spans its whole input, then a 1x1 kernel
+@pytest.mark.parametrize("in_c,h,w,k0,k1,n,lead_relu,mid_relu,bias", [
+    # the conv -> relu -> conv stack on a batch of three keeps its shape-only ids
+    pytest.param(3, 7, 5, 3, 2, 3, False, True, True,  # several input channels, H != W
+                 id="3-7-5-3-2"),
+    pytest.param(2, 6, 4, 1, 3, 3, False, True, True,  # 1x1 kernel at the first conv
+                 id="2-6-4-1-3"),
+    pytest.param(1, 5, 5, 2, 4, 3, False, True, True,  # second kernel spans its input: 1x1 out
+                 id="1-5-5-2-4"),
+    pytest.param(2, 3, 3, 3, 1, 3, False, True, True,  # first kernel spans its input, then 1x1
+                 id="2-3-3-3-1"),
+    (3, 7, 5, 3, 2, 1, False, True, True),   # a batch of one
+    (2, 6, 5, 2, 2, 2, False, True, True),   # batch size equal to the in and out channels
+    (2, 6, 5, 3, 2, 4, True, True, True),    # relu before the first conv
+    (2, 6, 5, 3, 2, 4, False, False, True),  # conv straight into conv
+    (2, 6, 5, 3, 2, 4, False, True, False),  # convs without bias
 ])
-def test_conv_matches_direct_reference(in_c, h, w, k0, k1):
+def test_conv_matches_direct_reference(in_c, h, w, k0, k1, n, lead_relu, mid_relu, bias):
     rng = np.random.default_rng(24)
-    mid_c, out_c, classes, n = 3, 2, 4, 3
+    mid_c, out_c, classes = 3, 2, 4
     oh, ow = h - k0 - k1 + 2, w - k0 - k1 + 2
-    specs = [conv2d(in_c, mid_c, k0), relu(), conv2d(mid_c, out_c, k1), flatten(),
-             dense(out_c * oh * ow, classes)]
+    specs = ([relu()] * lead_relu + [conv2d(in_c, mid_c, k0, has_bias=bias)]
+             + [relu()] * mid_relu + [conv2d(mid_c, out_c, k1, has_bias=bias), flatten(),
+                                      dense(out_c * oh * ow, classes)])
+    c0, c1, d = [i for i, spec in enumerate(specs) if spec.has_params]
     net = init_weights(specs, (in_c, h, w), seed=24)
     for i in net.param_layers():
-        net.biases[i] = rng.normal(size=net.biases[i].shape)
+        if net.biases[i] is not None:
+            net.biases[i] = rng.normal(size=net.biases[i].shape)
     x = rng.normal(size=(n, in_c, h, w))
     y = rng.integers(0, classes, size=n)
-    (w0, b0), (w1, b1), (wd, bd) = [(net.weights[i], net.biases[i]) for i in (0, 2, 4)]
+    (w0, b0), (w1, b1), (wd, bd) = [(net.weights[i], net.biases[i]) for i in (c0, c1, d)]
+    zb0, zb1 = (np.zeros(mid_c), np.zeros(out_c)) if b0 is None else (b0, b1)
 
-    single = Network((in_c, h, w), [conv2d(in_c, mid_c, k0), flatten()], [w0, None], [b0, None])
-    _assert_rel_close(forward(single, x)[0], _ref_conv(x, w0, b0).reshape(n, -1))
+    single = Network((in_c, h, w), [conv2d(in_c, mid_c, k0, has_bias=bias), flatten()],
+                     [w0, None], [b0, None])
+    _assert_rel_close(forward(single, x)[0], _ref_conv(x, w0, zb0).reshape(n, -1))
 
-    a0 = _ref_conv(x, w0, b0)
-    r0 = np.maximum(a0, 0.0)
-    a1 = _ref_conv(r0, w1, b1)
+    x0 = np.maximum(x, 0.0) if lead_relu else x
+    a0 = _ref_conv(x0, w0, zb0)
+    r0 = np.maximum(a0, 0.0) if mid_relu else a0
+    a1 = _ref_conv(r0, w1, zb1)
     logits = a1.reshape(n, -1) @ wd.T + bd
     got_logits, cache = forward(net, x)
     _assert_rel_close(got_logits, logits)
@@ -181,13 +201,50 @@ def test_conv_matches_direct_reference(in_c, h, w, k0, k1):
     dlogits = (probs - np.eye(classes)[y]) / n
     da1 = (dlogits @ wd).reshape(a1.shape)
     dr0, gw1, gb1 = _ref_conv_backward(r0, w1, da1)
-    _, gw0, gb0 = _ref_conv_backward(x, w0, dr0 * (a0 > 0.0))
+    _, gw0, gb0 = _ref_conv_backward(x0, w0, dr0 * (a0 > 0.0) if mid_relu else dr0)
     _, grads = loss_and_backward(net, cache, got_logits, y)
-    _assert_rel_close(grads.weights[2], gw1)
-    _assert_rel_close(grads.biases[2], gb1)
-    # layer 0's gradients are formed from the second conv's input gradient
-    _assert_rel_close(grads.weights[0], gw0)
-    _assert_rel_close(grads.biases[0], gb0)
+    # the first conv's gradients are formed from the second conv's input gradient
+    for i, gw, gb in ((c1, gw1, gb1), (c0, gw0, gb0)):
+        _assert_rel_close(grads.weights[i], gw)
+        if bias:
+            _assert_rel_close(grads.biases[i], gb)
+        else:
+            assert grads.biases[i] is None
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(c=st.integers(1, 3), k=st.integers(1, 5), oh=st.integers(1, 5), ow=st.integers(1, 5),
+       n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_col2im_is_the_adjoint_of_im2col(c, k, oh, ow, n, seed):
+    # <im2col(x), D> == <x, col2im(D)> for activations held as (C, H, W, N)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(c, oh + k - 1, ow + k - 1, n))
+    cols = _im2col(x, k)
+    dcols = rng.normal(size=cols.shape)
+    lhs, rhs = np.vdot(cols, dcols), np.vdot(x, _col2im(dcols, x.shape, k))
+    assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(cols), np.abs(dcols))
+
+
+@pytest.mark.parametrize("lead", [[], [relu()]], ids=["flatten-first", "relu-first"])
+def test_image_networks_without_conv_equal_the_dense_net_on_flat_rows(lead):
+    # Image activations are held batch-innermost, so the flatten copy must
+    # hand dense layers exactly the rows of the reshaped batch.
+    rng = np.random.default_rng(27)
+    shape, classes = (2, 3, 4), 5
+    x = rng.normal(size=(6, *shape))
+    y = rng.integers(0, classes, size=6)
+    tail = [dense(24, 7), relu(), dense(7, classes)]
+    image_net = init_weights([*lead, flatten(), *tail], shape, seed=27)
+    flat_net = init_weights([*lead, *tail], (24,), seed=27)
+    logits, cache = forward(image_net, x)
+    flat_logits, flat_cache = forward(flat_net, x.reshape(6, -1))
+    np.testing.assert_array_equal(logits, flat_logits)
+    loss, grads = loss_and_backward(image_net, cache, logits, y)
+    flat_loss, flat_grads = loss_and_backward(flat_net, flat_cache, flat_logits, y)
+    assert loss == flat_loss
+    for i in flat_net.param_layers():
+        np.testing.assert_array_equal(grads.weights[i + 1], flat_grads.weights[i])
+        np.testing.assert_array_equal(grads.biases[i + 1], flat_grads.biases[i])
 
 
 def test_gradients_match_finite_differences_conv_stack():
@@ -309,6 +366,25 @@ def test_evaluate_rejects_out_of_range_labels():
     data = Dataset(images=np.zeros((5, 3)), labels=np.array([0, 1, 2, 0, 1]), num_classes=3)
     with pytest.raises(ValueError, match="labels must lie in"):
         evaluate(net, data, batch_size=2)
+
+
+def test_evaluate_holds_at_most_one_column_matrix():
+    # The benchmark's CNN at evaluate's batch of 256: the second conv's
+    # column matrix, 100 x (8*8*256) doubles (12.5 MiB), is the largest
+    # array. Keeping the first conv's columns (7 MiB) alive while it is
+    # built would push the peak past this bound.
+    specs = [conv2d(1, 4, 5), relu(), conv2d(4, 8, 5), relu(), flatten(), dense(512, 10)]
+    net = init_weights(specs, (1, 16, 16), seed=35)
+    rng = np.random.default_rng(35)
+    data = Dataset(images=rng.normal(size=(600, 1, 16, 16)),
+                   labels=rng.integers(0, 10, size=600), num_classes=10)
+    tracemalloc.start()
+    try:
+        evaluate(net, data, batch_size=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * 8 * 8 * 256 * 8 + 4 * 2**20
 
 
 def test_network_copy_is_deep():

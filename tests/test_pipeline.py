@@ -5,6 +5,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sqwa
@@ -12,6 +13,7 @@ import sqwa.nn
 from sqwa import pipeline
 from sqwa.averaging import effective_bits
 from sqwa.cli import main
+from sqwa.data import Dataset
 from sqwa.pipeline import (
     PipelineError,
     RunConfig,
@@ -547,3 +549,31 @@ def test_a_dead_or_diverged_pretrain_fails_its_stage_and_saves_nothing(tmp_path,
     with pytest.raises(PipelineError, match=rf"^stage 'pretrain': {fault}"):
         run_sqwa(RunConfig.from_dict(d))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_pretrained_model_with_input_blind_logits_fails_its_stage(tmp_path):
+    # The same failure stopped after 10 epochs: the weights shrink to about
+    # 1.6e-20, nonzero at float32, while the first-layer biases reach about
+    # 2.6e6, so every sample gets the same logits and every later row would
+    # report chance accuracy.
+    d = RunConfig(seed=5, output_dir=str(tmp_path)).to_dict()
+    d["pretrain"].update(initial_lr=50, epochs=10, milestones=[5, 8])
+    with pytest.raises(PipelineError, match=r"^stage 'pretrain': the pretrained model "
+                                            r"gives the same logits for all 256 probe samples"):
+        run_sqwa(RunConfig.from_dict(d))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_input_blind_check_skips_identical_probe_samples():
+    # weights zero and biases not: the logits are the biases for any input
+    specs = [sqwa.nn.dense(4, 3)]
+    net = sqwa.nn.zero_network(specs, (4,))
+    net.biases[0] = [0.5, -1.0, 2.0]
+    same = Dataset(np.ones((300, 4)), np.zeros(300, dtype=np.int64), 3)
+    pipeline._check_responsive(net, same)
+    varied = Dataset(np.arange(1200.0).reshape(300, 4), np.zeros(300, dtype=np.int64), 3)
+    with pytest.raises(ValueError, match="same logits for all 256 probe samples"):
+        pipeline._check_responsive(net, varied)
+    net.weights[0] = np.eye(3, 4)
+    pipeline._check_responsive(net, varied)
