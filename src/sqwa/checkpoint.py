@@ -6,9 +6,10 @@ payload checksum) and `payload.bin` (tensors back to back). Shadow weights
 are stored as little-endian 64-bit floats, so a reloaded shadow still
 quantizes to its applied weights even when it sits next to a quantizer
 midpoint; other full-precision tensors are stored as little-endian 32-bit
-floats. Grid-resident tensors are stored as signed 8-bit integer levels
-with their scale kept at full precision in the manifest, so quantized
-values reload bit for bit. The manifest is written last and renamed into
+floats. Grid-resident tensors are stored as signed integer levels, in the
+narrowest of 8, 16 or 32 bits that holds the tensor's largest level, with
+their scale kept at full precision in the manifest, so quantized values
+reload bit for bit. The manifest is written last and renamed into
 place, so a directory holding `manifest.json` is complete.
 
 Capture banks are directories of entry checkpoints plus an ordering
@@ -34,38 +35,38 @@ __all__ = ["CheckpointError", "SCHEMA_VERSION", "save", "load", "load_manifest"]
 
 SCHEMA_VERSION = 1
 
-# Largest level magnitude that signed 8-bit level storage holds.
-MAX_I8_LEVEL = 127
-
-
 class CheckpointError(ValueError):
     """Unreadable, tampered, or structurally wrong checkpoint."""
 
 
 _FLOAT_DTYPES = {"f32": "<f4", "f64": "<f8"}
+# level encodings, narrowest first
+_LEVEL_DTYPES = {"i8": "<i1", "i16": "<i2", "i32": "<i4"}
 
 
-def _i8_bytes(arr: np.ndarray, scale: float, name: str) -> bytes:
+def _level_bytes(arr: np.ndarray, scale: float, name: str) -> tuple[str, bytes]:
+    # (encoding, bytes) of the tensor's levels in the narrowest level
+    # encoding that holds its largest |level|
     levels = np.rint(arr / scale)
-    if np.abs(levels).max(initial=0.0) > MAX_I8_LEVEL:
-        raise CheckpointError(f"{name}: quantized levels exceed signed 8-bit storage")
+    top = np.abs(levels).max(initial=0.0)
+    encoding = next((e for e, dt in _LEVEL_DTYPES.items() if top <= np.iinfo(dt).max), None)
+    if encoding is None:
+        raise CheckpointError(f"{name}: quantized levels exceed signed 32-bit storage")
     if not np.array_equal(levels * scale, arr):
         raise CheckpointError(f"{name}: values are not on the recorded grid")
-    return np.ascontiguousarray(levels, dtype="<i1").tobytes()
+    return encoding, np.ascontiguousarray(levels, dtype=_LEVEL_DTYPES[encoding]).tobytes()
 
 
 def _decode(desc: dict, payload: bytes) -> np.ndarray:
-    start = desc["offset"]
+    encoding = desc["encoding"]
+    dtype = _FLOAT_DTYPES.get(encoding) or _LEVEL_DTYPES.get(encoding)
+    if dtype is None:
+        raise CheckpointError(f"unknown tensor encoding {encoding!r}")
     shape = tuple(desc["shape"])
     count = int(np.prod(shape)) if shape else 1
-    if desc["encoding"] in _FLOAT_DTYPES:
-        raw = np.frombuffer(payload, dtype=_FLOAT_DTYPES[desc["encoding"]], count=count,
-                            offset=start)
-        return raw.astype(np.float64).reshape(shape)
-    if desc["encoding"] == "i8":
-        raw = np.frombuffer(payload, dtype="<i1", count=count, offset=start)
-        return raw.astype(np.float64).reshape(shape) * desc["scale"]
-    raise CheckpointError(f"unknown tensor encoding {desc['encoding']!r}")
+    t = np.frombuffer(payload, dtype=dtype, count=count, offset=desc["offset"])
+    t = t.astype(np.float64).reshape(shape)
+    return t * desc["scale"] if encoding in _LEVEL_DTYPES else t
 
 
 class _PayloadBuilder:
@@ -75,10 +76,11 @@ class _PayloadBuilder:
         self.offset = 0
 
     def add(self, name: str, arr: np.ndarray, encoding: str, scale: float | None = None):
+        # encoding is a float encoding, or "levels" for a grid-resident tensor
         if encoding in _FLOAT_DTYPES:
             raw = np.ascontiguousarray(arr, dtype=_FLOAT_DTYPES[encoding]).tobytes()
         else:
-            raw = _i8_bytes(arr, scale, name)
+            encoding, raw = _level_bytes(arr, scale, name)
         desc = {"name": name, "shape": list(arr.shape), "offset": self.offset,
                 "encoding": encoding}
         if scale is not None:
@@ -91,16 +93,17 @@ class _PayloadBuilder:
 def _parts(obj):
     """(kind, network, quantization record, weight streams) of a model. The
     network gives the topology and the biases; each weight stream is
-    (tensor suffix, source network, encoding, per-layer scales or None)."""
+    (tensor suffix, source network, encoding, per-layer scales or None),
+    where the encoding "levels" stores integer levels of the scales."""
     if isinstance(obj, Network):
         return "network", obj, None, [("weight", obj, "f32", None)]
     if isinstance(obj, QuantizedModel):
         return ("quantized", obj.net, {"bits": obj.bits, "steps": list(obj.steps)},
-                [("weight", obj.net, "i8", obj.steps)])
+                [("weight", obj.net, "levels", obj.steps)])
     if isinstance(obj, ShadowModel):
         return ("shadow", obj.shadow, {"bits": obj.bits, "steps": list(obj.steps)},
                 [("shadow_weight", obj.shadow, "f64", None),
-                 ("applied_weight", obj.applied, "i8", obj.steps)])
+                 ("applied_weight", obj.applied, "levels", obj.steps)])
     if isinstance(obj, AveragedModel):
         quantization = {
             "bits": obj.effective_bits,
@@ -109,7 +112,7 @@ def _parts(obj):
             "effective_bits": obj.effective_bits,
         }
         return ("averaged", obj.net, quantization,
-                [("weight", obj.net, "i8", [s / obj.count for s in obj.base_steps])])
+                [("weight", obj.net, "levels", [s / obj.count for s in obj.base_steps])])
     raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
 
 

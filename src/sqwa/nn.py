@@ -282,7 +282,7 @@ def _check_input(net: Network, x: np.ndarray) -> None:
 
 
 def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run a batch through the network.
+    """Run a batch through the network, keeping what backward needs.
 
     Args:
         net: the network.
@@ -292,17 +292,27 @@ def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
         (logits, cache) where logits has shape (N, num_classes) and cache
         holds each layer's input, as needed by loss_and_backward.
 
-    Every 4-D activation is held batch-innermost, as (C, H, W, N): an image
-    batch is transposed once on entry, and flatten turns it back into the
-    (N, C*H*W) rows that dense layers take, in the same C order.
+    The batch is converted to float64 and its shape checked on every call;
+    evaluate checks a whole dataset once and runs the unchecked kernel
+    `_forward` without a cache instead.
     """
     x = np.asarray(batch, dtype=np.float64)
     _check_input(net, x)
+    cache: list[np.ndarray] = []
+    return _forward(net, x, cache), cache
+
+
+def _forward(net: Network, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+    # forward's kernel, for a float64 batch already checked against
+    # net.input_shape; appends each layer's input to `cache` if given one.
+    # Every 4-D activation is held batch-innermost, as (C, H, W, N): an image
+    # batch is transposed once on entry, and flatten turns it back into the
+    # (N, C*H*W) rows that dense layers take, in the same C order.
     if x.ndim == 4:
         x = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
-    cache: list[np.ndarray] = []
     for i, spec in enumerate(net.specs):
-        cache.append(x)
+        if cache is not None:
+            cache.append(x)
         if spec.kind == "dense":
             w, b = net.weights[i], net.biases[i]
             if x.shape[1] != w.shape[1]:
@@ -329,7 +339,7 @@ def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
                  else x.reshape(x.shape[0], -1))
         else:
             raise ValueError(f"layer {i}: unknown layer kind {spec.kind!r}")
-    return x, cache
+    return x
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -339,10 +349,14 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    # Returns (mean loss, log-probabilities).
-    log_probs = _log_softmax(logits)
-    return float(-log_probs[np.arange(logits.shape[0]), labels].sum() / logits.shape[0]), log_probs
+def _batch_loss(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> float:
+    # Mean of -_log_softmax(logits) at the labels, bit for bit; `rows` is
+    # arange(N). The max, exact in any order, runs over a class-major copy;
+    # the class sum stays row-wise, as a column sum rounds differently.
+    m = np.ascontiguousarray(logits.T).max(axis=0)
+    z = logits - m[:, None]
+    picked = z[rows, labels] - np.log(np.exp(z).sum(axis=1))
+    return float(-picked.sum() / logits.shape[0])
 
 
 def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
@@ -359,7 +373,7 @@ def loss_only(net: Network, batch: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy of the batch, no gradients."""
     logits, _ = forward(net, batch)
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    return _cross_entropy(logits, labels)[0]
+    return _batch_loss(logits, labels, np.arange(logits.shape[0]))
 
 
 def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
@@ -369,8 +383,10 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
     `cache` must come from a forward() call on the same network and batch.
     The gradients are a fresh buffer of their own.
     """
-    labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    loss, log_probs = _cross_entropy(logits, labels)
+    n = logits.shape[0]
+    labels = _check_labels(labels, n, logits.shape[1])
+    log_probs = _log_softmax(logits)
+    loss = float(-log_probs[np.arange(n), labels].sum() / n)
     grads = Gradients.like(net)
     _backward(net, cache, log_probs, labels, grads)
     return loss, grads
@@ -439,19 +455,24 @@ def sgd_momentum_step(net: Network, grads: Gradients, state: OptimizerState,
 def evaluate(net: Network, dataset, batch_size: int = 256) -> tuple[float, float]:
     """Mean cross-entropy loss and top-1 accuracy over a whole dataset.
 
-    Batches are visited in fixed order, so the result is deterministic.
+    Batches are visited in fixed order, so the result is deterministic, and
+    each equals what forward and a full log-softmax give for that batch. The
+    images and labels are checked once per call, not per batch, and the
+    forward passes keep no cache, so each layer's input is freed once its
+    output exists.
     """
-    images = dataset.images
+    images = np.asarray(dataset.images)
     n = images.shape[0]
     if n == 0:
         raise ValueError("evaluate: dataset is empty")
     labels = _check_labels(dataset.labels, n, net.num_classes)
+    _check_input(net, images)
+    rows = np.arange(min(batch_size, n))
     loss_sum = 0.0
     correct = 0
     for start in range(0, n, batch_size):
-        xb = images[start:start + batch_size]
         yb = labels[start:start + batch_size]
-        logits = forward(net, xb)[0]  # drop the cache before the next batch
-        loss_sum += _cross_entropy(logits, yb)[0] * xb.shape[0]
+        logits = _forward(net, np.asarray(images[start:start + batch_size], dtype=np.float64))
+        loss_sum += _batch_loss(logits, yb, rows[:yb.shape[0]]) * yb.shape[0]
         correct += int((logits.argmax(axis=1) == yb).sum())
     return loss_sum / n, correct / n

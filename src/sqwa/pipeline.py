@@ -27,7 +27,7 @@ from .averaging import AveragedModel, CaptureBank, average_models, requantize_av
 from .data import Dataset, load_idx, synthetic_blobs
 from .nn import LayerSpec, Network, evaluate, forward, init_weights
 from .qat import ShadowModel, finetune, fit, retrain
-from .quantizer import QuantizedModel, direct_quantize_model, levels_count
+from .quantizer import QuantizedModel, direct_quantize_model
 from .schedule import CyclicalSchedule, StepDecaySchedule, derive_cycle_bounds, lr_at
 
 __all__ = [
@@ -185,12 +185,6 @@ class RunConfig:
         if not (1 <= cfg.average_last_n <= captures):
             raise ValueError(f"average_last_n {cfg.average_last_n} exceeds the "
                              f"{captures} captures the cyclical stage will produce")
-        # the averaged model stores summed levels, up to n times the top level
-        top_level = max(1, (levels_count(cfg.bits) - 1) // 2)
-        if cfg.average_last_n * top_level > ckpt.MAX_I8_LEVEL:
-            raise ValueError(f"averaging {cfg.average_last_n} {cfg.bits}-bit models sums "
-                             f"levels up to {cfg.average_last_n * top_level}, beyond the "
-                             f"{ckpt.MAX_I8_LEVEL} of 8-bit level storage")
         return cfg
 
 

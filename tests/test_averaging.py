@@ -1,6 +1,10 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sqwa import checkpoint as ckpt
 from sqwa.averaging import (
     AveragedModel,
     CaptureBank,
@@ -179,3 +183,76 @@ def test_requantize_averaged_round_trip():
         np.testing.assert_array_equal(
             model.net.weights[i], quantize_tensor(net.weights[i], cfg))
         np.testing.assert_array_equal(model.net.biases[i], net.biases[i])
+
+
+# --- every accepted bit width, averages of 1 to 31 models ---------------------
+
+def _top_level(bits):
+    return max(1, (levels_count(bits) - 1) // 2)
+
+
+def _bank_of_levels(bits, levels, step, seed):
+    # one capture per row block of `levels` (n, rows, cols), on the `bits` grid
+    rng = np.random.default_rng(seed)
+    bank = CaptureBank(bits, [step])
+    for k, lv in enumerate(levels):
+        net = Network((lv.shape[1],), [dense(lv.shape[1], lv.shape[0])], [lv * step],
+                      [rng.normal(size=lv.shape[0])])
+        bank.add(CaptureEntry(k, QuantizedModel(net, bits, [step]), net.copy(), {}))
+    return bank
+
+
+GRID_CASES = dict(bits=st.integers(1, 8), n=st.integers(1, 31), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(**GRID_CASES)
+def test_average_is_the_exact_level_sum_for_every_bit_width(bits, n, seed):
+    # captures the quantizer puts on the grid, wide enough to clip at the top level
+    rng = np.random.default_rng(seed)
+    step = rng.uniform(0.01, 1.0)
+    cfg = QuantizerConfig(bits, step)
+    shadows = rng.normal(scale=_top_level(bits) * step, size=(n, 4, 6))
+    levels = np.rint(np.array([quantize_tensor(w, cfg) for w in shadows]) / step)
+    avg = average_models(_bank_of_levels(bits, levels, step, seed), n)
+    summed = levels.sum(axis=0)
+    assert np.abs(summed).max() <= n * _top_level(bits)
+    assert np.array_equal(avg.net.weights[0], summed * (step / n))
+    assert np.array_equal(np.rint(avg.net.weights[0] / (step / n)), summed)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(**GRID_CASES)
+def test_average_reaches_exactly_the_n_m_minus_1_plus_1_value_budget(bits, n, seed):
+    # one column per attainable level sum, its n parts shuffled over the captures
+    top, m = _top_level(bits), levels_count(bits)
+    rng = np.random.default_rng(seed)
+    if bits == 1:
+        columns = [[-1] * k + [1] * (n - k) for k in range(n + 1)]
+    else:
+        columns = [[q + 1] * r + [q] * (n - r)
+                   for q, r in (divmod(s, n) for s in range(-n * top, n * top + 1))]
+    levels = np.array([rng.permutation(c) for c in columns], dtype=np.float64).T[:, None, :]
+    avg = average_models(_bank_of_levels(bits, levels, 0.5, seed), n)
+    values = np.unique(avg.net.weights[0])
+    assert values.size == len(columns) == n * (m - 1) + 1
+    assert levels_count(avg.effective_bits) >= values.size
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(**GRID_CASES)
+def test_average_round_trips_through_the_narrowest_level_storage(bits, n, seed):
+    rng = np.random.default_rng(seed)
+    top = _top_level(bits)
+    grid = [-1, 1] if bits == 1 else np.arange(-top, top + 1)
+    levels = rng.choice(grid, size=(n, 3, 5)).astype(np.float64)
+    levels[:, 0, 0] = top  # the largest sum occurs
+    avg = average_models(_bank_of_levels(bits, levels, rng.uniform(0.01, 1.0), seed), n)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt.save(avg, tmp)
+        encodings = [t["encoding"] for t in ckpt.load_manifest(tmp)["tensors"]]
+        back = ckpt.load(tmp)
+    assert encodings == ["i8" if n * top <= 127 else "i16", "f32"]
+    assert np.array_equal(back.net.weights[0], avg.net.weights[0])
+    assert (back.count, back.base_steps, back.effective_bits) == \
+        (n, avg.base_steps, effective_bits(n, bits))

@@ -264,9 +264,22 @@ def test_provenance_recorded(tmp_path):
 
 def test_oversized_levels_rejected(tmp_path):
     model = _quantized()
-    model.net.weights[0][0, 0] = model.steps[0] * 200.0
-    with pytest.raises(CheckpointError, match="8-bit"):
+    model.net.weights[0][0, 0] = model.steps[0] * 2.0**31
+    with pytest.raises(CheckpointError, match="exceed signed 32-bit storage"):
         ckpt.save(model, tmp_path / "x")
+
+
+@pytest.mark.parametrize("top,encoding", [(127, "i8"), (128, "i16"), (32767, "i16"),
+                                          (32768, "i32"), (2**31 - 1, "i32")])
+def test_levels_take_the_narrowest_storage_that_holds_them(tmp_path, top, encoding):
+    model = _quantized()
+    model.net.weights[0][0, 0] = -top * model.steps[0]
+    ckpt.save(model, tmp_path / "x")
+    tensors = ckpt.load_manifest(tmp_path / "x")["tensors"]
+    assert [t["encoding"] for t in tensors] == [encoding, "f32", "i8", "f32"]
+    back = ckpt.load(tmp_path / "x")
+    for i in model.net.param_layers():
+        np.testing.assert_array_equal(back.net.weights[i], model.net.weights[i])
 
 
 def test_off_grid_values_rejected(tmp_path):

@@ -20,7 +20,7 @@ from sqwa.nn import (
     relu,
     sgd_momentum_step,
 )
-from sqwa.nn import _col2im, _im2col
+from sqwa.nn import _batch_loss, _col2im, _im2col
 from sqwa.data import Dataset
 
 
@@ -372,7 +372,8 @@ def test_evaluate_holds_at_most_one_column_matrix():
     # The benchmark's CNN at evaluate's batch of 256: the second conv's
     # column matrix, 100 x (8*8*256) doubles (12.5 MiB), is the largest
     # array. Keeping the first conv's columns (7 MiB) alive while it is
-    # built would push the peak past this bound.
+    # built would push the peak past this bound, and so would keeping each
+    # layer's input as forward's cache does (16.3 MiB).
     specs = [conv2d(1, 4, 5), relu(), conv2d(4, 8, 5), relu(), flatten(), dense(512, 10)]
     net = init_weights(specs, (1, 16, 16), seed=35)
     rng = np.random.default_rng(35)
@@ -384,7 +385,81 @@ def test_evaluate_holds_at_most_one_column_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 100 * 8 * 8 * 256 * 8 + 4 * 2**20
+    assert peak <= 100 * 8 * 8 * 256 * 8 + 3.5 * 2**20
+
+
+def _reference_evaluate(net, data, batch_size):
+    # per batch: the public forward, a full log-softmax, argmax
+    n = data.images.shape[0]
+    loss_sum, correct = 0.0, 0
+    for start in range(0, n, batch_size):
+        xb, yb = data.images[start:start + batch_size], data.labels[start:start + batch_size]
+        logits = forward(net, xb)[0]
+        z = logits - logits.max(axis=1, keepdims=True)
+        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+        loss_sum += float(-z[np.arange(len(yb)), yb].sum() / len(yb)) * len(yb)
+        correct += int((logits.argmax(axis=1) == yb).sum())
+    return loss_sum / n, correct / n
+
+
+EVAL_NETS = {
+    "dense": ([dense(6, 9), relu(), dense(9, 5)], (6,)),
+    "conv-flatten-dense": ([conv2d(2, 3, 3), relu(), flatten(), dense(48, 5)], (2, 6, 6)),
+    "flatten-first": ([flatten(), dense(18, 7), relu(), dense(7, 5)], (2, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("batch_size", [7, 30, 64], ids=["short-last", "one-batch", "beyond-n"])
+@pytest.mark.parametrize("name", sorted(EVAL_NETS))
+def test_evaluate_equals_the_per_batch_reference(name, batch_size):
+    specs, shape = EVAL_NETS[name]
+    net = init_weights(specs, shape, seed=39)
+    for i in net.param_layers():
+        net.biases[i] = np.linspace(-0.5, 0.5, net.biases[i].size)
+    rng = np.random.default_rng(39)
+    data = Dataset(images=rng.normal(size=(30, *shape)), labels=rng.integers(0, 5, size=30),
+                   num_classes=5)
+    assert evaluate(net, data, batch_size) == _reference_evaluate(net, data, batch_size)
+
+
+def test_evaluate_rejects_a_wrong_input_shape_before_any_batch(monkeypatch):
+    import sqwa.nn
+    net = init_weights([dense(3, 2)], (3,), seed=40)
+    data = Dataset(images=np.zeros((9, 4)), labels=np.zeros(9, dtype=np.int64), num_classes=2)
+    with pytest.raises(ValueError) as expected:
+        forward(net, data.images)
+    batches = []
+    monkeypatch.setattr(sqwa.nn, "_forward", lambda *args: batches.append(args))
+    with pytest.raises(ValueError) as raised:
+        evaluate(net, data, batch_size=4)
+    assert str(raised.value) == str(expected.value) == \
+        "network input: expected batch of shape (N, 3), got (9, 4)"
+    assert batches == []
+
+
+SPECIAL_LOGITS = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(c=st.integers(1, 20), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       special=st.sampled_from([0.0, 0.02, 0.3]), coarse=st.booleans(),
+       equal_rows=st.sampled_from([0.0, 0.2, 1.0]))
+def test_batch_loss_equals_the_full_log_softmax_loss(c, n, seed, special, coarse, equal_rows):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=5.0, size=(n, c))
+    if coarse:  # a few distinct values per row, so maxima tie
+        logits = np.round(logits / 4.0)
+    same = rng.random(n) < equal_rows
+    logits[same] = logits[same, :1]
+    hit = rng.random((n, c)) < special
+    logits[hit] = rng.choice(SPECIAL_LOGITS, size=int(hit.sum()))
+    labels = rng.integers(0, c, size=n)
+    with np.errstate(all="ignore"):
+        z = logits - logits.max(axis=1, keepdims=True)
+        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+        expected = float(-z[np.arange(n), labels].sum() / n)
+        got = _batch_loss(logits, labels, np.arange(n))
+    assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
 def test_network_copy_is_deep():

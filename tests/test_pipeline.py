@@ -10,10 +10,12 @@ import pytest
 
 import sqwa
 import sqwa.nn
+from sqwa import checkpoint as ckpt
 from sqwa import pipeline
-from sqwa.averaging import effective_bits
+from sqwa.averaging import CaptureBank, CaptureEntry, average_models, effective_bits
 from sqwa.cli import main
 from sqwa.data import Dataset
+from sqwa.nn import Network, dense
 from sqwa.pipeline import (
     PipelineError,
     RunConfig,
@@ -21,6 +23,7 @@ from sqwa.pipeline import (
     run_sqwa,
     run_stages,
 )
+from sqwa.quantizer import QuantizedModel
 
 
 def _small_dict(output_dir, seed=7):
@@ -385,7 +388,7 @@ def test_cli_set_dims_without_config_reshapes_default_network(tmp_path):
     assert sqwa.load(out / "pretrained").weights[0].shape == (24, 5)
 
 
-# --- bit widths the 8-bit level storage holds ------------------------------
+# --- every bit width, whatever the averaged level sums need ---------------
 
 @pytest.mark.parametrize("bits", [0, 9, -1])
 def test_resolve_rejects_bits_outside_1_to_8(tmp_path, bits):
@@ -396,28 +399,42 @@ def test_resolve_rejects_bits_outside_1_to_8(tmp_path, bits):
 
 
 # top level of each bit width: 1 for b = 1, else (2^b - 2) / 2; averaging n
-# models sums levels up to n times it, and 8-bit level storage holds 127
+# models sums levels up to n times it
 TOP_LEVEL = {1: 1, 2: 1, 3: 3, 4: 7, 5: 15, 6: 31, 7: 63, 8: 127}
 
 
 @pytest.mark.parametrize("bits", sorted(TOP_LEVEL))
 def test_resolve_bounds_summed_levels_by_8_bit_storage(tmp_path, bits):
+    # The smallest average whose level sums overflow 8 bits, n = 127 // top
+    # level + 1 models, was once rejected at resolve time. It now resolves,
+    # and the average of n captures at the top level round-trips through
+    # 16-bit level storage.
     d = _small_dict(tmp_path)
-    n = 127 // TOP_LEVEL[bits]  # 127, 127, 42, 18, 8, 4, 2, 1
+    n = 127 // TOP_LEVEL[bits] + 1  # 128, 128, 43, 19, 9, 5, 3, 2
     d["bits"] = bits
-    d["cyclical"]["epochs"] = 4 * (n + 1)  # n + 1 captures, so only storage limits n
+    d["cyclical"]["epochs"] = 4 * n  # n captures
     d["average_last_n"] = n
-    RunConfig.from_dict(d).resolve()
-    d["average_last_n"] = n + 1
-    with pytest.raises(ValueError, match=f"up to {(n + 1) * TOP_LEVEL[bits]}, beyond the "
-                                         "127 of 8-bit level storage"):
-        RunConfig.from_dict(d).resolve()
+    assert RunConfig.from_dict(d).resolve().average_last_n == n
+    step = 0.3
+    bank = CaptureBank(bits, [step])
+    for k in range(n):
+        net = Network((2,), [dense(2, 2)],
+                      [np.array([[1.0, -1.0], [-1.0, 1.0]]) * (TOP_LEVEL[bits] * step)],
+                      [np.zeros(2)])
+        bank.add(CaptureEntry(k, QuantizedModel(net, bits, [step]), net.copy(), {}))
+    avg = average_models(bank, n)
+    ckpt.save(avg, tmp_path / "avg")
+    tensors = ckpt.load_manifest(tmp_path / "avg")["tensors"]
+    assert [t["encoding"] for t in tensors] == ["i16", "f32"]
+    back = ckpt.load(tmp_path / "avg")
+    assert np.array_equal(back.net.weights[0], avg.net.weights[0])
+    assert np.rint(np.abs(back.net.weights[0]).max() / (step / n)) == n * TOP_LEVEL[bits]
 
 
 @pytest.mark.parametrize("bits", range(1, 9))
 def test_every_accepted_bit_width_runs_end_to_end(tmp_path, bits):
     d = _small_dict(tmp_path)
-    d.update(bits=bits, average_last_n=min(2, 127 // TOP_LEVEL[bits]))
+    d.update(bits=bits, average_last_n=2)
     rows = run_sqwa(RunConfig.from_dict(d))["report"]
     avg = sqwa.load(tmp_path / "averaged")
     assert avg.count == d["average_last_n"]
