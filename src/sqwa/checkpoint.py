@@ -10,7 +10,8 @@ floats. Grid-resident tensors are stored as signed integer levels, in the
 narrowest of 8, 16 or 32 bits that holds the tensor's largest level, with
 their scale kept at full precision in the manifest, so quantized values
 reload bit for bit. The manifest is written last and renamed into
-place, so a directory holding `manifest.json` is complete.
+place, so a directory holding `manifest.json` is complete. `round_trip`
+gives, in memory, the model a save and a reload would give.
 
 Capture banks are directories of entry checkpoints plus an ordering
 manifest.
@@ -31,7 +32,8 @@ from .nn import LayerSpec, Network, zero_network
 from .qat import ShadowModel
 from .quantizer import QuantizedModel
 
-__all__ = ["CheckpointError", "SCHEMA_VERSION", "save", "load", "load_manifest"]
+__all__ = ["CheckpointError", "SCHEMA_VERSION", "save", "load", "load_manifest",
+           "round_trip"]
 
 SCHEMA_VERSION = 1
 
@@ -63,31 +65,9 @@ def _decode(desc: dict, payload: bytes) -> np.ndarray:
     if dtype is None:
         raise CheckpointError(f"unknown tensor encoding {encoding!r}")
     shape = tuple(desc["shape"])
-    count = int(np.prod(shape)) if shape else 1
-    t = np.frombuffer(payload, dtype=dtype, count=count, offset=desc["offset"])
+    t = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)), offset=desc["offset"])
     t = t.astype(np.float64).reshape(shape)
     return t * desc["scale"] if encoding in _LEVEL_DTYPES else t
-
-
-class _PayloadBuilder:
-    def __init__(self):
-        self.chunks: list[bytes] = []
-        self.descriptors: list[dict] = []
-        self.offset = 0
-
-    def add(self, name: str, arr: np.ndarray, encoding: str, scale: float | None = None):
-        # encoding is a float encoding, or "levels" for a grid-resident tensor
-        if encoding in _FLOAT_DTYPES:
-            raw = np.ascontiguousarray(arr, dtype=_FLOAT_DTYPES[encoding]).tobytes()
-        else:
-            encoding, raw = _level_bytes(arr, scale, name)
-        desc = {"name": name, "shape": list(arr.shape), "offset": self.offset,
-                "encoding": encoding}
-        if scale is not None:
-            desc["scale"] = scale
-        self.descriptors.append(desc)
-        self.chunks.append(raw)
-        self.offset += len(raw)
 
 
 def _parts(obj):
@@ -125,21 +105,27 @@ def write_json(path: Path, obj) -> None:
     os.replace(tmp, path)
 
 
-def save(obj, path, provenance: dict | None = None) -> Path:
-    """Write a Network, QuantizedModel, ShadowModel, AveragedModel, or
-    CaptureBank to a checkpoint directory. Returns the directory path."""
-    path = Path(path)
-    if isinstance(obj, CaptureBank):
-        return _save_bank(obj, path, provenance)
+def _encode(obj, provenance: dict | None = None) -> tuple[dict, bytes]:
+    # (manifest, payload) of a model, as `save` writes them: per weighted
+    # layer its weight stream(s), then its bias if it has one
     kind, net, quantization, streams = _parts(obj)
-    builder = _PayloadBuilder()
+    chunks, descriptors, offset = [], [], 0
     for j, i in enumerate(net.param_layers()):
-        for suffix, source, encoding, scales in streams:
-            builder.add(f"layer{i}.{suffix}", source.weights[i], encoding,
-                        None if scales is None else scales[j])
+        tensors = [(f"layer{i}.{suffix}", source.weights[i], encoding,
+                    None if scales is None else scales[j])
+                   for suffix, source, encoding, scales in streams]
         if net.biases[i] is not None:
-            builder.add(f"layer{i}.bias", net.biases[i], "f32")
-    payload = b"".join(builder.chunks)
+            tensors.append((f"layer{i}.bias", net.biases[i], "f32", None))
+        for name, arr, encoding, scale in tensors:
+            if encoding in _FLOAT_DTYPES:
+                raw = np.ascontiguousarray(arr, dtype=_FLOAT_DTYPES[encoding]).tobytes()
+            else:
+                encoding, raw = _level_bytes(arr, scale, name)
+            desc = {"name": name, "shape": list(arr.shape), "offset": offset, "encoding": encoding}
+            descriptors.append(desc if scale is None else {**desc, "scale": scale})
+            chunks.append(raw)
+            offset += len(raw)
+    payload = b"".join(chunks)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
@@ -147,14 +133,31 @@ def save(obj, path, provenance: dict | None = None) -> Path:
         "layers": [s.to_dict() for s in net.specs],
         "provenance": provenance,
         "quantization": quantization,
-        "tensors": builder.descriptors,
+        "tensors": descriptors,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "payload_bytes": len(payload),
     }
+    return manifest, payload
+
+
+def save(obj, path, provenance: dict | None = None) -> Path:
+    """Write a Network, QuantizedModel, ShadowModel, AveragedModel, or
+    CaptureBank to a checkpoint directory. Returns the directory path."""
+    path = Path(path)
+    if isinstance(obj, CaptureBank):
+        return _save_bank(obj, path, provenance)
+    manifest, payload = _encode(obj, provenance)
     path.mkdir(parents=True, exist_ok=True)
     (path / "payload.bin").write_bytes(payload)
     write_json(path / "manifest.json", manifest)
     return path
+
+
+def round_trip(obj):
+    """What `load(save(obj))` returns for a Network, QuantizedModel,
+    ShadowModel or AveragedModel, built in memory without touching disk."""
+    manifest, payload = _encode(obj)
+    return _decode_model(json.loads(json.dumps(manifest)), payload, "round trip")
 
 
 def load_manifest(path) -> dict:
@@ -175,8 +178,7 @@ def _read_payload(path: Path, manifest: dict) -> bytes:
     if len(payload) != manifest["payload_bytes"]:
         raise CheckpointError(f"{path}: payload is {len(payload)} bytes, manifest "
                               f"says {manifest['payload_bytes']}")
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != manifest["payload_sha256"]:
+    if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
         raise CheckpointError(f"{path}: checksum mismatch, payload corrupted or tampered")
     return payload
 
@@ -201,31 +203,29 @@ def _rebuild_network(manifest: dict, payload: bytes, weight_name="weight") -> Ne
     return net
 
 
+def _decode_model(manifest: dict, payload: bytes, where) -> object:
+    kind, q = manifest["kind"], manifest.get("quantization")
+    if kind == "network":
+        return _rebuild_network(manifest, payload)
+    if kind == "quantized":
+        return QuantizedModel(_rebuild_network(manifest, payload), q["bits"], list(q["steps"]))
+    if kind == "shadow":
+        return ShadowModel(_rebuild_network(manifest, payload, "shadow_weight"),
+                           _rebuild_network(manifest, payload, "applied_weight"),
+                           q["bits"], list(q["steps"]))
+    if kind == "averaged":
+        return AveragedModel(_rebuild_network(manifest, payload), q["denominator"],
+                             list(q["base_steps"]), q["effective_bits"])
+    raise CheckpointError(f"{where}: unknown checkpoint kind {kind!r}")
+
+
 def load(path):
     """Load whatever `save` wrote at `path`, verifying checksum and shapes."""
     path = Path(path)
     manifest = load_manifest(path)
-    kind = manifest["kind"]
-    if kind == "capture-bank":
+    if manifest["kind"] == "capture-bank":
         return _load_bank(path, manifest)
-    payload = _read_payload(path, manifest)
-    if kind == "network":
-        return _rebuild_network(manifest, payload)
-    if kind == "quantized":
-        q = manifest["quantization"]
-        net = _rebuild_network(manifest, payload)
-        return QuantizedModel(net, q["bits"], list(q["steps"]))
-    if kind == "shadow":
-        q = manifest["quantization"]
-        shadow = _rebuild_network(manifest, payload, weight_name="shadow_weight")
-        applied = _rebuild_network(manifest, payload, weight_name="applied_weight")
-        return ShadowModel(shadow, applied, q["bits"], list(q["steps"]))
-    if kind == "averaged":
-        q = manifest["quantization"]
-        net = _rebuild_network(manifest, payload)
-        return AveragedModel(net, q["denominator"], list(q["base_steps"]),
-                             q["effective_bits"])
-    raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
+    return _decode_model(manifest, _read_payload(path, manifest), path)
 
 
 def _save_bank(bank: CaptureBank, path: Path, provenance=None) -> Path:
@@ -233,8 +233,8 @@ def _save_bank(bank: CaptureBank, path: Path, provenance=None) -> Path:
     entries = []
     for k, entry in enumerate(bank.entries):
         sub = f"entry_{k:03d}"
-        sm = ShadowModel(entry.shadow, entry.model.net, bank.bits, list(bank.steps))
-        save(sm, path / sub, provenance={"epoch": entry.epoch})
+        save(ShadowModel(entry.shadow, entry.model.net, bank.bits, list(bank.steps)),
+             path / sub, provenance={"epoch": entry.epoch})
         entries.append({"epoch": entry.epoch, "metrics": entry.metrics, "dir": sub})
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -255,6 +255,5 @@ def _load_bank(path: Path, manifest: dict) -> CaptureBank:
         if not (sub / "manifest.json").is_file():
             raise CheckpointError(f"{path}: capture bank incomplete, missing {rec['dir']}")
         sm = load(sub)
-        model = QuantizedModel(sm.applied, sm.bits, list(sm.steps))
-        bank.add(CaptureEntry(rec["epoch"], model, sm.shadow, dict(rec["metrics"])))
+        bank.add(CaptureEntry(rec["epoch"], sm.as_quantized(), sm.shadow, dict(rec["metrics"])))
     return bank

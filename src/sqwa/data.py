@@ -146,6 +146,11 @@ def synthetic_blobs(num_classes: int, samples_per_class: int, dims: int,
     return Dataset(images, labels.astype(np.int64), num_classes)
 
 
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+
+
 def shuffle_batches(dataset: Dataset, batch_size: int, seed: int,
                     epoch: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic per-epoch shuffle, cut into batches.
@@ -153,8 +158,7 @@ def shuffle_batches(dataset: Dataset, batch_size: int, seed: int,
     The permutation depends on (seed, epoch) only. Every sample appears in
     exactly one batch; the final batch may be short.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    _check_batch_size(batch_size)
     if seed < 0 or epoch < 0:
         raise ValueError("seed and epoch must be non-negative")
     perm = np.random.default_rng([seed, epoch]).permutation(len(dataset))

@@ -211,12 +211,16 @@ class OptimizerState:
 
     @staticmethod
     def for_network(net: Network, momentum: float, l2_scale: float = 0.0) -> "OptimizerState":
-        if not (0.0 <= momentum < 1.0):
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if l2_scale < 0.0:
-            raise ValueError(f"l2_scale must be >= 0, got {l2_scale}")
+        _check_optimizer(momentum, l2_scale)
         flat = np.zeros_like(net.flat)
         return OptimizerState(momentum, l2_scale, flat, *net.views_of(flat))
+
+
+def _check_optimizer(momentum: float, l2_scale: float) -> None:
+    if not (0.0 <= momentum < 1.0):
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+    if l2_scale < 0.0:
+        raise ValueError(f"l2_scale must be >= 0, got {l2_scale}")
 
 
 def zero_network(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> Network:

@@ -7,6 +7,8 @@ directories under the run's output directory, calls the stage and saves
 what it returns. That makes runs resumable: rerunning with the same config
 skips stages whose outputs already exist and yields byte-identical
 results, because fresh and resumed runs consume the same persisted bytes.
+Each stage scores what a reload of its models gives, once, and records
+the scores in their manifests; the report reads them and scores nothing.
 A frozen copy of the resolved config is written at the start of the run
 and must match on resume. A checkpoint counts as written only once its
 manifest is in place, so a failed stage runs again on the next run.
@@ -24,9 +26,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .averaging import AveragedModel, CaptureBank, average_models, requantize_averaged
-from .data import Dataset, load_idx, synthetic_blobs
-from .nn import LayerSpec, Network, evaluate, forward, init_weights
-from .qat import ShadowModel, finetune, fit, retrain
+from .data import Dataset, _check_batch_size, load_idx, synthetic_blobs
+from .nn import LayerSpec, Network, _check_optimizer, evaluate, forward, init_weights
+from .qat import ShadowModel, _check_finetune, finetune, fit, retrain
 from .quantizer import QuantizedModel, direct_quantize_model
 from .schedule import CyclicalSchedule, StepDecaySchedule, derive_cycle_bounds, lr_at
 
@@ -143,16 +145,11 @@ class RunConfig:
     def resolve(self) -> "RunConfig":
         """Fill every derived default and validate. Returns a new config in
         which nothing is left implicit."""
-        cfg = dataclasses.replace(self)
-        cfg.dataset = dataclasses.replace(self.dataset)
-        cfg.pretrain = dataclasses.replace(self.pretrain)
-        cfg.cyclical = dataclasses.replace(self.cyclical)
-        cfg.finetune = dataclasses.replace(self.finetune)
+        cfg = RunConfig.from_dict(self.to_dict())  # a deep copy
         if cfg.seed < 0:
             raise ValueError("seed must be non-negative")
         if not (isinstance(cfg.bits, int) and 1 <= cfg.bits <= 8):
-            raise ValueError(f"bits must be an integer in 1..8 (8-bit level storage), "
-                             f"got {cfg.bits!r}")
+            raise ValueError(f"bits must be an integer in 1..8, got {cfg.bits!r}")
         if cfg.dataset.kind == "blobs":
             if cfg.dataset.train_seed is None:
                 cfg.dataset.train_seed = cfg.seed
@@ -171,6 +168,8 @@ class RunConfig:
                     {"kind": "dense", "fan_in": 24, "fan_out": cfg.dataset.num_classes},
                 ],
             }
+        _check_batch_size(cfg.pretrain.batch_size)
+        _check_optimizer(cfg.pretrain.momentum, cfg.pretrain.l2_scale)
         pre_sched = _pretrain_schedule(cfg)
         if cfg.cyclical.max_lr is None or cfg.cyclical.min_lr is None:
             hi, lo = derive_cycle_bounds(pre_sched.lr_values())
@@ -181,6 +180,7 @@ class RunConfig:
         _cyclical_schedule(cfg)  # validate
         if cfg.finetune.initial_lr is None:
             cfg.finetune.initial_lr = 0.1 * cfg.cyclical.max_lr
+        _check_finetune(cfg.finetune.initial_lr, cfg.finetune.epochs, cfg.finetune.decay)
         captures = cfg.cyclical.epochs // cfg.cyclical.period
         if not (1 <= cfg.average_last_n <= captures):
             raise ValueError(f"average_last_n {cfg.average_last_n} exceeds the "
@@ -201,11 +201,6 @@ def _pretrain_schedule(cfg: RunConfig) -> StepDecaySchedule:
 def _cyclical_schedule(cfg: RunConfig) -> CyclicalSchedule:
     c = cfg.cyclical
     return CyclicalSchedule(c.max_lr, c.min_lr, c.period, c.mid_steps, c.epochs)
-
-
-def _network_template(cfg: RunConfig) -> tuple[list[LayerSpec], tuple[int, ...]]:
-    specs = [LayerSpec.from_dict(d) for d in cfg.network["layers"]]
-    return specs, tuple(cfg.network["input_shape"])
 
 
 def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
@@ -230,9 +225,7 @@ def as_network(obj) -> Network:
     """The evaluable network behind any checkpointable model object."""
     if isinstance(obj, Network):
         return obj
-    if isinstance(obj, QuantizedModel):
-        return obj.net
-    if isinstance(obj, AveragedModel):
+    if isinstance(obj, (QuantizedModel, AveragedModel)):
         return obj.net
     if isinstance(obj, ShadowModel):
         return obj.applied
@@ -243,20 +236,29 @@ def as_network(obj) -> Network:
 
 # Each stage is a function (cfg, train, test, *inputs) of its loaded input
 # artifacts. It returns {artifact: (object, provenance)}, except the report,
-# which returns its rows and the text of the report files.
+# which returns its rows and the text of the report files. A model output
+# records in provenance["metrics"] its scores on the splits the report shows;
+# `final` records none, its applied network is `final_quantized`.
+
+def _score(obj, **splits: Dataset) -> dict:
+    """{split}_loss and {split}_accuracy of what a reload of `obj` gives."""
+    net = as_network(ckpt.round_trip(obj))
+    return {f"{split}_{name}": value for split, data in splits.items()
+            for name, value in zip(("loss", "accuracy"), evaluate(net, data))}
+
 
 def _stage_pretrain(cfg: RunConfig, train: Dataset, test: Dataset) -> dict:
-    specs, input_shape = _network_template(cfg)
+    specs = [LayerSpec.from_dict(d) for d in cfg.network["layers"]]
     sched = _pretrain_schedule(cfg)
     p = cfg.pretrain
-    net = init_weights(specs, input_shape, cfg.seed)
+    net = init_weights(specs, tuple(cfg.network["input_shape"]), cfg.seed)
     fit(net, train, [lr_at(sched, epoch) for epoch in range(p.epochs)], cfg.seed,
         batch_size=p.batch_size, momentum=p.momentum, l2_scale=p.l2_scale)
     _check_responsive(net, train)
-    loss, acc = evaluate(net, test)
+    scores = _score(net, test=test)
     log.info("pretrain: %d epochs, test loss %.4f, test accuracy %.4f",
-             p.epochs, loss, acc)
-    return {"pretrained": (net, {"seed": cfg.seed, "epochs": p.epochs})}
+             p.epochs, scores["test_loss"], scores["test_accuracy"])
+    return {"pretrained": (net, {"seed": cfg.seed, "epochs": p.epochs, "metrics": scores})}
 
 
 def _check_responsive(net: Network, train: Dataset) -> None:
@@ -275,34 +277,34 @@ def _check_responsive(net: Network, train: Dataset) -> None:
 
 def _stage_quantize(cfg: RunConfig, train: Dataset, test: Dataset, net: Network) -> dict:
     qm, steps = direct_quantize_model(net, cfg.bits)
-    loss, acc = evaluate(qm.net, test)
+    scores = _score(qm, test=test)
     log.info("quantize: %d-bit direct, steps %s, test accuracy %.4f",
-             cfg.bits, [f"{s:.4g}" for s in steps], acc)
-    return {"direct_quantized": (qm, {})}
+             cfg.bits, [f"{s:.4g}" for s in steps], scores["test_accuracy"])
+    return {"direct_quantized": (qm, {"metrics": scores})}
 
 
 def _stage_retrain(cfg: RunConfig, train: Dataset, test: Dataset, net: Network,
                    qm: QuantizedModel) -> dict:
     model = ShadowModel.from_network(net, cfg.bits, qm.steps)
-    sched = _cyclical_schedule(cfg)
 
-    def _log_capture(entry, lr):
+    def _score_capture(entry, lr):
+        entry.metrics.update(_score(entry.model, train=train, test=test))
         log.info("retrain-cyclical: epoch %d, lr %.2g, test accuracy %.4f",
                  entry.epoch, lr, entry.metrics["test_accuracy"])
 
-    _, bank = retrain(model, train, sched, cfg.cyclical.epochs, cfg.seed + 1,
+    _, bank = retrain(model, train, _cyclical_schedule(cfg), cfg.cyclical.epochs, cfg.seed + 1,
                       batch_size=cfg.pretrain.batch_size, momentum=cfg.pretrain.momentum,
-                      eval_dataset=test, on_capture=_log_capture)
+                      on_capture=_score_capture)
     log.info("retrain-cyclical: %d captures banked", len(bank))
     return {"capture_bank": (bank, {})}
 
 
 def _stage_average(cfg: RunConfig, train: Dataset, test: Dataset, bank: CaptureBank) -> dict:
     avg = average_models(bank, cfg.average_last_n)
-    loss, acc = evaluate(avg.net, test)
+    scores = _score(avg, train=train, test=test)
     log.info("average: %d models, effective %d-bit, test accuracy %.4f",
-             avg.count, avg.effective_bits, acc)
-    return {"averaged": (avg, {})}
+             avg.count, avg.effective_bits, scores["test_accuracy"])
+    return {"averaged": (avg, {"metrics": scores})}
 
 
 def _stage_finetune(cfg: RunConfig, train: Dataset, test: Dataset,
@@ -312,43 +314,43 @@ def _stage_finetune(cfg: RunConfig, train: Dataset, test: Dataset,
     f = cfg.finetune
     model = finetune(model, train, f.initial_lr, f.epochs, f.decay, cfg.seed + 2,
                      batch_size=cfg.pretrain.batch_size, momentum=cfg.pretrain.momentum)
-    loss, acc = evaluate(model.applied, test)
+    final_quantized = model.as_quantized()
+    scores = _score(final_quantized, train=train, test=test)
     log.info("finetune: %d epochs from lr %.2g, test accuracy %.4f",
-             f.epochs, f.initial_lr, acc)
-    return {"requantized": (qm, {}), "final": (model, {}),
-            "final_quantized": (model.as_quantized(), {})}
+             f.epochs, f.initial_lr, scores["test_accuracy"])
+    return {"requantized": (qm, {"metrics": _score(qm, train=train, test=test)}),
+            "final": (model, {}), "final_quantized": (final_quantized, {"metrics": scores})}
 
 
-def _metric_row(label: str, epoch, bits, net: Network, train: Dataset,
-                test: Dataset) -> dict:
-    train_loss, train_acc = evaluate(net, train)
-    test_loss, test_acc = evaluate(net, test)
-    return {"label": label, "epoch": epoch, "bits": bits,
-            "train_loss": train_loss, "train_accuracy": train_acc,
-            "test_loss": test_loss, "test_accuracy": test_acc}
+def _recorded_scores(cfg: RunConfig, artifact: str) -> dict:
+    scores = (ckpt.load_manifest(_paths(cfg)[artifact])["provenance"] or {}).get("metrics")
+    if scores is None:
+        raise PipelineError(f"{artifact} records no scores: it was written by an earlier "
+                            "build of sqwa; run the recipe in a fresh output directory")
+    return scores
 
 
 def _stage_report(cfg: RunConfig, train: Dataset, test: Dataset, bank: CaptureBank,
                   avg: AveragedModel, requant: QuantizedModel, final: QuantizedModel,
                   pre: Network, direct0: QuantizedModel) -> tuple[list[dict], dict]:
-    rows = []
-    for entry in bank.entries[-cfg.average_last_n:]:
-        rows.append(_metric_row("capture", entry.epoch, bank.bits, entry.model.net,
-                                train, test))
-    rows.append(_metric_row("average", None, avg.effective_bits, avg.net, train, test))
-    rows.append(_metric_row("direct", None, requant.bits, requant.net, train, test))
-    rows.append(_metric_row("finetune", None, final.bits, final.net, train, test))
+    # The inputs are loaded, so a corrupt payload fails here too, but only
+    # their recorded scores and bit widths are read.
+    rows = [{"label": "capture", "epoch": e.epoch, "bits": bank.bits, **e.metrics}
+            for e in bank.entries[-cfg.average_last_n:]]
+    for label, artifact, bits in (("average", "averaged", avg.effective_bits),
+                                  ("direct", "requantized", requant.bits),
+                                  ("finetune", "final_quantized", final.bits)):
+        rows.append({"label": label, "epoch": None, "bits": bits,
+                     **_recorded_scores(cfg, artifact)})
 
     header = ["label", "epoch", "bits", "train_loss", "train_accuracy",
               "test_loss", "test_accuracy"]
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(",".join("" if r[k] is None else
-                              (repr(r[k]) if isinstance(r[k], float) else str(r[k]))
-                              for k in header))
+    # str of a float is its repr, the shortest text that reads back exactly
+    lines = [",".join(header)] + [",".join("" if r[k] is None else str(r[k]) for k in header)
+                                  for r in rows]
 
-    fp_loss, fp_acc = evaluate(pre, test)
-    d_loss, d_acc = evaluate(direct0.net, test)
+    fp_acc = _recorded_scores(cfg, "pretrained")["test_accuracy"]
+    d_acc = _recorded_scores(cfg, "direct_quantized")["test_accuracy"]
     summary = [
         f"full-precision test accuracy:            {fp_acc:.4f}",
         f"direct {cfg.bits}-bit quantization (pretrained): {d_acc:.4f}",
@@ -391,16 +393,12 @@ def _paths(cfg: RunConfig) -> dict[str, Path]:
 
 
 def _freeze_config(cfg: RunConfig, paths: dict) -> None:
-    resolved = cfg.to_dict()
-    path = paths["config"]
-    if path.is_file():
-        existing = json.loads(path.read_text())
-        if existing != json.loads(json.dumps(resolved)):
-            raise ValueError(f"{path} was written by a run with a different config; "
-                             "refusing to mix artifacts")
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    ckpt.write_json(path, resolved)
+    resolved, path = json.loads(json.dumps(cfg.to_dict())), paths["config"]
+    if not path.is_file():
+        ckpt.write_json(path, resolved)
+    elif json.loads(path.read_text()) != resolved:
+        raise ValueError(f"{path} was written by a run with a different config; "
+                         "refusing to mix artifacts")
 
 
 def run_stages(cfg: RunConfig, last_stage: str) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 from .averaging import CaptureBank, CaptureEntry
 from .data import Dataset, shuffle_batches
 from .nn import (Gradients, Network, OptimizerState, _backward, _check_input, _check_labels,
-                 _log_softmax, evaluate, forward, sgd_momentum_step)
+                 _log_softmax, forward, sgd_momentum_step)
 from .quantizer import (QuantizedModel, _quantize, _weight_steps, quantize_network,
                         select_step_size)
 from .schedule import CyclicalSchedule, capture_epochs, lr_at
@@ -158,14 +158,13 @@ def _check_alive(net: Network, epoch: int) -> None:
 
 def retrain(model: ShadowModel, dataset: Dataset, schedule: CyclicalSchedule,
             epochs: int, seed: int, *, batch_size: int = 32, momentum: float = 0.9,
-            eval_dataset: Dataset | None = None,
             on_capture=None) -> tuple[ShadowModel, CaptureBank]:
     """Cyclical-rate retraining with a capture at the end of every period.
 
     No L2 penalty is applied: it fights the clipping built into the
     quantizer. Captures hold a deep copy of the applied model, the shadow
-    behind it, and metrics on `dataset` (plus `eval_dataset` when given).
-    `on_capture(entry, lr)` is called after every capture.
+    behind it, and an empty `metrics` dict: retraining scores nothing.
+    `on_capture(entry, lr)` is called after every capture and may fill it.
     """
     if not (1 <= epochs <= schedule.total_epochs):
         raise ValueError(f"epochs must be in [1, {schedule.total_epochs}], got {epochs}")
@@ -173,16 +172,10 @@ def retrain(model: ShadowModel, dataset: Dataset, schedule: CyclicalSchedule,
     bank = CaptureBank(model.bits, list(model.steps))
 
     def capture(epoch, lr):
-        if epoch not in capture_at:
-            return
-        metrics = dict(zip(("train_loss", "train_accuracy"), evaluate(model.applied, dataset)))
-        if eval_dataset is not None:
-            metrics.update(zip(("test_loss", "test_accuracy"),
-                               evaluate(model.applied, eval_dataset)))
-        entry = CaptureEntry(epoch, model.as_quantized(), model.shadow.copy(), metrics)
-        bank.add(entry)
-        if on_capture is not None:
-            on_capture(entry, lr)
+        if epoch in capture_at:
+            bank.add(CaptureEntry(epoch, model.as_quantized(), model.shadow.copy(), {}))
+            if on_capture is not None:
+                on_capture(bank.entries[-1], lr)
 
     fit(model, dataset, [lr_at(schedule, epoch) for epoch in range(epochs)], seed,
         batch_size=batch_size, momentum=momentum, after_epoch=capture)
@@ -196,9 +189,13 @@ def finetune(model: ShadowModel, dataset: Dataset, initial_lr: float, epochs: in
 
     Zero epochs returns the model unchanged.
     """
+    _check_finetune(initial_lr, epochs, decay)
+    lrs = [initial_lr * decay ** epoch for epoch in range(epochs)]
+    return fit(model, dataset, lrs, seed, batch_size=batch_size, momentum=momentum)
+
+
+def _check_finetune(initial_lr: float, epochs: int, decay: float) -> None:
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     if epochs and (initial_lr <= 0.0 or not (0.0 < decay <= 1.0)):
         raise ValueError("need initial_lr > 0 and decay in (0, 1]")
-    lrs = [initial_lr * decay ** epoch for epoch in range(epochs)]
-    return fit(model, dataset, lrs, seed, batch_size=batch_size, momentum=momentum)

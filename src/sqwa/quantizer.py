@@ -163,9 +163,6 @@ class QuantizedModel:
     bits: int
     steps: list[float]
 
-    def copy(self) -> "QuantizedModel":
-        return QuantizedModel(self.net.copy(), self.bits, list(self.steps))
-
 
 def direct_quantize_model(net: Network, bits: int) -> tuple[QuantizedModel, list[float]]:
     """Quantize every weight tensor with its own MSE-minimizing step size.

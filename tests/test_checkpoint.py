@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from sqwa import checkpoint as ckpt
-from sqwa.averaging import AveragedModel, CaptureBank, CaptureEntry
+from sqwa.averaging import AveragedModel, CaptureBank, CaptureEntry, average_models
 from sqwa.checkpoint import CheckpointError
-from sqwa.nn import dense, evaluate, init_weights, relu
+from sqwa.nn import Network, dense, evaluate, init_weights, relu
 from sqwa.data import synthetic_blobs
 from sqwa.pipeline import default_config, run_stages
 from sqwa.qat import ShadowModel
@@ -193,6 +193,52 @@ def test_capture_bank_round_trip(tmp_path):
         for i in e_in.model.net.param_layers():
             np.testing.assert_array_equal(e_out.model.net.weights[i],
                                           e_in.model.net.weights[i])
+
+
+def _seven_bit_average():
+    # three 7-bit captures at the top level 63 sum to level 189, which needs i16
+    qm, _ = direct_quantize_model(_net(119), 7)
+    qm.net.weights[0][0, 0] = 63 * qm.steps[0]
+    bank = CaptureBank(7, list(qm.steps))
+    for epoch in (3, 7, 11):
+        bank.add(CaptureEntry(epoch, QuantizedModel(qm.net.copy(), 7, list(qm.steps)),
+                              qm.net.copy(), {}))
+    return average_models(bank, 3)
+
+
+ROUND_TRIP_CASES = {
+    # float64 weights and biases, which change at float32
+    "network": lambda: _net(120),
+    "quantized": lambda: direct_quantize_model(_net(121), 2)[0],
+    "shadow": lambda: ShadowModel.from_network(_net(122), 3),
+    "averaged": _seven_bit_average,
+}
+
+
+def _state(obj) -> list:
+    # every buffer (as raw bytes) and quantization field a model holds
+    if isinstance(obj, Network):
+        return [type(obj), obj.layout, obj.flat.tobytes()]
+    if isinstance(obj, QuantizedModel):
+        return [type(obj), *_state(obj.net), obj.bits, obj.steps]
+    if isinstance(obj, ShadowModel):
+        return [type(obj), *_state(obj.shadow), *_state(obj.applied), obj.bits, obj.steps]
+    return [type(obj), *_state(obj.net), obj.count, obj.base_steps, obj.effective_bits]
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP_CASES))
+def test_round_trip_is_load_of_save_bit_for_bit(tmp_path, case):
+    obj = ROUND_TRIP_CASES[case]()
+    before = _state(obj)
+    back = ckpt.load(ckpt.save(obj, tmp_path / case))
+    assert _state(ckpt.round_trip(obj)) == _state(back)
+    assert _state(obj) == before  # the model itself is left as it was
+    assert not list(tmp_path.glob("*.tmp"))
+    if case == "network":
+        assert _state(back) != before  # the case exercises float32 storage
+    if case == "averaged":
+        encodings = [t["encoding"] for t in ckpt.load_manifest(tmp_path / case)["tensors"]]
+        assert encodings == ["i16", "f32", "i16", "f32"]
 
 
 def test_tampered_payload_rejected(tmp_path):

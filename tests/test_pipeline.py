@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -280,6 +281,7 @@ def _count_calls(monkeypatch, module, name):
 # one of them changes the recipe's arithmetic and must say so.
 DEFAULT_SEED_101 = {
     "metrics.csv": "7d6e3cbcf98d3bca57edf155522656719e50d78fdd5cd81cad130d98c21a6ade",
+    "summary.txt": "e8db580f3c0fe0139c0e216a4ca5922a841b3075ed2aeccdad833c966479f954",
     "pretrained/payload.bin": "12c2fcd901cd6df864669eb24b3c533170bfd51e25c11326ebc990b093535204",
     "direct_quantized/payload.bin":
         "d94c8f5f48926d232e9d0c00890a014b7704b7a49c5815de0f161779d8308b12",
@@ -319,7 +321,8 @@ def default_run_101(tmp_path_factory):
 
 def test_default_recipe_outputs_are_pinned(default_run_101):
     out, _ = default_run_101
-    written = {str(p.relative_to(out)) for p in out.rglob("payload.bin")} | {"metrics.csv"}
+    written = {str(p.relative_to(out)) for p in out.rglob("payload.bin")} | \
+        {"metrics.csv", "summary.txt"}
     assert written == set(DEFAULT_SEED_101)
     for rel, digest in DEFAULT_SEED_101.items():
         assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
@@ -340,6 +343,66 @@ def test_retrain_evaluates_each_split_once_per_capture(tmp_path, monkeypatch, ca
     logged = [r.getMessage() for r in caplog.records if "test accuracy" in r.getMessage()]
     assert logged == [f"retrain-cyclical: epoch {e.epoch}, lr {0.0001:.2g}, "
                       f"test accuracy {e.metrics['test_accuracy']:.4f}" for e in bank.entries]
+
+
+# --- one score per (model, split) -------------------------------------------------
+
+# the splits each scored artifact records; `final` is scored as `final_quantized`
+SCORED = {"pretrained": ("test",), "direct_quantized": ("test",),
+          "averaged": ("train", "test"), "requantized": ("train", "test"),
+          "final_quantized": ("train", "test")}
+
+
+@pytest.mark.parametrize("bits", [2, 4])
+def test_every_recorded_score_is_evaluate_of_the_reloaded_artifact(tmp_path, bits):
+    d = _small_dict(tmp_path)
+    d["bits"] = bits
+    cfg = RunConfig.from_dict(d)
+    run_sqwa(cfg)
+    data = dict(zip(("train", "test"), pipeline.build_datasets(cfg.resolve())))
+
+    def scores(net, splits):
+        out = {}
+        for split in splits:
+            out[f"{split}_loss"], out[f"{split}_accuracy"] = sqwa.evaluate(net, data[split])
+        return out
+
+    bank = sqwa.load(tmp_path / "capture_bank")
+    assert len(bank) == 2
+    for entry in bank.entries:
+        assert entry.metrics == scores(entry.model.net, ("train", "test")), entry.epoch
+    for artifact, splits in SCORED.items():
+        recorded = ckpt.load_manifest(tmp_path / artifact)["provenance"]["metrics"]
+        net = pipeline.as_network(sqwa.load(tmp_path / artifact))
+        assert recorded == scores(net, splits), artifact
+    assert "metrics" not in ckpt.load_manifest(tmp_path / "final")["provenance"]
+
+
+def test_a_run_scores_each_model_and_split_once_and_the_report_none(tmp_path, monkeypatch):
+    evaluations = _count_calls(monkeypatch, sqwa.nn, "evaluate")
+    run_sqwa(_small_cfg(tmp_path))
+    captures = len(sqwa.load(tmp_path / "capture_bank"))
+    assert len(evaluations) == 2 * captures + 8 == 12
+    evaluations.clear()
+    run_stages(_small_cfg(tmp_path), "report")
+    assert evaluations == []
+
+
+def test_report_on_artifacts_without_recorded_scores_asks_for_a_fresh_directory(tmp_path):
+    # Artifacts written before scores were recorded carry none in their
+    # manifests; the report names the artifact instead of guessing.
+    run_sqwa(_small_cfg(tmp_path))
+    for artifact in SCORED:
+        path = tmp_path / artifact / "manifest.json"
+        kept = path.read_text()
+        manifest = json.loads(kept)
+        del manifest["provenance"]["metrics"]
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        with pytest.raises(PipelineError, match=rf"^stage 'report': {artifact} records no "
+                                                r"scores.*fresh output directory"):
+            run_stages(_small_cfg(tmp_path), "report")
+        path.write_text(kept)
+    run_stages(_small_cfg(tmp_path), "report")
 
 
 def test_run_directory_with_retrained_shadow_resumes_unchanged(tmp_path):
@@ -390,11 +453,32 @@ def test_cli_set_dims_without_config_reshapes_default_network(tmp_path):
 
 # --- every bit width, whatever the averaged level sums need ---------------
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("finetune", "decay", 2, "need initial_lr > 0 and decay in (0, 1]"),
+    ("finetune", "epochs", -1, "epochs must be >= 0"),
+    ("finetune", "initial_lr", -0.1, "need initial_lr > 0 and decay in (0, 1]"),
+    ("pretrain", "batch_size", 0, "batch_size must be >= 1"),
+    ("pretrain", "momentum", 1.5, "momentum must be in [0, 1), got 1.5"),
+    ("pretrain", "l2_scale", -1, "l2_scale must be >= 0, got -1"),
+])
+def test_a_training_setting_no_stage_accepts_is_rejected_at_resolve(tmp_path, section, key,
+                                                                    value, message):
+    # Each of these once failed only in the stage that used it, after the
+    # stages before it had run and checkpointed.
+    d = _small_dict(tmp_path / "run")
+    d[section][key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunConfig.from_dict(d).resolve()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_sqwa(RunConfig.from_dict(d))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bits", [0, 9, -1])
 def test_resolve_rejects_bits_outside_1_to_8(tmp_path, bits):
     d = _small_dict(tmp_path)
     d["bits"] = bits
-    with pytest.raises(ValueError, match="8-bit level storage"):
+    with pytest.raises(ValueError, match=rf"^bits must be an integer in 1\.\.8, got {bits}$"):
         RunConfig.from_dict(d).resolve()
 
 

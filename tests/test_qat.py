@@ -105,19 +105,8 @@ def test_retrain_captures_at_period_ends():
     assert [e.epoch for e in bank.entries] == [3, 7, 11]
     assert bank.bits == model.bits
     assert bank.steps == model.steps
-    for entry in bank.entries:
-        assert set(entry.metrics) == {"train_loss", "train_accuracy"}
-
-
-def test_retrain_eval_dataset_adds_test_metrics():
-    data = synthetic_blobs(3, 20, 4, 0.4, seed=51)
-    test = synthetic_blobs(3, 10, 4, 0.4, seed=151)
-    model = _small_model(seed=51)
-    sched = CyclicalSchedule(max_lr=0.01, min_lr=0.0001, period=4,
-                             mid_steps=1, total_epochs=4)
-    _, bank = retrain(model, data, sched, epochs=4, seed=51, eval_dataset=test)
-    assert set(bank.entries[0].metrics) == {
-        "train_loss", "train_accuracy", "test_loss", "test_accuracy"}
+    # retraining scores nothing; the pipeline scores each capture's reload
+    assert [e.metrics for e in bank.entries] == [{}, {}, {}]
 
 
 def test_retrain_partial_run_captures_complete_periods_only():
