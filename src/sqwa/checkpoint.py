@@ -9,7 +9,10 @@ midpoint; other full-precision tensors are stored as little-endian 32-bit
 floats. Grid-resident tensors are stored as signed integer levels, in the
 narrowest of 8, 16 or 32 bits that holds the tensor's largest level, with
 their scale kept at full precision in the manifest, so quantized values
-reload bit for bit. The manifest is written last and renamed into
+reload bit for bit. A tensor that is not finite as stored, such as a
+diverged float64 weight beyond float32 range, is refused: `save` and
+`round_trip` raise `CheckpointError`, and no manifest is written for it.
+The manifest is written last and renamed into
 place, so a directory holding `manifest.json` is complete. `round_trip`
 gives, in memory, the model a save and a reload would give.
 
@@ -118,7 +121,12 @@ def _encode(obj, provenance: dict | None = None) -> tuple[dict, bytes]:
             tensors.append((f"layer{i}.bias", net.biases[i], "f32", None))
         for name, arr, encoding, scale in tensors:
             if encoding in _FLOAT_DTYPES:
-                raw = np.ascontiguousarray(arr, dtype=_FLOAT_DTYPES[encoding]).tobytes()
+                with np.errstate(over="ignore"):    # refused just below
+                    stored = np.ascontiguousarray(arr, dtype=_FLOAT_DTYPES[encoding])
+                if not np.isfinite(stored).all():
+                    raise CheckpointError(f"{name}: holds values that are not finite as "
+                                          f"{encoding}; a diverged model is not checkpointed")
+                raw = stored.tobytes()
             else:
                 encoding, raw = _level_bytes(arr, scale, name)
             desc = {"name": name, "shape": list(arr.shape), "offset": offset, "encoding": encoding}

@@ -324,7 +324,7 @@ def _forward(net: Network, x: np.ndarray, cache: list | None = None) -> np.ndarr
                                  f"does not match fan_in {w.shape[1]}")
             x = x @ w.T
             if b is not None:
-                x = x + b
+                x += b
         elif spec.kind == "conv2d":
             w, b = net.weights[i], net.biases[i]
             out_c, in_c, k, _ = w.shape
@@ -346,21 +346,15 @@ def _forward(net: Network, x: np.ndarray, cache: list | None = None) -> np.ndarr
     return x
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    # Stable log-softmax over each row, as a new array.
-    z = logits - logits.max(axis=1, keepdims=True)
-    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return z
-
-
 def _batch_loss(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> float:
-    # Mean of -_log_softmax(logits) at the labels, bit for bit; `rows` is
-    # arange(N). The max, exact in any order, runs over a class-major copy;
-    # the class sum stays row-wise, as a column sum rounds differently.
-    m = np.ascontiguousarray(logits.T).max(axis=0)
+    # Mean of minus the stable log-softmax of each row at its label, bit for
+    # bit; `rows` is arange(N). The max, exact in any order, runs over a
+    # class-major copy; the class sum stays row-wise, as a column sum rounds
+    # differently.
+    m = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)
     z = logits - m[:, None]
-    picked = z[rows, labels] - np.log(np.exp(z).sum(axis=1))
-    return float(-picked.sum() / logits.shape[0])
+    picked = z[rows, labels] - np.log(np.add.reduce(np.exp(z), axis=1))
+    return float(-np.add.reduce(picked) / logits.shape[0])
 
 
 def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
@@ -380,6 +374,11 @@ def loss_only(net: Network, batch: np.ndarray, labels: np.ndarray) -> float:
     return _batch_loss(logits, labels, np.arange(logits.shape[0]))
 
 
+def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    # float64 rows of 0.0 with 1.0 at each label: the targets _backward takes
+    return np.eye(num_classes).take(labels, axis=0)
+
+
 def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
                       labels: np.ndarray) -> tuple[float, Gradients]:
     """Mean softmax cross-entropy plus batch-averaged parameter gradients.
@@ -387,48 +386,57 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
     `cache` must come from a forward() call on the same network and batch.
     The gradients are a fresh buffer of their own.
     """
-    n = logits.shape[0]
-    labels = _check_labels(labels, n, logits.shape[1])
-    log_probs = _log_softmax(logits)
-    loss = float(-log_probs[np.arange(n), labels].sum() / n)
+    n, num_classes = logits.shape
+    labels = _check_labels(labels, n, num_classes)
     grads = Gradients.like(net)
-    _backward(net, cache, log_probs, labels, grads)
-    return loss, grads
+    _backward(_backward_layers(net, grads), cache, logits, _one_hot(labels, num_classes))
+    return _batch_loss(logits, labels, np.arange(n)), grads
 
 
-def _backward(net: Network, cache: list[np.ndarray], log_probs: np.ndarray,
-              labels: np.ndarray, grads: Gradients) -> None:
-    # The backward pass of loss_and_backward and of the training loop. Turns
-    # `log_probs` (the logits' log-softmax, overwritten) into the
-    # batch-averaged softmax gradient in place and writes every gradient
-    # view of `grads`, so a reused buffer holds nothing of an earlier batch.
-    # Labels are not checked and no loss is formed.
-    n = log_probs.shape[0]
-    dx = np.exp(log_probs, out=log_probs)
-    dx[np.arange(n), labels] -= 1.0
+def _backward_layers(net: Network, grads: Gradients) -> list[tuple]:
+    # (kind, weight, weight gradient, bias gradient) of each layer, as views
+    # into net.flat and grads.flat (None where a layer has no such tensor)
+    return list(zip((spec.kind for spec in net.specs), net.weights, grads.weights,
+                    grads.biases))
+
+
+def _backward(layers: list[tuple], cache: list[np.ndarray], logits: np.ndarray,
+              targets: np.ndarray) -> None:
+    # The backward pass of loss_and_backward and of the training loop, over
+    # the views `_backward_layers` binds; `targets` is the batch's one-hot
+    # label block. Forms the batch-averaged softmax gradient of the logits in
+    # a new array, in the order a full log-softmax, its exp and a subtraction
+    # of 1.0 at each label take, and writes every gradient view, so a reused
+    # buffer holds nothing of an earlier batch. The reductions are ufunc
+    # calls, not the array methods that wrap them in Python. Labels are not
+    # checked and no loss is formed.
+    n = logits.shape[0]
+    dx = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    dx -= np.log(np.add.reduce(np.exp(dx), axis=1, keepdims=True))
+    np.exp(dx, out=dx)
+    dx -= targets
     dx /= n
     # layer 0's input is the batch itself, so no gradient is formed for it
-    for i in range(len(net.specs) - 1, -1, -1):
-        spec, x = net.specs[i], cache[i]
-        gw, gb = grads.weights[i], grads.biases[i]
-        if spec.kind == "dense":
+    for i in range(len(layers) - 1, -1, -1):
+        kind, w, gw, gb = layers[i]
+        x = cache[i]
+        if kind == "dense":
             np.matmul(dx.T, x, out=gw)
             if gb is not None:
-                dx.sum(axis=0, out=gb)
+                np.add.reduce(dx, axis=0, out=gb)
             if i:
-                dx = dx @ net.weights[i]
-        elif spec.kind == "conv2d":
-            w = net.weights[i]
+                dx = dx @ w
+        elif kind == "conv2d":
             out_c, _, k, _ = w.shape
             dy = dx.reshape(out_c, -1)
             np.matmul(dy, _im2col(x, k).T, out=gw.reshape(out_c, -1))
             if gb is not None:
-                dy.sum(axis=1, out=gb)
+                np.add.reduce(dy, axis=1, out=gb)
             if i:
                 dx = _col2im(w.reshape(out_c, -1).T @ dy, x.shape, k)
-        elif spec.kind == "relu" and i:
+        elif kind == "relu" and i:
             dx = dx * (x > 0.0)
-        elif spec.kind == "flatten" and i:
+        elif kind == "flatten" and i:
             dx = dx.T.reshape(x.shape) if x.ndim == 4 else dx.reshape(x.shape)
 
 

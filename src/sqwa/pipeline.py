@@ -26,7 +26,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .averaging import AveragedModel, CaptureBank, average_models, requantize_averaged
-from .data import Dataset, _check_batch_size, load_idx, synthetic_blobs
+from .data import Dataset, _check_batch_size, _check_blobs, load_idx, synthetic_blobs
 from .nn import LayerSpec, Network, _check_optimizer, evaluate, forward, init_weights
 from .qat import ShadowModel, _check_finetune, finetune, fit, retrain
 from .quantizer import QuantizedModel, direct_quantize_model
@@ -151,10 +151,13 @@ class RunConfig:
         if not (isinstance(cfg.bits, int) and 1 <= cfg.bits <= 8):
             raise ValueError(f"bits must be an integer in 1..8, got {cfg.bits!r}")
         if cfg.dataset.kind == "blobs":
-            if cfg.dataset.train_seed is None:
-                cfg.dataset.train_seed = cfg.seed
-            if cfg.dataset.test_seed is None:
-                cfg.dataset.test_seed = cfg.seed + 104729
+            d = cfg.dataset
+            if d.train_seed is None:
+                d.train_seed = cfg.seed
+            if d.test_seed is None:
+                d.test_seed = cfg.seed + 104729
+            for samples in (d.samples_per_class, d.test_samples_per_class):
+                _check_blobs(d.num_classes, samples, d.dims, d.spread)
         elif cfg.dataset.kind != "idx":
             raise ValueError(f"unknown dataset kind {cfg.dataset.kind!r}")
         if cfg.network is None:
@@ -409,9 +412,14 @@ def run_stages(cfg: RunConfig, last_stage: str) -> dict:
         raise ValueError(f"unknown stage {last_stage!r}")
     cfg = cfg.resolve()
     paths = _paths(cfg)
+    # before config.json is frozen, so a dataset that cannot be built (a
+    # missing IDX file, say) leaves nothing that refuses the corrected rerun
+    try:
+        train, test = build_datasets(cfg)
+    except (ValueError, OSError) as exc:
+        raise PipelineError(f"datasets: {exc}") from exc
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     _freeze_config(cfg, paths)
-    train, test = build_datasets(cfg)
     result = {"paths": paths, "config": cfg}
     for name in STAGES[:STAGES.index(last_stage) + 1]:
         fn, inputs, outputs = _STAGE_TABLE[name]

@@ -17,8 +17,8 @@ import numpy as np
 
 from .averaging import CaptureBank, CaptureEntry
 from .data import Dataset, shuffle_batches
-from .nn import (Gradients, Network, OptimizerState, _backward, _check_input, _check_labels,
-                 _log_softmax, forward, sgd_momentum_step)
+from .nn import (Gradients, Network, OptimizerState, _backward, _backward_layers, _check_input,
+                 _check_labels, _one_hot, forward, sgd_momentum_step)
 from .quantizer import (QuantizedModel, _quantize, _weight_steps, quantize_network,
                         select_step_size)
 from .schedule import CyclicalSchedule, capture_epochs, lr_at
@@ -32,7 +32,8 @@ class ShadowModel:
 
     Invariant: applied weights equal quantize(shadow weights) under the
     frozen `steps`, and applied biases mirror the shadow biases. Both
-    networks share one parameter layout.
+    networks share one parameter layout. Construction builds the per-element
+    steps and the re-quantizer's scratch buffer once.
     """
 
     shadow: Network
@@ -44,6 +45,7 @@ class ShadowModel:
         if self.applied.layout != self.shadow.layout:
             raise ValueError("shadow and applied network disagree in layout")
         self._step_of = _weight_steps(self.shadow, self.bits, self.steps)
+        self._work = np.empty(self.shadow.weight_size)
 
     @staticmethod
     def from_network(net: Network, bits: int, steps: list[float] | None = None) -> "ShadowModel":
@@ -58,9 +60,9 @@ class ShadowModel:
     def refresh_applied(self) -> None:
         """Re-quantize the shadow's weight region into the applied view and
         copy the biases."""
-        nw = self.shadow.weight_size
-        self.applied.flat[:nw] = _quantize(self.shadow.flat[:nw], self._step_of, self.bits)
-        self.applied.flat[nw:] = self.shadow.flat[nw:]
+        nw, shadow, applied = self.shadow.weight_size, self.shadow.flat, self.applied.flat
+        _quantize(shadow[:nw], self._step_of, self.bits, out=applied[:nw], work=self._work)
+        applied[nw:] = shadow[nw:]
 
     def as_quantized(self) -> QuantizedModel:
         """Deep-copied snapshot of the applied model."""
@@ -71,23 +73,27 @@ class ShadowModel:
 
 
 class _StepWorkspace:
-    """What the steps of one training loop share: the momentum state and
-    one gradient buffer, which every step overwrites whole."""
+    """What the steps of one training loop share: the momentum state, one
+    gradient buffer that every step overwrites whole, and the per-layer
+    weight and gradient views of the backward pass, bound once."""
 
-    def __init__(self, net: Network, opt: OptimizerState):
-        self.opt = opt
-        self.grads = Gradients.like(net)
+    def __init__(self, model: ShadowModel | Network, opt: OptimizerState):
+        self.model, self.opt = model, opt
+        self.quantized = isinstance(model, ShadowModel)
+        self.applied = model.applied if self.quantized else model
+        self.trained = model.shadow if self.quantized else model
+        self.grads = Gradients.like(self.applied)
+        self.layers = _backward_layers(self.applied, self.grads)
 
-    def update(self, model: ShadowModel | Network, logits: np.ndarray,
-               cache: list[np.ndarray], labels: np.ndarray, lr: float) -> None:
+    def update(self, logits: np.ndarray, cache: list[np.ndarray], targets: np.ndarray,
+               lr: float) -> None:
         """Backward pass on the applied network, momentum update of the
-        trained one, re-quantization. `labels` must already be checked."""
-        quantized = isinstance(model, ShadowModel)
-        applied = model.applied if quantized else model
-        _backward(applied, cache, _log_softmax(logits), labels, self.grads)
-        sgd_momentum_step(model.shadow if quantized else model, self.grads, self.opt, lr)
-        if quantized:
-            model.refresh_applied()
+        trained one, re-quantization. `targets` is the batch's one-hot
+        label block, built from labels already checked."""
+        _backward(self.layers, cache, logits, targets)
+        sgd_momentum_step(self.trained, self.grads, self.opt, lr)
+        if self.quantized:
+            self.model.refresh_applied()
 
 
 def qat_train_step(model: ShadowModel | Network, batch: np.ndarray, labels: np.ndarray,
@@ -100,10 +106,10 @@ def qat_train_step(model: ShadowModel | Network, batch: np.ndarray, labels: np.n
     case, its own applied and shadow network. The labels are checked on
     every call. Mutates `model` and returns it.
     """
-    applied = model.applied if isinstance(model, ShadowModel) else model
-    logits, cache = forward(applied, batch)
-    labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    _StepWorkspace(applied, opt).update(model, logits, cache, labels, lr)
+    ws = _StepWorkspace(model, opt)
+    logits, cache = forward(ws.applied, batch)
+    labels = _check_labels(labels, *logits.shape)
+    ws.update(logits, cache, _one_hot(labels, logits.shape[1]), lr)
     return model
 
 
@@ -116,19 +122,19 @@ def fit(model: ShadowModel | Network, dataset: Dataset, lrs: list[float], seed: 
     `model`, returns it.
 
     The dataset's input shape and labels are checked once, before the
-    first step, and all steps share one gradient buffer. After every epoch
+    first step, and all steps share one gradient buffer. Each epoch builds
+    the one-hot targets of its shuffled labels once. After every epoch
     a trained parameter that is not finite, or a weighted layer whose
     weights are all zero at float32 precision, raises ValueError naming the
     epoch and layer.
     """
-    quantized = isinstance(model, ShadowModel)
-    net = model.applied if quantized else model
-    ws = _StepWorkspace(net, OptimizerState.for_network(net, momentum, l2_scale))
+    net = model.applied if isinstance(model, ShadowModel) else model
+    ws = _StepWorkspace(model, OptimizerState.for_network(net, momentum, l2_scale))
     _check_input(net, dataset.images)
     _check_labels(dataset.labels, len(dataset), net.num_classes)
     for epoch, lr in enumerate(lrs):
         _run_epoch(model, dataset, lr, ws, batch_size, seed, epoch)
-        _check_alive(model.shadow if quantized else model, epoch)
+        _check_alive(ws.trained, epoch)
         if after_epoch is not None:
             after_epoch(epoch, lr)
     return model
@@ -136,9 +142,13 @@ def fit(model: ShadowModel | Network, dataset: Dataset, lrs: list[float], seed: 
 
 def _run_epoch(model: ShadowModel | Network, dataset: Dataset, lr: float,
                ws: _StepWorkspace, batch_size: int, seed: int, epoch: int) -> None:
-    applied = model.applied if isinstance(model, ShadowModel) else model
-    for xb, yb in shuffle_batches(dataset, batch_size, seed, epoch):
-        ws.update(model, *forward(applied, xb), yb, lr)
+    batches = shuffle_batches(dataset, batch_size, seed, epoch)
+    # the epoch's labels in batch order (the empty head keeps an empty
+    # dataset's list nonempty) as one target block, sliced per step
+    targets = _one_hot(np.concatenate([dataset.labels[:0], *(yb for _, yb in batches)]),
+                       ws.applied.num_classes)
+    for start, (xb, _) in zip(range(0, len(dataset), batch_size), batches):
+        ws.update(*forward(ws.applied, xb), targets[start:start + batch_size], lr)
 
 
 def _check_alive(net: Network, epoch: int) -> None:

@@ -62,12 +62,25 @@ class QuantizerConfig:
         return levels_count(self.bits)
 
 
-def _quantize(w: np.ndarray, step, bits: int) -> np.ndarray:
-    # The quantizer formula, for a scalar step or one step per element.
+def _quantize(w: np.ndarray, step, bits: int, out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> np.ndarray:
+    # The quantizer formula, for a scalar step or one step per element and
+    # a bit width its callers have checked, written into `out` with `work`
+    # as scratch (float64 arrays of w's shape), or into new arrays if not
+    # given.
+    out = np.empty(np.shape(w)) if out is None else out
     if bits == 1:
-        return np.where(w >= 0.0, step, -step)
-    mag = np.minimum(np.floor(np.abs(w) / step + 0.5), (levels_count(bits) - 1) // 2)
-    return np.sign(w) * step * mag
+        out[...] = np.where(w >= 0.0, step, -step)
+        return out
+    mag = np.abs(w, out=np.empty_like(out) if work is None else work)
+    mag /= step
+    mag += 0.5
+    np.floor(mag, out=mag)
+    np.minimum(mag, 2 ** (bits - 1) - 1, out=mag)   # the top level, (levels - 1) / 2
+    np.sign(w, out=out)
+    out *= step
+    out *= mag
+    return out
 
 
 def quantize_tensor(w: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:

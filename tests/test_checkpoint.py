@@ -364,3 +364,27 @@ def test_every_kind_writes_per_layer_weight_streams_then_bias(tmp_path):
         assert [t["offset"] for t in tensors] == list(np.cumsum([0, *sizes[:-1]]))
         assert manifest["payload_bytes"] == sum(sizes)
         assert not (tmp_path / "c" / "manifest.json.tmp").exists()
+
+
+def test_a_tensor_not_finite_as_stored_is_refused_without_a_manifest(tmp_path):
+    net = _net()
+    net.weights[0][0, 0] = 1e39          # finite at float64, inf as f32
+    with pytest.raises(CheckpointError, match=r"^layer0\.weight: holds values that are "
+                                              r"not finite as f32"):
+        ckpt.round_trip(net)
+    with pytest.raises(CheckpointError, match=r"^layer0\.weight"):
+        ckpt.save(net, tmp_path / "net")
+    assert not (tmp_path / "net").exists()
+
+    # a capture whose bias overflows: the bank gets no manifest, so it does
+    # not count as written
+    model = ShadowModel.from_network(_net(), 2)
+    bank = CaptureBank(2, list(model.steps))
+    bank.add(CaptureEntry(0, model.as_quantized(), model.shadow.copy(), {}))
+    model.shadow.biases[2][1] = -np.inf
+    model.refresh_applied()
+    bank.add(CaptureEntry(1, model.as_quantized(), model.shadow.copy(), {}))
+    with pytest.raises(CheckpointError, match=r"^layer2\.bias: holds values that are "
+                                              r"not finite as f32"):
+        ckpt.save(bank, tmp_path / "bank")
+    assert not (tmp_path / "bank" / "manifest.json").exists()

@@ -483,7 +483,7 @@ def test_direct_calls_reject_out_of_range_labels(labels):
 def test_backward_kernel_overwrites_every_gradient_view():
     # the training loop reuses one gradient buffer, so the kernel must write
     # all of it: a buffer of NaNs comes out equal to a fresh call's gradients
-    from sqwa.nn import _backward, _log_softmax
+    from sqwa.nn import _backward, _backward_layers, _one_hot
     rng = np.random.default_rng(38)
     net = init_weights([conv2d(2, 3, 3), relu(), conv2d(3, 2, 2, has_bias=False), relu(),
                         flatten(), dense(18, 5, has_bias=False), relu(), dense(5, 4)],
@@ -494,6 +494,6 @@ def test_backward_kernel_overwrites_every_gradient_view():
     loss, expected = loss_and_backward(net, cache, logits, y)
     grads = Gradients.like(net)
     grads.flat[:] = np.nan
-    _backward(net, cache, _log_softmax(logits), y, grads)
+    _backward(_backward_layers(net, grads), cache, logits, _one_hot(y, 4))
     assert np.array_equal(grads.flat, expected.flat)
     assert loss == loss_only(net, x, y)

@@ -320,6 +320,11 @@ def default_run_101(tmp_path_factory):
 
 
 def test_default_recipe_outputs_are_pinned(default_run_101):
+    # The digests hold for OpenBLAS's Haswell and SkylakeX kernels. Under
+    # its kernels without FMA (OPENBLAS_CORETYPE=Prescott or Sandybridge)
+    # two evaluation losses in metrics.csv move by one ulp, and the float64
+    # shadow weights of `final` and of every capture differ in their last
+    # bits; summary.txt and the other payloads still match.
     out, _ = default_run_101
     written = {str(p.relative_to(out)) for p in out.rglob("payload.bin")} | \
         {"metrics.csv", "summary.txt"}
@@ -678,3 +683,72 @@ def test_input_blind_check_skips_identical_probe_samples():
         pipeline._check_responsive(net, varied)
     net.weights[0] = np.eye(3, 4)
     pipeline._check_responsive(net, varied)
+
+
+# --- a diverged model is never checkpointed ----------------------------------------
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_pretrained_model_beyond_float32_range_fails_its_stage_and_saves_nothing(tmp_path):
+    # Its float64 weights stay finite, so fit's guard passes, but they lie
+    # beyond float32 range and would reload as inf; the quantize stage would
+    # then fail on a checkpoint the pretrain stage should never have written.
+    d = RunConfig(seed=259, output_dir=str(tmp_path)).to_dict()
+    d.update(bits=3, average_last_n=1)
+    d["dataset"].update(num_classes=3, samples_per_class=2, test_samples_per_class=1, dims=5,
+                        spread=1e-9)
+    d["pretrain"].update(epochs=6, initial_lr=2.0, milestones=[1], batch_size=1,
+                         decay_factor=0.999999, l2_scale=10)
+    d["cyclical"].update(period=5, mid_steps=2, epochs=11)
+    with pytest.raises(PipelineError, match=r"^stage 'pretrain': layer0\.weight: holds values "
+                                            r"that are not finite as f32"):
+        run_sqwa(RunConfig.from_dict(d))
+    assert not list(tmp_path.rglob("manifest.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+# --- a dataset that cannot be built leaves the directory usable ----------------------
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dims", 1, "3 classes need dims >= 2"),
+    ("spread", 0, "need num_classes >= 2, samples_per_class >= 1, dims >= 1, spread > 0"),
+    ("samples_per_class", 0, "need num_classes >= 2"),
+    ("test_samples_per_class", 0, "need num_classes >= 2"),
+])
+def test_blob_settings_the_generator_refuses_are_rejected_at_resolve(tmp_path, key, value,
+                                                                     message):
+    d = _small_dict(tmp_path)
+    d["dataset"][key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig.from_dict(d).resolve()
+
+
+def test_a_bad_dataset_setting_leaves_no_config_behind(tmp_path, capsys):
+    # Once `--set dataset.dims=2` (10 classes) failed after config.json was
+    # frozen, and the corrected rerun was refused for a different config.
+    out = tmp_path / "run"
+    assert main(["pretrain", *_default_cli_args(out, "dataset.dims=2")]) == 1
+    assert "error: 10 classes need dims >= 5" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["pretrain", *_default_cli_args(out)]) == 0
+    assert (out / "pretrained" / "manifest.json").is_file()
+
+
+def test_a_missing_idx_file_is_a_pipeline_error_that_leaves_no_config_behind(tmp_path):
+    from sqwa.data import write_idx
+    rng = np.random.default_rng(12)
+    files = {}
+    for split in ("train", "test"):
+        files[f"{split}_images"] = tmp_path / f"{split}-images.idx"
+        files[f"{split}_labels"] = tmp_path / f"{split}-labels.idx"
+        write_idx(files[f"{split}_images"], rng.integers(0, 256, size=(30, 4, 4)))
+        write_idx(files[f"{split}_labels"], np.arange(30) % 3)
+    d = _small_dict(tmp_path / "run")
+    d["dataset"] = {"kind": "idx", **{k: str(v) for k, v in files.items()}}
+    d["network"] = {"input_shape": [16], "layers": [{"kind": "dense", "fan_in": 16,
+                                                     "fan_out": 3}]}
+    missing = dict(d, dataset=dict(d["dataset"], test_labels=str(tmp_path / "nothing.idx")))
+    with pytest.raises(PipelineError, match=r"^datasets: .*nothing\.idx"):
+        run_stages(RunConfig.from_dict(missing), "pretrain")
+    assert not (tmp_path / "run").exists()
+    run_stages(RunConfig.from_dict(d), "pretrain")
+    assert (tmp_path / "run" / "pretrained" / "manifest.json").is_file()

@@ -315,3 +315,147 @@ def test_fit_stops_when_a_layer_dies():
     net.weights[0] = np.full((8, 4), 1e-50)    # zero once stored as float32
     with pytest.raises(ValueError, match=r"^epoch 0: layer 0 \(dense\) weights are all zero"):
         fit(net, data, [0.0], 69)
+
+
+# --- the fused training step against the arithmetic it replaced ------------------
+# A reference training loop written out with the per-call arithmetic: a forward
+# pass with out-of-place bias adds, a full log-softmax, the label subtraction by
+# fancy indexing, bias gradients by `.sum`, the momentum update, and an
+# allocating re-quantizer. It shares no code with fit's step but the column
+# helpers of the conv layers and the batch shuffle.
+
+def _ref_forward(net, x):
+    from sqwa.nn import _im2col
+    cache = []
+    if x.ndim == 4:
+        x = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+    for spec, w, b in zip(net.specs, net.weights, net.biases):
+        cache.append(x)
+        if spec.kind == "dense":
+            x = x @ w.T
+            if b is not None:
+                x = x + b
+        elif spec.kind == "conv2d":
+            out_c, _, k, _ = w.shape
+            _, h, ww, n = x.shape
+            y = w.reshape(out_c, -1) @ _im2col(x, k)
+            if b is not None:
+                y = y + b[:, None]
+            x = y.reshape(out_c, h - k + 1, ww - k + 1, n)
+        elif spec.kind == "relu":
+            x = np.maximum(x, 0.0)
+        else:
+            x = (np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T) if x.ndim == 4
+                 else x.reshape(x.shape[0], -1))
+    return x, cache
+
+
+def _ref_gradients(net, cache, logits, labels):
+    from sqwa.nn import Gradients, _col2im, _im2col
+    grads = Gradients.like(net)
+    n = logits.shape[0]
+    log_probs = logits - logits.max(axis=1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+    dx = np.exp(log_probs)
+    dx[np.arange(n), labels] -= 1.0
+    dx /= n
+    for i in range(len(net.specs) - 1, -1, -1):
+        kind, x, w = net.specs[i].kind, cache[i], net.weights[i]
+        if kind == "dense":
+            grads.weights[i] = dx.T @ x
+            if net.biases[i] is not None:
+                grads.biases[i] = dx.sum(axis=0)
+            dx = dx @ w
+        elif kind == "conv2d":
+            out_c, _, k, _ = w.shape
+            dy = dx.reshape(out_c, -1)
+            grads.weights[i] = (dy @ _im2col(x, k).T).reshape(w.shape)
+            if net.biases[i] is not None:
+                grads.biases[i] = dy.sum(axis=1)
+            dx = _col2im(w.reshape(out_c, -1).T @ dy, x.shape, k)
+        elif kind == "relu":
+            dx = dx * (x > 0.0)
+        else:
+            dx = dx.T.reshape(x.shape) if x.ndim == 4 else dx.reshape(x.shape)
+    return grads.flat
+
+
+def _ref_quantize(w, step, bits):
+    if bits == 1:
+        return np.where(w >= 0.0, step, -step)
+    mag = np.minimum(np.floor(np.abs(w) / step + 0.5), (2 ** bits - 2) // 2)
+    return np.sign(w) * step * mag
+
+
+def _ref_fit_arithmetic(model, data, lrs, seed, batch_size, l2_scale):
+    # returns the momentum buffer; trains `model` in place
+    from sqwa.data import shuffle_batches
+    quantized = isinstance(model, ShadowModel)
+    applied, trained = (model.applied, model.shadow) if quantized else (model, model)
+    nw = trained.weight_size
+    if quantized:
+        idx = trained.param_layers()
+        step_of = np.repeat(model.steps, [trained.weights[i].size for i in idx])
+    buf = np.zeros_like(trained.flat)
+    for epoch, lr in enumerate(lrs):
+        for xb, yb in shuffle_batches(data, batch_size, seed, epoch):
+            logits, cache = _ref_forward(applied, xb)
+            g = _ref_gradients(applied, cache, logits, yb)
+            if l2_scale:
+                g[:nw] += l2_scale * trained.flat[:nw]
+            buf *= 0.9
+            buf += g
+            trained.flat -= lr * buf
+            if quantized:
+                applied.flat[:nw] = _ref_quantize(trained.flat[:nw], step_of, model.bits)
+                applied.flat[nw:] = trained.flat[nw:]
+    return buf
+
+
+def _fused_step_cases():
+    from sqwa.data import Dataset
+    from sqwa.nn import conv2d, flatten
+    blobs = synthetic_blobs(3, 20, 4, 0.4, seed=70)
+    # 60 samples in batches of 16: the last batch holds 12
+    for bits in (1, 2, 4, 8):
+        yield f"dense {bits}-bit", _small_model(seed=70, bits=bits), blobs, 16, 0.0
+    yield "dense 2-bit, L2", _small_model(seed=71), blobs, 16, 1e-3
+    yield "plain dense, L2", init_weights([dense(4, 8), relu(), dense(8, 3)], (4,), seed=72), \
+        blobs, 16, 1e-3
+    yield "short last batch", _small_model(seed=73), blobs, 7, 0.0
+    rng = np.random.default_rng(74)
+    images = Dataset(rng.normal(size=(40, 2, 7, 7)), rng.integers(0, 4, size=40), 4)
+    conv = [conv2d(2, 3, 3), relu(), conv2d(3, 4, 2, has_bias=False), relu(), flatten(),
+            dense(64, 4, has_bias=False)]
+    for bits in (1, 4):
+        yield f"conv + flatten {bits}-bit", ShadowModel.from_network(
+            init_weights(conv, (2, 7, 7), seed=74), bits), images, 16, 0.0
+    bias_free = [conv2d(2, 2, 3, has_bias=False), flatten(), relu(), dense(50, 4)]
+    yield "bias-free conv 2-bit, L2", ShadowModel.from_network(
+        init_weights(bias_free, (2, 7, 7), seed=75), 2), images, 12, 1e-3
+
+
+@pytest.mark.parametrize("case", list(_fused_step_cases()), ids=lambda c: c[0])
+def test_fit_equals_the_per_call_arithmetic_bit_for_bit(monkeypatch, case):
+    import sqwa.qat as qat_mod
+    _, model, data, batch_size, l2_scale = case
+    lrs = [0.2, 0.05, 0.01]
+    ref = model.copy()
+    ref_buf = _ref_fit_arithmetic(ref, data, lrs, 76, batch_size, l2_scale)
+    states = []
+
+    def spy(net, grads, state, lr):
+        states.append(state)
+        return sgd(net, grads, state, lr)
+
+    sgd = qat_mod.sgd_momentum_step
+    monkeypatch.setattr(qat_mod, "sgd_momentum_step", spy)
+    assert fit(model, data, lrs, 76, batch_size=batch_size, l2_scale=l2_scale) is model
+    assert len(states) == len(lrs) * -(-len(data) // batch_size)
+    assert np.array_equal(states[-1].flat, ref_buf)
+    if isinstance(model, ShadowModel):
+        assert np.array_equal(model.shadow.flat, ref.shadow.flat)
+        assert np.array_equal(model.applied.flat, ref.applied.flat)
+        _assert_invariant(model)
+    else:
+        assert np.array_equal(model.flat, ref.flat)
