@@ -24,7 +24,6 @@ __all__ = [
     "AveragedModel",
     "effective_bits",
     "average_models",
-    "average_epoch_range",
     "requantize_averaged",
 ]
 
@@ -90,35 +89,23 @@ def effective_bits(n: int, bits: int) -> int:
     return b
 
 
-def _average(entries: list[CaptureEntry], bits: int, steps: list[float]) -> AveragedModel:
-    n = len(entries)
+def average_models(bank: CaptureBank, last_n: int) -> AveragedModel:
+    """Elementwise mean of the bank's last `last_n` captures."""
+    if not (1 <= last_n <= len(bank)):
+        raise ValueError(f"last_n must be in [1, {len(bank)}], got {last_n}")
+    entries = bank.entries[-last_n:]
     out = entries[0].model.net.copy()
     nw = out.weight_size
-    step_of = _weight_steps(out, bits, steps)
+    step_of = _weight_steps(out, bank.bits, bank.steps)
     weights = np.array([e.model.net.flat[:nw] for e in entries])
     levels = np.rint(weights / step_of)
     off_grid = np.flatnonzero((levels * step_of != weights).any(axis=0))
     if off_grid.size:
         layer = next(i for i in out.param_layers() if out.layout[i][1] > off_grid[0])
         raise ValueError(f"layer {layer}: captured weights are not on the shared grid")
-    out.flat[:nw] = levels.astype(np.int64).sum(axis=0) * (step_of / n)
+    out.flat[:nw] = levels.astype(np.int64).sum(axis=0) * (step_of / last_n)
     out.flat[nw:] = np.mean([e.model.net.flat[nw:] for e in entries], axis=0)
-    return AveragedModel(out, n, list(steps), effective_bits(n, bits))
-
-
-def average_models(bank: CaptureBank, last_n: int) -> AveragedModel:
-    """Elementwise mean of the bank's last `last_n` captures."""
-    if not (1 <= last_n <= len(bank)):
-        raise ValueError(f"last_n must be in [1, {len(bank)}], got {last_n}")
-    return _average(bank.entries[-last_n:], bank.bits, bank.steps)
-
-
-def average_epoch_range(bank: CaptureBank, first_epoch: int, last_epoch: int) -> AveragedModel:
-    """Mean of every capture with first_epoch <= epoch <= last_epoch."""
-    chosen = [e for e in bank.entries if first_epoch <= e.epoch <= last_epoch]
-    if not chosen:
-        raise ValueError(f"no captures in epoch range [{first_epoch}, {last_epoch}]")
-    return _average(chosen, bank.bits, bank.steps)
+    return AveragedModel(out, last_n, list(bank.steps), effective_bits(last_n, bank.bits))
 
 
 def requantize_averaged(avg: AveragedModel, target_bits: int) -> tuple[QuantizedModel, list[float]]:

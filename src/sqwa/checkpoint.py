@@ -154,7 +154,10 @@ def save(obj, path, provenance: dict | None = None) -> Path:
     path = Path(path)
     if isinstance(obj, CaptureBank):
         return _save_bank(obj, path, provenance)
-    manifest, payload = _encode(obj, provenance)
+    return _write(path, *_encode(obj, provenance))
+
+
+def _write(path: Path, manifest: dict, payload: bytes) -> Path:
     path.mkdir(parents=True, exist_ok=True)
     (path / "payload.bin").write_bytes(payload)
     write_json(path / "manifest.json", manifest)
@@ -237,12 +240,15 @@ def load(path):
 
 
 def _save_bank(bank: CaptureBank, path: Path, provenance=None) -> Path:
+    # every entry is encoded before any file is written, so a bank with an
+    # entry that cannot be stored leaves nothing on disk
+    encoded = [_encode(ShadowModel(e.shadow, e.model.net, bank.bits, list(bank.steps)),
+                       {"epoch": e.epoch}) for e in bank.entries]
     path.mkdir(parents=True, exist_ok=True)
     entries = []
-    for k, entry in enumerate(bank.entries):
+    for k, (entry, (entry_manifest, payload)) in enumerate(zip(bank.entries, encoded)):
         sub = f"entry_{k:03d}"
-        save(ShadowModel(entry.shadow, entry.model.net, bank.bits, list(bank.steps)),
-             path / sub, provenance={"epoch": entry.epoch})
+        _write(path / sub, entry_manifest, payload)
         entries.append({"epoch": entry.epoch, "metrics": entry.metrics, "dir": sub})
     manifest = {
         "schema_version": SCHEMA_VERSION,

@@ -119,16 +119,8 @@ def quantized_grid_point(plane: LossPlane, x: float, y: float, template: Network
     if plane.origin.shape != template.flat.shape:
         raise ValueError(f"vector has {plane.origin.size} values, "
                          f"template needs {template.flat.size}")
-    return _quantized_point(plane, x, y, template.weight_size,
-                            _weight_steps(template, bits, steps), bits)
-
-
-def _quantized_point(plane: LossPlane, x: float, y: float, nw: int,
-                     weight_steps: np.ndarray, bits: int) -> np.ndarray:
-    # grid_point with its first nw entries (the weight region) quantized,
-    # weight_steps holding the step of each of them
-    vec = grid_point(plane, x, y)
-    vec[:nw] = _quantize(vec[:nw], weight_steps, bits)
+    nw, vec = template.weight_size, grid_point(plane, x, y)
+    vec[:nw] = _quantize(vec[:nw], _weight_steps(template, bits, steps), bits)
     return vec
 
 
@@ -184,17 +176,14 @@ def _usable_cores() -> int:
 def _surface_rows(xs: np.ndarray, ys: np.ndarray, plane: LossPlane, template: Network,
                   dataset, mode: str, bits: int | None, steps: list[float] | None,
                   batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-    # Loss and accuracy at every (x, y) of one block of rows. The per-element
-    # step vector is built once per block.
+    # Loss and accuracy at every (x, y) of one block of rows
     net = vector_to_network(template, plane.origin)  # the one working copy
-    if mode == "quantized":
-        nw, weight_steps = template.weight_size, _weight_steps(template, bits, steps)
     loss = np.empty((len(xs), len(ys)))
     acc = np.empty((len(xs), len(ys)))
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             if mode == "quantized":
-                net.flat[:] = _quantized_point(plane, x, y, nw, weight_steps, bits)
+                net.flat[:] = quantized_grid_point(plane, x, y, template, bits, steps)
             else:
                 net.flat[:] = grid_point(plane, x, y)
             loss[i, j], acc[i, j] = evaluate(net, dataset, batch_size)

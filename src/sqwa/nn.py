@@ -27,7 +27,6 @@ __all__ = [
     "zero_network",
     "init_weights",
     "forward",
-    "loss_only",
     "loss_and_backward",
     "sgd_momentum_step",
     "evaluate",
@@ -200,7 +199,8 @@ class OptimizerState:
     """Classical momentum buffers plus the scalar hyperparameters.
 
     `l2_scale` is applied to weight tensors only; biases are updated with
-    plain momentum. The buffers are views into `flat`.
+    plain momentum. The buffers are views into `flat`; `work` is scratch
+    for the L2 term, one value per weight.
     """
 
     momentum: float
@@ -208,12 +208,14 @@ class OptimizerState:
     flat: np.ndarray
     buffers_w: list[np.ndarray | None]
     buffers_b: list[np.ndarray | None]
+    work: np.ndarray
 
     @staticmethod
     def for_network(net: Network, momentum: float, l2_scale: float = 0.0) -> "OptimizerState":
         _check_optimizer(momentum, l2_scale)
         flat = np.zeros_like(net.flat)
-        return OptimizerState(momentum, l2_scale, flat, *net.views_of(flat))
+        return OptimizerState(momentum, l2_scale, flat, *net.views_of(flat),
+                              np.empty(net.weight_size))
 
 
 def _check_optimizer(momentum: float, l2_scale: float) -> None:
@@ -367,49 +369,26 @@ def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def loss_only(net: Network, batch: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy of the batch, no gradients."""
-    logits, _ = forward(net, batch)
-    labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    return _batch_loss(logits, labels, np.arange(logits.shape[0]))
-
-
 def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    # float64 rows of 0.0 with 1.0 at each label: the targets _backward takes
+    # float64 rows of 0.0 with 1.0 at each label: the targets loss_and_backward takes
     return np.eye(num_classes).take(labels, axis=0)
 
 
 def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
-                      labels: np.ndarray) -> tuple[float, Gradients]:
-    """Mean softmax cross-entropy plus batch-averaged parameter gradients.
+                      targets: np.ndarray, grads: Gradients) -> Gradients:
+    """Batch-averaged softmax cross-entropy gradients of every parameter,
+    written into `grads`, which is returned.
 
-    `cache` must come from a forward() call on the same network and batch.
-    The gradients are a fresh buffer of their own.
+    `cache` and `logits` must come from a forward() call on the same
+    network and batch; `targets` is the batch's one-hot label block, float64
+    of the logits' shape, and is not checked. Every gradient view is
+    written, so a reused buffer holds nothing of an earlier batch. No loss
+    value is formed, despite the name; `evaluate` reports losses.
     """
-    n, num_classes = logits.shape
-    labels = _check_labels(labels, n, num_classes)
-    grads = Gradients.like(net)
-    _backward(_backward_layers(net, grads), cache, logits, _one_hot(labels, num_classes))
-    return _batch_loss(logits, labels, np.arange(n)), grads
-
-
-def _backward_layers(net: Network, grads: Gradients) -> list[tuple]:
-    # (kind, weight, weight gradient, bias gradient) of each layer, as views
-    # into net.flat and grads.flat (None where a layer has no such tensor)
-    return list(zip((spec.kind for spec in net.specs), net.weights, grads.weights,
-                    grads.biases))
-
-
-def _backward(layers: list[tuple], cache: list[np.ndarray], logits: np.ndarray,
-              targets: np.ndarray) -> None:
-    # The backward pass of loss_and_backward and of the training loop, over
-    # the views `_backward_layers` binds; `targets` is the batch's one-hot
-    # label block. Forms the batch-averaged softmax gradient of the logits in
-    # a new array, in the order a full log-softmax, its exp and a subtraction
-    # of 1.0 at each label take, and writes every gradient view, so a reused
-    # buffer holds nothing of an earlier batch. The reductions are ufunc
-    # calls, not the array methods that wrap them in Python. Labels are not
-    # checked and no loss is formed.
+    # The logits' gradient is formed in a new array, in the order a full
+    # log-softmax, its exp and a subtraction of 1.0 at each label take. The
+    # reductions are ufunc calls, not the array methods that wrap them in
+    # Python.
     n = logits.shape[0]
     dx = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     dx -= np.log(np.add.reduce(np.exp(dx), axis=1, keepdims=True))
@@ -417,27 +396,28 @@ def _backward(layers: list[tuple], cache: list[np.ndarray], logits: np.ndarray,
     dx -= targets
     dx /= n
     # layer 0's input is the batch itself, so no gradient is formed for it
-    for i in range(len(layers) - 1, -1, -1):
-        kind, w, gw, gb = layers[i]
-        x = cache[i]
+    for i in range(len(net.specs) - 1, -1, -1):
+        kind, x = net.specs[i].kind, cache[i]
         if kind == "dense":
-            np.matmul(dx.T, x, out=gw)
-            if gb is not None:
-                np.add.reduce(dx, axis=0, out=gb)
+            np.matmul(dx.T, x, out=grads.weights[i])
+            if grads.biases[i] is not None:
+                np.add.reduce(dx, axis=0, out=grads.biases[i])
             if i:
-                dx = dx @ w
+                dx = dx @ net.weights[i]
         elif kind == "conv2d":
+            w = net.weights[i]
             out_c, _, k, _ = w.shape
             dy = dx.reshape(out_c, -1)
-            np.matmul(dy, _im2col(x, k).T, out=gw.reshape(out_c, -1))
-            if gb is not None:
-                np.add.reduce(dy, axis=1, out=gb)
+            np.matmul(dy, _im2col(x, k).T, out=grads.weights[i].reshape(out_c, -1))
+            if grads.biases[i] is not None:
+                np.add.reduce(dy, axis=1, out=grads.biases[i])
             if i:
                 dx = _col2im(w.reshape(out_c, -1).T @ dy, x.shape, k)
         elif kind == "relu" and i:
             dx = dx * (x > 0.0)
         elif kind == "flatten" and i:
             dx = dx.T.reshape(x.shape) if x.ndim == 4 else dx.reshape(x.shape)
+    return grads
 
 
 def sgd_momentum_step(net: Network, grads: Gradients, state: OptimizerState,
@@ -453,13 +433,16 @@ def sgd_momentum_step(net: Network, grads: Gradients, state: OptimizerState,
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     if grads.flat.shape != net.flat.shape or state.flat.shape != net.flat.shape:
         raise ValueError("gradients and momentum buffers must match the network's layout")
-    g, nw = grads.flat, net.weight_size
-    if state.l2_scale:
-        g = g.copy()
-        g[:nw] += state.l2_scale * net.flat[:nw]
-    buf = state.flat
+    g, nw, buf = grads.flat, net.weight_size, state.flat
     buf *= state.momentum
-    buf += g
+    if state.l2_scale:
+        # (l2_scale * weight) + grad, the same bits as grad + l2_scale * weight
+        l2 = np.multiply(net.flat[:nw], state.l2_scale, out=state.work)
+        l2 += g[:nw]
+        buf[:nw] += l2
+        buf[nw:] += g[nw:]
+    else:
+        buf += g
     net.flat -= lr * buf
     return net
 

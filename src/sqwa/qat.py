@@ -17,8 +17,8 @@ import numpy as np
 
 from .averaging import CaptureBank, CaptureEntry
 from .data import Dataset, shuffle_batches
-from .nn import (Gradients, Network, OptimizerState, _backward, _backward_layers, _check_input,
-                 _check_labels, _one_hot, forward, sgd_momentum_step)
+from .nn import (Gradients, Network, OptimizerState, _check_input, _check_labels, _one_hot,
+                 forward, loss_and_backward, sgd_momentum_step)
 from .quantizer import (QuantizedModel, _quantize, _weight_steps, quantize_network,
                         select_step_size)
 from .schedule import CyclicalSchedule, capture_epochs, lr_at
@@ -73,9 +73,8 @@ class ShadowModel:
 
 
 class _StepWorkspace:
-    """What the steps of one training loop share: the momentum state, one
-    gradient buffer that every step overwrites whole, and the per-layer
-    weight and gradient views of the backward pass, bound once."""
+    """What the steps of one training loop share: the model, the momentum
+    state, and one gradient buffer that every step overwrites whole."""
 
     def __init__(self, model: ShadowModel | Network, opt: OptimizerState):
         self.model, self.opt = model, opt
@@ -83,43 +82,32 @@ class _StepWorkspace:
         self.applied = model.applied if self.quantized else model
         self.trained = model.shadow if self.quantized else model
         self.grads = Gradients.like(self.applied)
-        self.layers = _backward_layers(self.applied, self.grads)
-
-    def update(self, logits: np.ndarray, cache: list[np.ndarray], targets: np.ndarray,
-               lr: float) -> None:
-        """Backward pass on the applied network, momentum update of the
-        trained one, re-quantization. `targets` is the batch's one-hot
-        label block, built from labels already checked."""
-        _backward(self.layers, cache, logits, targets)
-        sgd_momentum_step(self.trained, self.grads, self.opt, lr)
-        if self.quantized:
-            self.model.refresh_applied()
 
 
-def qat_train_step(model: ShadowModel | Network, batch: np.ndarray, labels: np.ndarray,
-                   lr: float, opt: OptimizerState) -> ShadowModel | Network:
+def qat_train_step(ws: _StepWorkspace, batch: np.ndarray, targets: np.ndarray,
+                   lr: float) -> None:
     """One training step on quantized weights.
 
-    Forward, loss, and gradients are computed on the applied (quantized)
-    network; the momentum update lands on the shadow; the applied view is
-    rebuilt from the updated shadow. A plain Network is the no-quantizer
-    case, its own applied and shadow network. The labels are checked on
-    every call. Mutates `model` and returns it.
+    Forward pass and gradients are computed on the applied (quantized)
+    network; the momentum update lands on the trained (shadow) network; the
+    applied view is rebuilt from the updated shadow. A plain Network is the
+    no-quantizer case, its own applied and shadow network. `targets` is the
+    batch's one-hot label block, which fit builds from labels it has checked;
+    the forward pass checks the batch's input shape.
     """
-    ws = _StepWorkspace(model, opt)
     logits, cache = forward(ws.applied, batch)
-    labels = _check_labels(labels, *logits.shape)
-    ws.update(logits, cache, _one_hot(labels, logits.shape[1]), lr)
-    return model
+    loss_and_backward(ws.applied, cache, logits, targets, ws.grads)
+    sgd_momentum_step(ws.trained, ws.grads, ws.opt, lr)
+    if ws.quantized:
+        ws.model.refresh_applied()
 
 
 def fit(model: ShadowModel | Network, dataset: Dataset, lrs: list[float], seed: int, *,
         batch_size: int = 32, momentum: float = 0.9, l2_scale: float = 0.0,
         after_epoch=None) -> ShadowModel | Network:
     """The training loop: one epoch of shuffled batches per rate in `lrs`,
-    each batch one training step as in qat_train_step, with fresh momentum
-    buffers, and `after_epoch(epoch, lr)` after every epoch. Mutates
-    `model`, returns it.
+    each batch one qat_train_step, with fresh momentum buffers, and
+    `after_epoch(epoch, lr)` after every epoch. Mutates `model`, returns it.
 
     The dataset's input shape and labels are checked once, before the
     first step, and all steps share one gradient buffer. Each epoch builds
@@ -148,7 +136,7 @@ def _run_epoch(model: ShadowModel | Network, dataset: Dataset, lr: float,
     targets = _one_hot(np.concatenate([dataset.labels[:0], *(yb for _, yb in batches)]),
                        ws.applied.num_classes)
     for start, (xb, _) in zip(range(0, len(dataset), batch_size), batches):
-        ws.update(*forward(ws.applied, xb), targets[start:start + batch_size], lr)
+        qat_train_step(ws, xb, targets[start:start + batch_size], lr)
 
 
 def _check_alive(net: Network, epoch: int) -> None:

@@ -26,7 +26,6 @@ __all__ = [
     "QuantizedModel",
     "levels_count",
     "quantize_tensor",
-    "quantization_error",
     "select_step_size",
     "quantize_network",
     "direct_quantize_model",
@@ -85,11 +84,6 @@ def _quantize(w: np.ndarray, step, bits: int, out: np.ndarray | None = None,
 
 def quantize_tensor(w: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     return _quantize(np.asarray(w, dtype=np.float64), cfg.step, cfg.bits)
-
-
-def quantization_error(w: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    """Elementwise Q(w) - w."""
-    return quantize_tensor(w, cfg) - np.asarray(w, dtype=np.float64)
 
 
 def _weight_steps(net: Network, bits: int, steps) -> np.ndarray:

@@ -15,7 +15,6 @@ import pytest
 from sqwa import checkpoint as ckpt
 from sqwa.averaging import (
     CaptureBank,
-    average_epoch_range,
     average_models,
     effective_bits,
     requantize_averaged,
@@ -31,6 +30,7 @@ from sqwa.losscape import (
     vector_to_network,
 )
 from sqwa.nn import (
+    Gradients,
     OptimizerState,
     conv2d,
     dense,
@@ -39,11 +39,10 @@ from sqwa.nn import (
     forward,
     init_weights,
     loss_and_backward,
-    loss_only,
     relu,
 )
 from sqwa.pipeline import RunConfig, build_datasets, run_sqwa
-from sqwa.qat import ShadowModel, finetune, qat_train_step
+from sqwa.qat import ShadowModel, _StepWorkspace, finetune, qat_train_step
 from sqwa.quantizer import QuantizerConfig, levels_count, quantize_tensor
 from sqwa.schedule import CyclicalSchedule, capture_epochs, derive_cycle_bounds
 
@@ -70,7 +69,7 @@ def desk_runs(tmp_path_factory):
         caps = [evaluate(e.model.net, test)[1] for e in bank.entries[-n:]]
 
         def group_drop(entries):
-            avg = average_epoch_range(bank, entries[0].epoch, entries[-1].epoch)
+            avg = average_models(CaptureBank(bank.bits, bank.steps, list(entries)), len(entries))
             requant, _ = requantize_averaged(avg, cfg.bits)
             return evaluate(avg.net, test)[1] - evaluate(requant.net, test)[1]
 
@@ -263,9 +262,19 @@ def test_criterion_05_full_precision_mode_exact(capture_plane):
 
 # --- criterion 6: gradient oracle ---------------------------------------------
 
+def _loss(net, batch, labels):
+    # mean cross-entropy from a full log-softmax of the public forward's
+    # logits, independent of the package's own loss
+    logits = forward(net, batch)[0]
+    z = logits - logits.max(axis=1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-z[np.arange(len(labels)), labels].sum() / len(labels))
+
+
 def _fd_check(net, batch, labels, rtol=1e-4, eps=1e-5):
     logits, cache = forward(net, batch)
-    _, grads = loss_and_backward(net, cache, logits, labels)
+    grads = loss_and_backward(net, cache, logits, np.eye(logits.shape[1])[labels],
+                              Gradients.like(net))
     for i in net.param_layers():
         for arr, g in ((net.weights[i], grads.weights[i]),
                        (net.biases[i], grads.biases[i])):
@@ -273,9 +282,9 @@ def _fd_check(net, batch, labels, rtol=1e-4, eps=1e-5):
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                hi = loss_only(net, batch, labels)
+                hi = _loss(net, batch, labels)
                 arr[idx] = orig - eps
-                lo = loss_only(net, batch, labels)
+                lo = _loss(net, batch, labels)
                 arr[idx] = orig
                 fd[idx] = (hi - lo) / (2 * eps)
             scale = max(float(np.abs(fd).max()), 1e-8)
@@ -307,11 +316,11 @@ def test_criterion_07_applied_equals_quantized_shadow():
     rng = np.random.default_rng(1007)
     net = init_weights([dense(5, 10), relu(), dense(10, 4)], (5,), seed=1007)
     model = ShadowModel.from_network(net, 2)
-    opt = OptimizerState.for_network(model.shadow, momentum=0.9)
+    ws = _StepWorkspace(model, OptimizerState.for_network(model.shadow, momentum=0.9))
     for step in range(30):
         x = rng.normal(size=(12, 5))
         y = rng.integers(0, 4, size=12)
-        qat_train_step(model, x, y, lr=0.05, opt=opt)
+        qat_train_step(ws, x, np.eye(4)[y], lr=0.05)
         idx = model.shadow.param_layers()
         for i, s in zip(idx, model.steps):
             expected = quantize_tensor(model.shadow.weights[i],
@@ -324,12 +333,12 @@ def test_criterion_07_small_step_leaves_applied_unchanged():
     rng = np.random.default_rng(1008)
     net = init_weights([dense(5, 8), relu(), dense(8, 3)], (5,), seed=1008)
     model = ShadowModel.from_network(net, 2)
-    opt = OptimizerState.for_network(model.shadow, momentum=0.0)
+    ws = _StepWorkspace(model, OptimizerState.for_network(model.shadow, momentum=0.0))
     shadow_before = [w.copy() for w in model.shadow.weights if w is not None]
     applied_before = [w.copy() for w in model.applied.weights if w is not None]
     x = rng.normal(size=(8, 5))
     y = rng.integers(0, 3, size=8)
-    qat_train_step(model, x, y, lr=1e-10, opt=opt)
+    qat_train_step(ws, x, np.eye(3)[y], lr=1e-10)
     shadow_after = [w for w in model.shadow.weights if w is not None]
     applied_after = [w for w in model.applied.weights if w is not None]
     assert any(not np.array_equal(b, a) for b, a in zip(shadow_before, shadow_after))

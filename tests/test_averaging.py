@@ -9,7 +9,6 @@ from sqwa.averaging import (
     AveragedModel,
     CaptureBank,
     CaptureEntry,
-    average_epoch_range,
     average_models,
     effective_bits,
     requantize_averaged,
@@ -113,18 +112,6 @@ def test_average_last_n_subset():
     assert avg.net.weights[0][0, 0] == pytest.approx(step)
     assert avg.count == 2
     assert avg.effective_bits == 3
-
-
-def test_average_epoch_range_selects_by_epoch():
-    step = 0.5
-    bank = CaptureBank(2, [step])
-    for k, lv in zip([3, 7, 11, 15], [1, 1, 0, -1]):
-        bank.add(_entry(k, [[lv]], step))
-    avg = average_epoch_range(bank, 3, 7)
-    assert avg.net.weights[0][0, 0] == pytest.approx(step)
-    assert avg.count == 2
-    with pytest.raises(ValueError):
-        average_epoch_range(bank, 100, 200)
 
 
 def test_average_models_bounds():

@@ -377,7 +377,7 @@ def test_a_tensor_not_finite_as_stored_is_refused_without_a_manifest(tmp_path):
     assert not (tmp_path / "net").exists()
 
     # a capture whose bias overflows: the bank gets no manifest, so it does
-    # not count as written
+    # not count as written, and the entry before it is not written either
     model = ShadowModel.from_network(_net(), 2)
     bank = CaptureBank(2, list(model.steps))
     bank.add(CaptureEntry(0, model.as_quantized(), model.shadow.copy(), {}))
@@ -388,3 +388,4 @@ def test_a_tensor_not_finite_as_stored_is_refused_without_a_manifest(tmp_path):
                                               r"not finite as f32"):
         ckpt.save(bank, tmp_path / "bank")
     assert not (tmp_path / "bank" / "manifest.json").exists()
+    assert not list((tmp_path / "bank").glob("entry_*"))

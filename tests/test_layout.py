@@ -170,7 +170,7 @@ def test_flat_sgd_equals_per_layer_formula(l2):
         x = rng.normal(size=(6, 2, 5, 4))
         y = rng.integers(0, 4, size=6)
         logits, cache = forward(net, x)
-        _, grads = loss_and_backward(net, cache, logits, y)
+        grads = loss_and_backward(net, cache, logits, np.eye(4)[y], Gradients.like(net))
         lr = 0.05 * (step + 1)
         _old_per_layer_sgd(weights, biases, grads, bufs_w, bufs_b, 0.9, l2, lr)
         sgd_momentum_step(net, grads, state, lr)
@@ -206,7 +206,8 @@ def test_gradients_share_the_network_layout():
     rng = np.random.default_rng(93)
     net = _conv_net()
     logits, cache = forward(net, rng.normal(size=(4, 2, 5, 4)))
-    _, grads = loss_and_backward(net, cache, logits, rng.integers(0, 4, size=4))
+    grads = loss_and_backward(net, cache, logits, np.eye(4)[rng.integers(0, 4, size=4)],
+                              Gradients.like(net))
     assert grads.flat.shape == net.flat.shape
     for g, t in zip([*grads.weights, *grads.biases], [*net.weights, *net.biases]):
         assert (g is None) == (t is None)

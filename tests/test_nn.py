@@ -15,13 +15,28 @@ from sqwa.nn import (
     forward,
     init_weights,
     loss_and_backward,
-    loss_only,
     output_shapes,
     relu,
     sgd_momentum_step,
 )
 from sqwa.nn import _batch_loss, _col2im, _im2col
 from sqwa.data import Dataset
+from sqwa.qat import fit
+
+
+def _loss_only(net, batch, labels):
+    # mean cross-entropy of the batch from a full log-softmax of the public
+    # forward's logits, independent of the package's own loss
+    logits = forward(net, batch)[0]
+    z = logits - logits.max(axis=1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-z[np.arange(len(labels)), labels].sum() / len(labels))
+
+
+def _gradients(net, cache, logits, labels):
+    # loss_and_backward with one-hot targets into a fresh gradient buffer
+    targets = np.eye(logits.shape[1])[labels]
+    return loss_and_backward(net, cache, logits, targets, Gradients.like(net))
 
 
 def _fd_gradients(net, batch, labels, eps=1e-5):
@@ -32,9 +47,9 @@ def _fd_gradients(net, batch, labels, eps=1e-5):
         for idx in np.ndindex(net.weights[i].shape):
             orig = net.weights[i][idx]
             net.weights[i][idx] = orig + eps
-            hi = loss_only(net, batch, labels)
+            hi = _loss_only(net, batch, labels)
             net.weights[i][idx] = orig - eps
-            lo = loss_only(net, batch, labels)
+            lo = _loss_only(net, batch, labels)
             net.weights[i][idx] = orig
             gw[idx] = (hi - lo) / (2 * eps)
         grads_w.append(gw)
@@ -42,9 +57,9 @@ def _fd_gradients(net, batch, labels, eps=1e-5):
         for idx in np.ndindex(net.biases[i].shape):
             orig = net.biases[i][idx]
             net.biases[i][idx] = orig + eps
-            hi = loss_only(net, batch, labels)
+            hi = _loss_only(net, batch, labels)
             net.biases[i][idx] = orig - eps
-            lo = loss_only(net, batch, labels)
+            lo = _loss_only(net, batch, labels)
             net.biases[i][idx] = orig
             gb[idx] = (hi - lo) / (2 * eps)
         grads_b.append(gb)
@@ -98,7 +113,7 @@ def test_uniform_logits_loss_is_log_num_classes():
     net.weights[0][:] = 0.0
     x = np.random.default_rng(0).normal(size=(7, 3))
     y = np.array([0, 1, 0, 1, 1, 0, 1])
-    assert loss_only(net, x, y) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert _loss_only(net, x, y) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_gradients_match_finite_differences_dense():
@@ -107,7 +122,7 @@ def test_gradients_match_finite_differences_dense():
     x = rng.normal(size=(6, 5))
     y = rng.integers(0, 3, size=6)
     logits, cache = forward(net, x)
-    _, grads = loss_and_backward(net, cache, logits, y)
+    grads = _gradients(net, cache, logits, y)
     fd_w, fd_b = _fd_gradients(net, x, y)
     _assert_grads_close(net, grads, fd_w, fd_b)
 
@@ -119,7 +134,7 @@ def test_gradients_match_finite_differences_conv():
     x = rng.normal(size=(4, 2, 5, 5))
     y = rng.integers(0, 4, size=4)
     logits, cache = forward(net, x)
-    _, grads = loss_and_backward(net, cache, logits, y)
+    grads = _gradients(net, cache, logits, y)
     fd_w, fd_b = _fd_gradients(net, x, y)
     _assert_grads_close(net, grads, fd_w, fd_b)
 
@@ -202,7 +217,7 @@ def test_conv_matches_direct_reference(in_c, h, w, k0, k1, n, lead_relu, mid_rel
     da1 = (dlogits @ wd).reshape(a1.shape)
     dr0, gw1, gb1 = _ref_conv_backward(r0, w1, da1)
     _, gw0, gb0 = _ref_conv_backward(x0, w0, dr0 * (a0 > 0.0) if mid_relu else dr0)
-    _, grads = loss_and_backward(net, cache, got_logits, y)
+    grads = _gradients(net, cache, got_logits, y)
     # the first conv's gradients are formed from the second conv's input gradient
     for i, gw, gb in ((c1, gw1, gb1), (c0, gw0, gb0)):
         _assert_rel_close(grads.weights[i], gw)
@@ -239,9 +254,9 @@ def test_image_networks_without_conv_equal_the_dense_net_on_flat_rows(lead):
     logits, cache = forward(image_net, x)
     flat_logits, flat_cache = forward(flat_net, x.reshape(6, -1))
     np.testing.assert_array_equal(logits, flat_logits)
-    loss, grads = loss_and_backward(image_net, cache, logits, y)
-    flat_loss, flat_grads = loss_and_backward(flat_net, flat_cache, flat_logits, y)
-    assert loss == flat_loss
+    grads = _gradients(image_net, cache, logits, y)
+    flat_grads = _gradients(flat_net, flat_cache, flat_logits, y)
+    assert _loss_only(image_net, x, y) == _loss_only(flat_net, x.reshape(6, -1), y)
     for i in flat_net.param_layers():
         np.testing.assert_array_equal(grads.weights[i + 1], flat_grads.weights[i])
         np.testing.assert_array_equal(grads.biases[i + 1], flat_grads.biases[i])
@@ -256,7 +271,7 @@ def test_gradients_match_finite_differences_conv_stack():
     x = rng.normal(size=(4, 2, 6, 5))
     y = rng.integers(0, 3, size=4)
     logits, cache = forward(net, x)
-    _, grads = loss_and_backward(net, cache, logits, y)
+    grads = _gradients(net, cache, logits, y)
     fd_w, fd_b = _fd_gradients(net, x, y)
     _assert_grads_close(net, grads, fd_w, fd_b)
 
@@ -275,22 +290,12 @@ def test_first_layer_gradients_unchanged_without_input_gradient(specs, shape):
     shifted = Network(net.input_shape, [relu()] + net.specs, [None] + net.weights,
                       [None] + net.biases)
     logits, cache = forward(net, x)
-    _, grads = loss_and_backward(net, cache, logits, y)
+    grads = _gradients(net, cache, logits, y)
     logits, cache = forward(shifted, x)
-    _, shifted_grads = loss_and_backward(shifted, cache, logits, y)
+    shifted_grads = _gradients(shifted, cache, logits, y)
     for i in net.param_layers():
         np.testing.assert_array_equal(grads.weights[i], shifted_grads.weights[i + 1])
         np.testing.assert_array_equal(grads.biases[i], shifted_grads.biases[i + 1])
-
-
-def test_loss_and_backward_reports_forward_loss():
-    rng = np.random.default_rng(23)
-    net = init_weights([dense(4, 3)], (4,), seed=23)
-    x = rng.normal(size=(5, 4))
-    y = rng.integers(0, 3, size=5)
-    logits, cache = forward(net, x)
-    loss, _ = loss_and_backward(net, cache, logits, y)
-    assert loss == pytest.approx(loss_only(net, x, y), abs=1e-12)
 
 
 def test_momentum_update_sequence():
@@ -323,18 +328,50 @@ def test_l2_applies_to_weights_not_biases():
     np.testing.assert_allclose(net.biases[0], 1.0)
 
 
+@pytest.mark.parametrize("l2", [1e-3, 0.37])
+def test_l2_step_equals_the_copying_formula_and_leaves_grads_alone(l2):
+    # the weight-decay term is formed in the optimizer's scratch: the same
+    # bits as adding it to a copy of the gradients, no gradient written, and
+    # no array of the buffer's size allocated but the lr * buffer product
+    rng = np.random.default_rng(36)
+    net = init_weights([dense(300, 300), relu(), dense(300, 10)], (300,), seed=36)
+    for i in net.param_layers():
+        net.biases[i] = rng.normal(size=net.biases[i].shape)
+    ref, ref_buf = net.flat.copy(), np.zeros_like(net.flat)
+    state = OptimizerState.for_network(net, momentum=0.9, l2_scale=l2)
+    nw = net.weight_size
+    for step in range(3):
+        grads = Gradients.like(net)
+        grads.flat[:] = rng.normal(size=grads.flat.shape)
+        g = grads.flat.copy()
+        g[:nw] += l2 * ref[:nw]
+        ref_buf *= 0.9
+        ref_buf += g
+        ref -= 0.05 * ref_buf
+        before = grads.flat.copy()
+        tracemalloc.start()
+        try:
+            sgd_momentum_step(net, grads, state, lr=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(grads.flat, before)
+        assert np.array_equal(net.flat, ref) and np.array_equal(state.flat, ref_buf)
+        assert peak < 1.5 * net.flat.nbytes
+
+
 def test_training_reduces_loss():
     rng = np.random.default_rng(31)
     net = init_weights([dense(4, 16), relu(), dense(16, 3)], (4,), seed=31)
     x = rng.normal(size=(30, 4))
     y = rng.integers(0, 3, size=30)
     state = OptimizerState.for_network(net, momentum=0.9)
-    before = loss_only(net, x, y)
+    before = _loss_only(net, x, y)
     for _ in range(50):
         logits, cache = forward(net, x)
-        _, grads = loss_and_backward(net, cache, logits, y)
+        grads = _gradients(net, cache, logits, y)
         sgd_momentum_step(net, grads, state, lr=0.05)
-    assert loss_only(net, x, y) < 0.5 * before
+    assert _loss_only(net, x, y) < 0.5 * before
 
 
 def test_evaluate_is_order_deterministic():
@@ -356,7 +393,7 @@ def test_evaluate_is_batch_weighted_mean_of_loss_only():
     loss_sum, correct = 0.0, 0
     for start in range(0, 37, 16):
         xb, yb = data.images[start:start + 16], data.labels[start:start + 16]
-        loss_sum += loss_only(net, xb, yb) * xb.shape[0]
+        loss_sum += _loss_only(net, xb, yb) * xb.shape[0]
         correct += int((forward(net, xb)[0].argmax(axis=1) == yb).sum())
     assert evaluate(net, data, batch_size=16) == (loss_sum / 37, correct / 37)
 
@@ -471,19 +508,20 @@ def test_network_copy_is_deep():
 
 @pytest.mark.parametrize("labels", [[0, 1, 3, 0, 1], [0, 1, -1, 0, 1]])
 def test_direct_calls_reject_out_of_range_labels(labels):
+    # the public calls that take labels: evaluate, and fit, whose steps
+    # take one-hot targets made from labels it checked
     net = init_weights([dense(3, 3)], (3,), seed=35)
-    x = np.zeros((5, 3))
-    logits, cache = forward(net, x)
+    data = Dataset(np.zeros((5, 3)), np.zeros(5, dtype=np.int64), 3)
+    data.labels = np.array(labels)      # past the Dataset's own check
     with pytest.raises(ValueError, match="labels must lie in"):
-        loss_only(net, x, np.array(labels))
+        evaluate(net, data)
     with pytest.raises(ValueError, match="labels must lie in"):
-        loss_and_backward(net, cache, logits, np.array(labels))
+        fit(net, data, [0.1], seed=35)
 
 
 def test_backward_kernel_overwrites_every_gradient_view():
     # the training loop reuses one gradient buffer, so the kernel must write
     # all of it: a buffer of NaNs comes out equal to a fresh call's gradients
-    from sqwa.nn import _backward, _backward_layers, _one_hot
     rng = np.random.default_rng(38)
     net = init_weights([conv2d(2, 3, 3), relu(), conv2d(3, 2, 2, has_bias=False), relu(),
                         flatten(), dense(18, 5, has_bias=False), relu(), dense(5, 4)],
@@ -491,9 +529,8 @@ def test_backward_kernel_overwrites_every_gradient_view():
     x = rng.normal(size=(6, 2, 6, 6))
     y = rng.integers(0, 4, size=6)
     logits, cache = forward(net, x)
-    loss, expected = loss_and_backward(net, cache, logits, y)
+    expected = _gradients(net, cache, logits, y)
     grads = Gradients.like(net)
     grads.flat[:] = np.nan
-    _backward(_backward_layers(net, grads), cache, logits, _one_hot(y, 4))
+    assert loss_and_backward(net, cache, logits, np.eye(4)[y], grads) is grads
     assert np.array_equal(grads.flat, expected.flat)
-    assert loss == loss_only(net, x, y)

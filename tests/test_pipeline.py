@@ -4,10 +4,12 @@ import logging
 import re
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sqwa
 import sqwa.nn
@@ -17,6 +19,7 @@ from sqwa.averaging import CaptureBank, CaptureEntry, average_models, effective_
 from sqwa.cli import main
 from sqwa.data import Dataset
 from sqwa.nn import Network, dense
+from sqwa.qat import ShadowModel
 from sqwa.pipeline import (
     PipelineError,
     RunConfig,
@@ -704,6 +707,61 @@ def test_a_pretrained_model_beyond_float32_range_fails_its_stage_and_saves_nothi
         run_sqwa(RunConfig.from_dict(d))
     assert not list(tmp_path.rglob("manifest.json"))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+# --- every generated config is rejected, runs, or fails one stage cleanly ------------
+
+def _reloaded_arrays(obj):
+    # the parameter buffers of a reloaded artifact; a bank's entries are
+    # checkpoints of their own
+    if isinstance(obj, CaptureBank):
+        return []
+    if isinstance(obj, ShadowModel):
+        return [obj.shadow.flat, obj.applied.flat]
+    return [pipeline.as_network(obj).flat]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(bits=st.integers(1, 9), average_last_n=st.integers(1, 3), period=st.integers(3, 5),
+       mid_steps=st.integers(1, 2), captures=st.integers(1, 3), extra_epochs=st.integers(0, 2),
+       pre_epochs=st.integers(1, 6), ft_epochs=st.integers(0, 2),
+       initial_lr=st.sampled_from([1e-3, 0.1, 2.0, 50.0, 1e6]),
+       milestones=st.lists(st.integers(1, 5), min_size=1, max_size=2, unique=True),
+       decay=st.sampled_from([0.1, 0.999999]), l2_scale=st.sampled_from([0.0, 5e-4, 10.0]),
+       batch_size=st.integers(1, 12), classes=st.integers(2, 4), samples=st.integers(1, 6),
+       dims=st.integers(1, 4), spread=st.sampled_from([1e-9, 0.3, 3.0]),
+       seed=st.integers(0, 999))
+def test_a_generated_config_is_rejected_or_runs_or_fails_a_stage_cleanly(
+        bits, average_last_n, period, mid_steps, captures, extra_epochs, pre_epochs, ft_epochs,
+        initial_lr, milestones, decay, l2_scale, batch_size, classes, samples, dims, spread,
+        seed):
+    # resolve() rejects an average of more models than the captures, a
+    # period too short for its ladder, bits 9 and too few dims for the classes
+    cyc_epochs = captures * period + extra_epochs
+    with tempfile.TemporaryDirectory() as out:
+        d = {"seed": seed, "output_dir": out, "bits": bits, "average_last_n": average_last_n,
+             "dataset": {"num_classes": classes, "samples_per_class": samples,
+                         "test_samples_per_class": samples, "dims": dims, "spread": spread},
+             "pretrain": {"epochs": pre_epochs, "initial_lr": initial_lr,
+                          "milestones": sorted(milestones), "decay_factor": decay,
+                          "l2_scale": l2_scale, "batch_size": batch_size},
+             "cyclical": {"epochs": cyc_epochs, "period": period, "mid_steps": mid_steps},
+             "finetune": {"epochs": ft_epochs}}
+        try:
+            cfg = RunConfig.from_dict(d).resolve()
+        except ValueError:
+            return
+        try:
+            result = run_sqwa(cfg)
+        except PipelineError as exc:
+            assert re.match(r"(stage '(pretrain|quantize|retrain-cyclical|average|finetune|"
+                            r"report)'|datasets): ", str(exc)), str(exc)
+        else:
+            assert result["report"] and (Path(out) / "summary.txt").is_file()
+        for manifest in Path(out).rglob("manifest.json"):
+            for flat in _reloaded_arrays(ckpt.load(manifest.parent)):
+                assert np.isfinite(flat).all(), manifest.parent.name
 
 
 # --- a dataset that cannot be built leaves the directory usable ----------------------

@@ -3,7 +3,7 @@ import pytest
 
 from sqwa.data import synthetic_blobs
 from sqwa.nn import OptimizerState, dense, evaluate, init_weights, relu
-from sqwa.qat import ShadowModel, finetune, fit, qat_train_step, retrain
+from sqwa.qat import ShadowModel, _StepWorkspace, finetune, fit, qat_train_step, retrain
 from sqwa.quantizer import QuantizerConfig, quantize_tensor
 from sqwa.schedule import CyclicalSchedule
 
@@ -39,23 +39,23 @@ def test_from_network_respects_given_steps():
 def test_step_preserves_invariant():
     rng = np.random.default_rng(41)
     model = _small_model()
-    opt = OptimizerState.for_network(model.shadow, momentum=0.9)
+    ws = _StepWorkspace(model, OptimizerState.for_network(model.shadow, momentum=0.9))
     for _ in range(10):
         x = rng.normal(size=(16, 4))
         y = rng.integers(0, 3, size=16)
-        qat_train_step(model, x, y, lr=0.05, opt=opt)
+        qat_train_step(ws, x, np.eye(3)[y], lr=0.05)
         _assert_invariant(model)
 
 
 def test_tiny_lr_moves_shadow_not_applied():
     rng = np.random.default_rng(42)
     model = _small_model()
-    opt = OptimizerState.for_network(model.shadow, momentum=0.0)
+    ws = _StepWorkspace(model, OptimizerState.for_network(model.shadow, momentum=0.0))
     shadow_before = [w.copy() for w in model.shadow.weights if w is not None]
     applied_before = [w.copy() for w in model.applied.weights if w is not None]
     x = rng.normal(size=(8, 4))
     y = rng.integers(0, 3, size=8)
-    qat_train_step(model, x, y, lr=1e-9, opt=opt)
+    qat_train_step(ws, x, np.eye(3)[y], lr=1e-9)
     shadow_after = [w for w in model.shadow.weights if w is not None]
     applied_after = [w for w in model.applied.weights if w is not None]
     assert any(not np.array_equal(b, a) for b, a in zip(shadow_before, shadow_after))
@@ -66,12 +66,12 @@ def test_tiny_lr_moves_shadow_not_applied():
 def test_large_lr_flips_applied_levels():
     rng = np.random.default_rng(43)
     model = _small_model()
-    opt = OptimizerState.for_network(model.shadow, momentum=0.9)
+    ws = _StepWorkspace(model, OptimizerState.for_network(model.shadow, momentum=0.9))
     applied_before = [w.copy() for w in model.applied.weights if w is not None]
     for _ in range(20):
         x = rng.normal(size=(16, 4))
         y = rng.integers(0, 3, size=16)
-        qat_train_step(model, x, y, lr=0.5, opt=opt)
+        qat_train_step(ws, x, np.eye(3)[y], lr=0.5)
     applied_after = [w for w in model.applied.weights if w is not None]
     assert any(not np.array_equal(b, a) for b, a in zip(applied_before, applied_after))
 
@@ -79,10 +79,10 @@ def test_large_lr_flips_applied_levels():
 def test_biases_follow_shadow_exactly():
     rng = np.random.default_rng(44)
     model = _small_model()
-    opt = OptimizerState.for_network(model.shadow, momentum=0.9)
+    ws = _StepWorkspace(model, OptimizerState.for_network(model.shadow, momentum=0.9))
     x = rng.normal(size=(8, 4))
     y = rng.integers(0, 3, size=8)
-    qat_train_step(model, x, y, lr=0.1, opt=opt)
+    qat_train_step(ws, x, np.eye(3)[y], lr=0.1)
     for i in model.shadow.param_layers():
         np.testing.assert_array_equal(model.applied.biases[i], model.shadow.biases[i])
         assert model.applied.biases[i] is not model.shadow.biases[i]
@@ -195,7 +195,7 @@ def test_fit_rejects_more_classes_than_outputs():
 
 def test_fit_without_quantizer_is_plain_sgd():
     from sqwa.data import shuffle_batches
-    from sqwa.nn import forward, loss_and_backward, sgd_momentum_step
+    from sqwa.nn import Gradients, forward, loss_and_backward, sgd_momentum_step
     data = synthetic_blobs(3, 20, 4, 0.4, seed=60)
     net = init_weights([dense(4, 8), relu(), dense(8, 3)], (4,), seed=60)
     ref = net.copy()
@@ -203,7 +203,7 @@ def test_fit_without_quantizer_is_plain_sgd():
     for epoch, lr in enumerate([0.1, 0.05]):
         for xb, yb in shuffle_batches(data, 16, 60, epoch):
             logits, cache = forward(ref, xb)
-            _, grads = loss_and_backward(ref, cache, logits, yb)
+            grads = loss_and_backward(ref, cache, logits, np.eye(3)[yb], Gradients.like(ref))
             sgd_momentum_step(ref, grads, opt, lr)
     assert fit(net, data, [0.1, 0.05], 60, batch_size=16, l2_scale=1e-3) is net
     assert np.array_equal(net.flat, ref.flat)
@@ -212,15 +212,17 @@ def test_fit_without_quantizer_is_plain_sgd():
 # --- the training loop's step workspace ----------------------------------------
 
 def _reference_fit(model, data, lrs, seed, batch_size):
-    # fit of a ShadowModel spelled out with the public per-call functions: a
-    # fresh gradient buffer and a label check on every step
+    # fit of a ShadowModel spelled out with the public kernels: a fresh
+    # gradient buffer and fresh one-hot targets on every step
     from sqwa.data import shuffle_batches
-    from sqwa.nn import forward, loss_and_backward, sgd_momentum_step
+    from sqwa.nn import Gradients, forward, loss_and_backward, sgd_momentum_step
     opt = OptimizerState.for_network(model.shadow, momentum=0.9)
     for epoch, lr in enumerate(lrs):
         for xb, yb in shuffle_batches(data, batch_size, seed, epoch):
             logits, cache = forward(model.applied, xb)
-            _, grads = loss_and_backward(model.applied, cache, logits, yb)
+            targets = np.eye(model.applied.num_classes)[yb]
+            grads = loss_and_backward(model.applied, cache, logits, targets,
+                                      Gradients.like(model.applied))
             sgd_momentum_step(model.shadow, grads, opt, lr)
             model.refresh_applied()
     return model
@@ -257,10 +259,9 @@ def test_fit_equals_the_per_call_reference_loop(case):
 
 
 def _first_step_error(model, data):
-    # the error a per-call training step raises on the dataset as one batch
-    opt = OptimizerState.for_network(model.shadow, momentum=0.9)
+    # the error evaluate, which checks the same inputs, raises on the dataset
     with pytest.raises(ValueError) as info:
-        qat_train_step(model.copy(), data.images, data.labels, 0.1, opt)
+        evaluate(model.applied, data)
     return str(info.value)
 
 
@@ -284,18 +285,25 @@ def test_fit_checks_the_dataset_once_before_the_first_step(monkeypatch, wrong):
     assert epochs == [] and np.array_equal(model.shadow.flat, before)
 
 
-def test_qat_train_step_checks_labels_on_every_call():
-    rng = np.random.default_rng(66)
+@pytest.mark.parametrize("quantized", [True, False], ids=["shadow", "plain"])
+def test_fit_runs_each_sgd_step_through_the_public_step_and_kernel(monkeypatch, quantized):
+    # The benchmark's tracer replaces these module globals with wrappers;
+    # each SGD step must reach them once, so the wrappers see every step.
+    import sqwa.qat as qat_mod
+    calls = {"qat_train_step": 0, "loss_and_backward": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qat_mod, name, counted(name, getattr(qat_mod, name)))
+    data = synthetic_blobs(3, 20, 4, 0.4, seed=66)      # 60 samples: 4 batches of 16
     model = _small_model(seed=66)
-    opt = OptimizerState.for_network(model.shadow, momentum=0.9)
-    x = rng.normal(size=(8, 4))
-    qat_train_step(model, x, rng.integers(0, 3, size=8), 0.1, opt)
-    before = model.shadow.flat.copy(), opt.flat.copy()
-    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\), got range \[0, 3\]"):
-        qat_train_step(model, x, np.array([0, 1, 2, 3, 0, 1, 2, 0]), 0.1, opt)
-    with pytest.raises(ValueError, match=r"labels: expected shape \(8,\), got \(7,\)"):
-        qat_train_step(model, x, np.zeros(7, dtype=int), 0.1, opt)
-    assert np.array_equal(model.shadow.flat, before[0]) and np.array_equal(opt.flat, before[1])
+    fit(model if quantized else model.shadow, data, [0.1, 0.05, 0.02], 66, batch_size=16)
+    assert calls == {"qat_train_step": 12, "loss_and_backward": 12}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

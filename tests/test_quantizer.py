@@ -5,7 +5,6 @@ from sqwa.quantizer import (
     QuantizerConfig,
     direct_quantize_model,
     levels_count,
-    quantization_error,
     quantize_network,
     quantize_tensor,
     select_step_size,
@@ -98,7 +97,7 @@ def test_error_bound_inside_range():
 def test_quantization_error_is_signed_residual():
     cfg = QuantizerConfig(bits=2, step=0.5)
     w = np.array([0.7, -0.1])
-    err = quantization_error(w, cfg)
+    err = quantize_tensor(w, cfg) - w
     np.testing.assert_allclose(err, [0.5 - 0.7, 0.1])
 
 
@@ -111,12 +110,12 @@ def test_select_step_matches_dense_sweep():
     hi = 2.0 * np.abs(w).max() / (levels_count(bits) - 1)
     candidates = np.linspace(hi / 20000, hi, 20000)
     errs = [
-        (quantization_error(w, QuantizerConfig(bits=bits, step=s)) ** 2).mean()
+        ((quantize_tensor(w, QuantizerConfig(bits=bits, step=s)) - w) ** 2).mean()
         for s in candidates
     ]
     best = candidates[int(np.argmin(errs))]
     assert abs(found - best) / best < 0.02
-    found_err = (quantization_error(w, QuantizerConfig(bits=bits, step=found)) ** 2).mean()
+    found_err = ((quantize_tensor(w, QuantizerConfig(bits=bits, step=found)) - w) ** 2).mean()
     assert found_err <= min(errs) + 1e-12
 
 
