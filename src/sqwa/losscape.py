@@ -6,9 +6,11 @@ normalized to an orthonormal basis (u_hat, v_hat). A grid point (x, y)
 maps to the parameter vector w1 + x * u_hat + y * v_hat.
 
 In quantized mode the plane is built from full-precision shadow vectors
-and every grid point is pushed through the frozen per-layer quantizer
-before evaluation, which makes the surface piecewise constant: it only
-changes where a weight crosses a grid midpoint.
+and every grid point's weights are pushed through the frozen per-layer
+quantizer before evaluation, so the weights change only where one crosses
+a grid midpoint. The biases are interpolated along the plane and never
+quantized, so the loss still varies between those crossings: the surface
+is not piecewise constant.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ _DEGENERATE_RTOL = 1e-10
 
 # Fewest point-samples (grid points times dataset samples) a row block must
 # hold before the surface starts worker processes: on a 2-core machine a
-# spawned worker takes about 0.25 s to start, the time a block of about
-# 500,000 point-samples takes to evaluate. The 41x41 grid over 5,000
-# samples still splits in two.
+# spawned worker takes about 0.25 s to start (a forked one far less), the
+# time a block of about 500,000 point-samples takes to evaluate. The 41x41
+# grid over 5,000 samples still splits in two.
 _MIN_BLOCK_SAMPLES = 1_000_000
 
 
@@ -173,6 +175,16 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _runs_one_thread() -> bool:
+    # True when this process runs exactly one OS thread, counted where Linux
+    # lists them; False where the count cannot be read. A BLAS library's own
+    # threads count too, which threading.active_count() would miss.
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
 def _surface_rows(xs: np.ndarray, ys: np.ndarray, plane: LossPlane, template: Network,
                   dataset, mode: str, bits: int | None, steps: list[float] | None,
                   batch_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,20 +204,25 @@ def _surface_rows(xs: np.ndarray, ys: np.ndarray, plane: LossPlane, template: Ne
 
 def _surface_rows_in_workers(blocks: list[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
     # _surface_rows of the first block in this process, of the others in a
-    # pool of spawned workers, in block order
+    # pool of workers, in block order. A process that runs one thread forks
+    # its workers: no other thread can hold a lock across the fork, and the
+    # executor forks every worker on the first submit, before it starts its
+    # own manager thread. Any other process spawns them, which is slower to
+    # start (a fresh interpreter imports numpy and sqwa) but safe.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
+    method = "fork" if _runs_one_thread() else "spawn"
     try:
         with ProcessPoolExecutor(len(blocks) - 1,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+                                 mp_context=multiprocessing.get_context(method)) as pool:
             pending = [pool.submit(_surface_rows, *block) for block in blocks[1:]]
             return [_surface_rows(*blocks[0]), *(f.result() for f in pending)]
     except BrokenProcessPool as exc:
-        raise BrokenProcessPool(
-            f"a loss-surface worker process died ({exc}) The usual cause: spawned "
-            "workers re-run the main script, so a script that calls evaluate_surface "
-            "must keep its top-level code under `if __name__ == \"__main__\":`") from exc
+        hint = ("" if method == "fork" else " The usual cause: spawned workers re-run "
+                "the main script, so a script that calls evaluate_surface must keep its "
+                "top-level code under `if __name__ == \"__main__\":`")
+        raise BrokenProcessPool(f"a loss-surface worker process died ({exc}){hint}") from exc
 
 
 def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
@@ -254,10 +271,9 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
 
     # Contiguous row blocks, the first for this process and one for each
     # worker, with no more blocks than hold _MIN_BLOCK_SAMPLES each. Workers
-    # are spawned, not forked, because forking a process that runs threads
-    # is unsafe; they get their inputs as pickled arguments. An executor,
-    # unlike multiprocessing.Pool, raises when a worker dies instead of
-    # waiting for its result forever.
+    # get their inputs as pickled arguments, however they were started. An
+    # executor, unlike multiprocessing.Pool, raises when a worker dies
+    # instead of waiting for its result forever.
     samples = rx * ry * len(dataset.labels)
     cores = max(1, min(_usable_cores(), rx, samples // _MIN_BLOCK_SAMPLES))
     blocks = [(block, ys, plane, template, dataset, mode, bits, steps, batch_size)

@@ -308,19 +308,24 @@ def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return _forward(net, x, cache), cache
 
 
-def _forward(net: Network, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+def _forward(net: Network, x: np.ndarray, cache: list | None = None,
+             biases: list | None = None) -> np.ndarray:
     # forward's kernel, for a float64 batch already checked against
     # net.input_shape; appends each layer's input to `cache` if given one.
+    # `biases` stands in for net.biases: evaluate passes each dense bias
+    # repeated over the batch's rows, so that its add is contiguous.
     # Every 4-D activation is held batch-innermost, as (C, H, W, N): an image
     # batch is transposed once on entry, and flatten turns it back into the
     # (N, C*H*W) rows that dense layers take, in the same C order.
+    if biases is None:
+        biases = net.biases
     if x.ndim == 4:
         x = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
     for i, spec in enumerate(net.specs):
         if cache is not None:
             cache.append(x)
         if spec.kind == "dense":
-            w, b = net.weights[i], net.biases[i]
+            w, b = net.weights[i], biases[i]
             if x.shape[1] != w.shape[1]:
                 raise ValueError(f"layer {i} (dense): input width {x.shape[1]} "
                                  f"does not match fan_in {w.shape[1]}")
@@ -348,14 +353,15 @@ def _forward(net: Network, x: np.ndarray, cache: list | None = None) -> np.ndarr
     return x
 
 
-def _batch_loss(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> float:
+def _batch_loss(logits: np.ndarray, at_labels: np.ndarray) -> float:
     # Mean of minus the stable log-softmax of each row at its label, bit for
-    # bit; `rows` is arange(N). The max, exact in any order, runs over a
-    # class-major copy; the class sum stays row-wise, as a column sum rounds
-    # differently.
+    # bit; `at_labels` holds each row's label entry as a flat index into the
+    # (N, classes) logits, row * classes + label. The max, exact in any
+    # order, runs over a class-major copy; the class sum stays row-wise, as
+    # a column sum rounds differently.
     m = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)
     z = logits - m[:, None]
-    picked = z[rows, labels] - np.log(np.add.reduce(np.exp(z), axis=1))
+    picked = z.take(at_labels) - np.log(np.add.reduce(np.exp(z), axis=1))
     return float(-np.add.reduce(picked) / logits.shape[0])
 
 
@@ -454,20 +460,34 @@ def evaluate(net: Network, dataset, batch_size: int = 256) -> tuple[float, float
     each equals what forward and a full log-softmax give for that batch. The
     images and labels are checked once per call, not per batch, and the
     forward passes keep no cache, so each layer's input is freed once its
-    output exists.
+    output exists. What every batch shares is built once per call: each
+    dense bias repeated over a batch's rows, and each sample's label entry
+    as a flat index into its batch's logits.
     """
     images = np.asarray(dataset.images)
     n = images.shape[0]
     if n == 0:
         raise ValueError("evaluate: dataset is empty")
-    labels = _check_labels(dataset.labels, n, net.num_classes)
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    classes = net.num_classes
+    labels = _check_labels(dataset.labels, n, classes)
     _check_input(net, images)
-    rows = np.arange(min(batch_size, n))
+
+    def repeated(count):  # net.biases, each dense bias repeated over `count` rows
+        return [b[None].repeat(count, axis=0) if spec.kind == "dense" and b is not None else b
+                for spec, b in zip(net.specs, net.biases)]
+
+    rows = min(batch_size, n)
+    full = repeated(rows)
+    at_labels = np.arange(n) % batch_size * classes + labels
     loss_sum = 0.0
     correct = 0
     for start in range(0, n, batch_size):
         yb = labels[start:start + batch_size]
-        logits = _forward(net, np.asarray(images[start:start + batch_size], dtype=np.float64))
-        loss_sum += _batch_loss(logits, yb, rows[:yb.shape[0]]) * yb.shape[0]
-        correct += int((logits.argmax(axis=1) == yb).sum())
+        nb = yb.shape[0]
+        logits = _forward(net, np.asarray(images[start:start + batch_size], dtype=np.float64),
+                          None, full if nb == rows else repeated(nb))
+        loss_sum += _batch_loss(logits, at_labels[start:start + nb]) * nb
+        correct += int(np.count_nonzero(logits.argmax(axis=1) == yb))
     return loss_sum / n, correct / n

@@ -216,12 +216,37 @@ def _force_cores(monkeypatch, cores):
     monkeypatch.setattr(losscape, "_MIN_BLOCK_SAMPLES", 1)
 
 
+def _force_start(monkeypatch, method):
+    # The thread probe reads as `method` needs; returns the start methods
+    # the surface then asks multiprocessing for, in call order.
+    monkeypatch.setattr(losscape, "_runs_one_thread", lambda: method == "fork")
+    return _record_start_methods(monkeypatch)
+
+
+def _record_start_methods(monkeypatch):
+    methods = []
+    real_get_context = multiprocessing.get_context
+
+    def get_context(method=None):
+        methods.append(method)
+        return real_get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return methods
+
+
+def _same_grid(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("xs", "ys", "loss", "accuracy"))
+
+
 @pytest.mark.parametrize("mode, quant", [("full_precision", {}),
                                          ("quantized", {"bits": 2, "steps": [0.15, 0.25]})])
 @pytest.mark.parametrize("resolution", [(7, 4), (2, 5)])
 def test_surface_is_identical_for_every_core_count(monkeypatch, mode, quant, resolution):
     # 7 rows do not split evenly over 2 or 3 cores; 2 rows are fewer than 3.
     # The x range holds one anchor only, so that 2 rows can include it.
+    # Forked and spawned workers both give the in-process grid.
     plane, template, data = _surface_inputs()
     calls = []
     real_evaluate = losscape.evaluate
@@ -232,18 +257,56 @@ def test_surface_is_identical_for_every_core_count(monkeypatch, mode, quant, res
 
     monkeypatch.setattr(losscape, "evaluate", counted)
     grids = {}
-    for cores in (1, 2, 3):
+    for cores, method in [(1, None), (2, "fork"), (2, "spawn"), (3, "fork"), (3, "spawn")]:
         _force_cores(monkeypatch, cores)
+        methods = _force_start(monkeypatch, method)
         calls.clear()
-        grids[cores] = evaluate_surface(plane, template, data, resolution=resolution,
-                                        x_range=(-0.5, 1.0), y_range=(-1.0, 1.0),
-                                        mode=mode, **quant)
+        grids[cores, method] = evaluate_surface(plane, template, data, resolution=resolution,
+                                                x_range=(-0.5, 1.0), y_range=(-1.0, 1.0),
+                                                mode=mode, **quant)
         # this process evaluated only its own block, the first of the split
         first_block = -(-resolution[0] // min(cores, resolution[0]))
         assert calls == [os.getpid()] * first_block * resolution[1]
-    for cores in (2, 3):
-        for field in ("xs", "ys", "loss", "accuracy"):
-            assert np.array_equal(getattr(grids[cores], field), getattr(grids[1], field))
+        assert methods == ([] if first_block == resolution[0] else [method])
+    for key in grids:
+        assert _same_grid(grids[key], grids[1, None])
+
+
+def test_the_thread_probe_decides_the_start_method(monkeypatch):
+    # A second live thread makes the probe read False and the surface spawn.
+    plane, template, data = _surface_inputs()
+    expected = evaluate_surface(plane, template, data, resolution=4)
+    _force_cores(monkeypatch, 2)
+    methods = _record_start_methods(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,), daemon=True)
+    thread.start()
+    try:
+        assert not losscape._runs_one_thread()
+        grid = evaluate_surface(plane, template, data, resolution=4)
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert methods == ["spawn"] and _same_grid(grid, expected)
+
+
+def _env_with_src():
+    src = os.path.dirname(os.path.dirname(losscape.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread listing")
+def test_the_thread_probe_reads_one_thread_with_blas_pinned_to_one():
+    # the process the benchmark runs a surface in: numpy and sqwa imported,
+    # BLAS limited to the calling thread
+    env = {**_env_with_src(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", "import sqwa.losscape as l; "
+                           "print(l._runs_one_thread())"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.strip() == "True", proc.stderr
 
 
 def _surface_in_a_daemon(plane, template, data):
@@ -307,20 +370,24 @@ def test_an_error_raised_in_a_worker_reaches_the_caller(monkeypatch):
 def test_a_worker_that_dies_makes_the_surface_raise(monkeypatch):
     plane, template, data = _surface_inputs()
     _force_cores(monkeypatch, 2)
-    raised = []
+    for method in ("fork", "spawn"):
+        _force_start(monkeypatch, method)
+        raised = []
 
-    def run():
-        try:
-            evaluate_surface(plane, template, _UnreadableInWorkers(data, die=True),
-                             resolution=4)
-        except Exception as exc:  # handed to the test thread below
-            raised.append(exc)
+        def run():
+            try:
+                evaluate_surface(plane, template, _UnreadableInWorkers(data, die=True),
+                                 resolution=4)
+            except Exception as exc:  # handed to the test thread below
+                raised.append(exc)
 
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive(), "the surface waited for a dead worker"
-    assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool)
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "the surface waited for a dead worker"
+        assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool)
+        # only a spawned worker re-runs the main script
+        assert ('if __name__ == "__main__":' in str(raised[0])) == (method == "spawn")
 
 
 def test_a_small_surface_starts_no_pool(monkeypatch):
@@ -359,11 +426,11 @@ def test_rows_go_to_workers_only_in_blocks_worth_a_worker(monkeypatch, resolutio
     assert split == ([blocks] if blocks > 1 else [])
 
 
-def test_a_script_without_a_main_guard_is_told_to_add_one(tmp_path):
-    # The spawned worker re-runs the script, calls evaluate_surface while
-    # it is still starting up, and dies.
+def _run_unguarded_script(tmp_path, one_thread):
+    # a surface split in two, from a script with no main guard, its workers
+    # forked or spawned as `one_thread` makes the thread probe read
     script = tmp_path / "unguarded.py"
-    script.write_text(textwrap.dedent("""
+    script.write_text(textwrap.dedent(f"""
         from sqwa import losscape
         from sqwa.data import synthetic_blobs
         from sqwa.losscape import build_plane, evaluate_surface, params_to_vector
@@ -371,19 +438,34 @@ def test_a_script_without_a_main_guard_is_told_to_add_one(tmp_path):
 
         losscape._usable_cores = lambda: 2
         losscape._MIN_BLOCK_SAMPLES = 1
+        losscape._runs_one_thread = lambda: {one_thread}
         nets = [init_weights([dense(3, 6), relu(), dense(6, 2)], (3,), seed=s)
                 for s in (95, 96, 97)]
         plane = build_plane(*[params_to_vector(n) for n in nets])
-        evaluate_surface(plane, nets[0], synthetic_blobs(2, 6, 3, 0.5, seed=95),
-                         resolution=4)
+        grid = evaluate_surface(plane, nets[0], synthetic_blobs(2, 6, 3, 0.5, seed=95),
+                                resolution=4)
+        print(grid.loss.tolist(), grid.accuracy.tolist())
     """))
-    src = os.path.dirname(os.path.dirname(losscape.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=_env_with_src(), timeout=120)
+
+
+def test_a_script_without_a_main_guard_is_told_to_add_one(tmp_path):
+    # The spawned worker re-runs the script, calls evaluate_surface while
+    # it is still starting up, and dies.
+    proc = _run_unguarded_script(tmp_path, one_thread=False)
     last = proc.stderr.strip().splitlines()[-1]
     assert proc.returncode != 0
     assert last.startswith("concurrent.futures.process.BrokenProcessPool: "
                            "a loss-surface worker process died")
     assert 'if __name__ == "__main__":' in last
+
+
+def test_a_forked_surface_needs_no_main_guard(tmp_path):
+    # a forked worker starts from the caller's memory and runs no script
+    proc = _run_unguarded_script(tmp_path, one_thread=True)
+    assert proc.returncode == 0, proc.stderr
+    nets = [init_weights([dense(3, 6), relu(), dense(6, 2)], (3,), seed=s) for s in (95, 96, 97)]
+    grid = evaluate_surface(build_plane(*[params_to_vector(n) for n in nets]), nets[0],
+                            synthetic_blobs(2, 6, 3, 0.5, seed=95), resolution=4)
+    assert proc.stdout.strip() == f"{grid.loss.tolist()} {grid.accuracy.tolist()}"

@@ -405,6 +405,14 @@ def test_evaluate_rejects_out_of_range_labels():
         evaluate(net, data, batch_size=2)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_a_batch_size_below_one(batch_size):
+    net = init_weights([dense(3, 2)], (3,), seed=34)
+    data = Dataset(images=np.zeros((5, 3)), labels=np.zeros(5, dtype=np.int64), num_classes=2)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        evaluate(net, data, batch_size=batch_size)
+
+
 def test_evaluate_holds_at_most_one_column_matrix():
     # The benchmark's CNN at evaluate's batch of 256: the second conv's
     # column matrix, 100 x (8*8*256) doubles (12.5 MiB), is the largest
@@ -441,18 +449,21 @@ def _reference_evaluate(net, data, batch_size):
 
 EVAL_NETS = {
     "dense": ([dense(6, 9), relu(), dense(9, 5)], (6,)),
+    "dense-bias-free-hidden": ([dense(6, 9, has_bias=False), relu(), dense(9, 5)], (6,)),
     "conv-flatten-dense": ([conv2d(2, 3, 3), relu(), flatten(), dense(48, 5)], (2, 6, 6)),
     "flatten-first": ([flatten(), dense(18, 7), relu(), dense(7, 5)], (2, 3, 3)),
 }
 
 
-@pytest.mark.parametrize("batch_size", [7, 30, 64], ids=["short-last", "one-batch", "beyond-n"])
+@pytest.mark.parametrize("batch_size", [7, 29, 30, 64],
+                         ids=["short-last", "single-row-last", "one-batch", "beyond-n"])
 @pytest.mark.parametrize("name", sorted(EVAL_NETS))
 def test_evaluate_equals_the_per_batch_reference(name, batch_size):
     specs, shape = EVAL_NETS[name]
     net = init_weights(specs, shape, seed=39)
     for i in net.param_layers():
-        net.biases[i] = np.linspace(-0.5, 0.5, net.biases[i].size)
+        if net.biases[i] is not None:
+            net.biases[i] = np.linspace(-0.5, 0.5, net.biases[i].size)
     rng = np.random.default_rng(39)
     data = Dataset(images=rng.normal(size=(30, *shape)), labels=rng.integers(0, 5, size=30),
                    num_classes=5)
@@ -495,7 +506,7 @@ def test_batch_loss_equals_the_full_log_softmax_loss(c, n, seed, special, coarse
         z = logits - logits.max(axis=1, keepdims=True)
         z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
         expected = float(-z[np.arange(n), labels].sum() / n)
-        got = _batch_loss(logits, labels, np.arange(n))
+        got = _batch_loss(logits, np.arange(n) * c + labels)
     assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 

@@ -641,6 +641,48 @@ def test_config_torn_mid_write_does_not_block_later_runs(tmp_path, monkeypatch):
     assert not list(tmp_path.glob("config.json.tmp"))
 
 
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("target", [
+    "final_quantized/payload.bin",              # a checkpoint payload and
+    "final_quantized/manifest.json.tmp",        # manifest, the stage's last
+    "capture_bank/entry_001/payload.bin",       # a capture-bank entry's payload
+    "capture_bank/entry_001/manifest.json.tmp",  # and its manifest
+    "config.json.tmp",
+    "metrics.csv",
+    "summary.txt",
+])
+def test_a_failed_write_of_each_kind_reruns_to_the_files_of_an_uninterrupted_run(
+        tmp_path, monkeypatch, target):
+    # The write of `target` stops halfway with an OSError, once; rerunning
+    # the recipe must leave exactly the files a run without the fault left.
+    run_dir = tmp_path / "run"
+    run_sqwa(_small_cfg(run_dir))
+    expected = _files(run_dir)
+    shutil.rmtree(run_dir)
+    fired = []
+
+    def failing(write):
+        def write_once(self, data, *args, **kwargs):
+            if not fired and self == run_dir / target:
+                fired.append(self)
+                write(self, data[:len(data) // 2], *args, **kwargs)
+                raise OSError("no space left on device")
+            return write(self, data, *args, **kwargs)
+        return write_once
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Path, "write_bytes", failing(Path.write_bytes))
+        mp.setattr(Path, "write_text", failing(Path.write_text))
+        with pytest.raises((PipelineError, OSError), match="no space left on device"):
+            run_sqwa(_small_cfg(run_dir))
+    assert fired == [run_dir / target]
+    run_sqwa(_small_cfg(run_dir))
+    assert _files(run_dir) == expected
+
+
 # --- a dead or diverged model stops its stage ------------------------------------
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
