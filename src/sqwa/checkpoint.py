@@ -12,9 +12,10 @@ their scale kept at full precision in the manifest, so quantized values
 reload bit for bit. A tensor that is not finite as stored, such as a
 diverged float64 weight beyond float32 range, is refused: `save` and
 `round_trip` raise `CheckpointError`, and no manifest is written for it.
-The manifest is written last and renamed into
-place, so a directory holding `manifest.json` is complete. `round_trip`
-gives, in memory, the model a save and a reload would give.
+Saving a model removes the directory's old manifest before it writes the
+payload and renames the new one into place last, so a directory holding
+`manifest.json` is complete. `round_trip` gives, in memory, the model a
+save and a reload would give.
 
 Capture banks are directories of entry checkpoints plus an ordering
 manifest.
@@ -99,13 +100,18 @@ def _parts(obj):
     raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
 
 
-def write_json(path: Path, obj) -> None:
-    """Write `obj` as indented, key-sorted JSON to a sibling file, then
-    rename that over `path`, so a crash mid-write never leaves a torn file
-    (a torn manifest would mark its directory done)."""
+def write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a sibling file, then rename that over `path`, so a
+    crash mid-write never leaves a torn file (a torn manifest would mark its
+    directory done) and `path` keeps its previous content until then."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True))
+    tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def write_json(path: Path, obj) -> None:
+    """write_atomic of `obj` as indented, key-sorted JSON."""
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _encode(obj, provenance: dict | None = None) -> tuple[dict, bytes]:
@@ -158,7 +164,11 @@ def save(obj, path, provenance: dict | None = None) -> Path:
 
 
 def _write(path: Path, manifest: dict, payload: bytes) -> Path:
+    # An earlier manifest goes first: it must not vouch for a torn payload.
+    # Looked for, as unlink(missing_ok=True) raises and catches on every fresh save.
     path.mkdir(parents=True, exist_ok=True)
+    if (path / "manifest.json").is_file():
+        (path / "manifest.json").unlink()
     (path / "payload.bin").write_bytes(payload)
     write_json(path / "manifest.json", manifest)
     return path

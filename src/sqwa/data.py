@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import _check_labels
+from .nn import _check_batch_size, _check_labels
 
 __all__ = [
     "Dataset",
@@ -27,15 +27,12 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Images (N x features, or N x C x H x W), integer labels, and the
-    normalization that produced the images from raw values. Labels are
-    checked once, at construction, and stored as int64."""
+    """Images (N x features, or N x C x H x W) and integer labels. Labels
+    are checked once, at construction, and stored as int64."""
 
     images: np.ndarray
     labels: np.ndarray
     num_classes: int
-    mean: float = 0.0
-    scale: float = 1.0
 
     def __post_init__(self):
         self.labels = _check_labels(self.labels, self.images.shape[0], self.num_classes)
@@ -85,8 +82,7 @@ def load_idx(images_path, labels_path, *, normalize: bool = True,
     Args:
         images_path: IDX file with ndim >= 2 (samples first).
         labels_path: IDX file with ndim == 1.
-        normalize: shift/scale pixels to zero mean, unit scale (recorded on
-            the Dataset so raw values stay recoverable).
+        normalize: shift/scale pixels to zero mean, unit scale.
         layout: 'flat' reshapes each sample to a feature vector, 'chw'
             yields (N, 1, H, W) for conv networks.
     """
@@ -100,12 +96,10 @@ def load_idx(images_path, labels_path, *, normalize: bool = True,
         raise IdxFormatError(f"count mismatch: {images.shape[0]} images vs "
                              f"{labels.shape[0]} labels")
     x = images.astype(np.float64)
-    mean, scale = 0.0, 1.0
     if normalize:
         mean = float(x.mean())
         std = float(x.std())
-        scale = std if std > 0.0 else 1.0
-        x = (x - mean) / scale
+        x = (x - mean) / (std if std > 0.0 else 1.0)
     if layout == "flat":
         x = x.reshape(x.shape[0], -1)
     elif layout == "chw":
@@ -115,7 +109,7 @@ def load_idx(images_path, labels_path, *, normalize: bool = True,
     else:
         raise ValueError(f"unknown layout {layout!r}")
     labels = labels.astype(np.int64)
-    return Dataset(x, labels, int(labels.max()) + 1, mean, scale)
+    return Dataset(x, labels, int(labels.max()) + 1)
 
 
 def _check_blobs(num_classes: int, samples_per_class: int, dims: int, spread: float) -> None:
@@ -144,11 +138,6 @@ def synthetic_blobs(num_classes: int, samples_per_class: int, dims: int,
     noise = rng.standard_normal((labels.size, dims))
     images = centers[labels] + spread * noise
     return Dataset(images, labels.astype(np.int64), num_classes)
-
-
-def _check_batch_size(batch_size: int) -> None:
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
 
 
 def shuffle_batches(dataset: Dataset, batch_size: int, seed: int,

@@ -142,14 +142,16 @@ class SurfaceGrid:
     split: str
 
 
-def _axis_with_anchors(lo: float, hi: float, count: int, anchor_values) -> np.ndarray:
-    # Straight linspace, with the nearest points replaced by the anchor
-    # coordinates so anchors land exactly on the lattice.
-    axis = np.linspace(lo, hi, count)
+def _axis_with_anchors(anchor_values: np.ndarray, margin: float, count: int) -> np.ndarray:
+    # `count` points over the anchor coordinates' range, widened by a
+    # relative `margin` on each side: a straight linspace, with the nearest
+    # points replaced by the anchor coordinates so anchors land exactly on
+    # the lattice.
+    span = max(anchor_values.max() - anchor_values.min(), 1e-12)
+    axis = np.linspace(anchor_values.min() - margin * span,
+                       anchor_values.max() + margin * span, count)
     taken: dict[int, float] = {}
     for a in sorted({float(v) for v in anchor_values}):
-        if not (lo <= a <= hi):
-            continue
         order = np.argsort(np.abs(axis - a))
         for idx in order:
             if idx not in taken:
@@ -186,8 +188,8 @@ def _runs_one_thread() -> bool:
 
 
 def _surface_rows(xs: np.ndarray, ys: np.ndarray, plane: LossPlane, template: Network,
-                  dataset, mode: str, bits: int | None, steps: list[float] | None,
-                  batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+                  dataset, mode: str, bits: int | None,
+                  steps: list[float] | None) -> tuple[np.ndarray, np.ndarray]:
     # Loss and accuracy at every (x, y) of one block of rows
     net = vector_to_network(template, plane.origin)  # the one working copy
     loss = np.empty((len(xs), len(ys)))
@@ -198,7 +200,7 @@ def _surface_rows(xs: np.ndarray, ys: np.ndarray, plane: LossPlane, template: Ne
                 net.flat[:] = quantized_grid_point(plane, x, y, template, bits, steps)
             else:
                 net.flat[:] = grid_point(plane, x, y)
-            loss[i, j], acc[i, j] = evaluate(net, dataset, batch_size)
+            loss[i, j], acc[i, j] = evaluate(net, dataset)
     return loss, acc
 
 
@@ -226,14 +228,13 @@ def _surface_rows_in_workers(blocks: list[tuple]) -> list[tuple[np.ndarray, np.n
 
 
 def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
-                     resolution: int = 25, x_range: tuple[float, float] | None = None,
-                     y_range: tuple[float, float] | None = None, margin: float = 0.2,
+                     resolution: int = 25, margin: float = 0.2,
                      mode: str = "full_precision", bits: int | None = None,
                      steps: list[float] | None = None, dataset_id: str = "",
-                     split: str = "train", batch_size: int = 256) -> SurfaceGrid:
-    """Evaluate loss and accuracy over a grid of plane coordinates.
+                     split: str = "train") -> SurfaceGrid:
+    """Evaluate loss and accuracy over a square grid of plane coordinates.
 
-    Default ranges cover all three anchors with a relative `margin` on each
+    The ranges cover all three anchors with a relative `margin` on each
     side, and the grid axes are nudged so the anchor coordinates appear among
     the evaluated points. Grid points are independent, so the x rows are
     split into contiguous blocks, one per usable core: this process
@@ -244,7 +245,7 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
     count.
 
     Args:
-        resolution: points per axis (>= 2), or an (rx, ry) pair.
+        resolution: points per axis (>= 2).
         mode: 'full_precision' evaluates grid points as-is; 'quantized'
             pushes each point through quantized_grid_point first (requires
             bits and per-layer steps, e.g. a capture's frozen values).
@@ -253,30 +254,21 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "quantized" and (bits is None or steps is None):
         raise ValueError("quantized mode needs bits and per-layer steps")
-    rx, ry = resolution if isinstance(resolution, tuple) else (resolution, resolution)
-    if rx < 2 or ry < 2:
+    if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
     if margin < 0.0:
         raise ValueError("margin must be >= 0")
 
-    ax, ay = plane.anchors[:, 0], plane.anchors[:, 1]
-    if x_range is None:
-        span = max(ax.max() - ax.min(), 1e-12)
-        x_range = (ax.min() - margin * span, ax.max() + margin * span)
-    if y_range is None:
-        span = max(ay.max() - ay.min(), 1e-12)
-        y_range = (ay.min() - margin * span, ay.max() + margin * span)
-    xs = _axis_with_anchors(x_range[0], x_range[1], rx, ax)
-    ys = _axis_with_anchors(y_range[0], y_range[1], ry, ay)
+    xs, ys = (_axis_with_anchors(a, margin, resolution) for a in plane.anchors.T)
 
     # Contiguous row blocks, the first for this process and one for each
     # worker, with no more blocks than hold _MIN_BLOCK_SAMPLES each. Workers
     # get their inputs as pickled arguments, however they were started. An
     # executor, unlike multiprocessing.Pool, raises when a worker dies
     # instead of waiting for its result forever.
-    samples = rx * ry * len(dataset.labels)
-    cores = max(1, min(_usable_cores(), rx, samples // _MIN_BLOCK_SAMPLES))
-    blocks = [(block, ys, plane, template, dataset, mode, bits, steps, batch_size)
+    samples = resolution ** 2 * len(dataset.labels)
+    cores = max(1, min(_usable_cores(), resolution, samples // _MIN_BLOCK_SAMPLES))
+    blocks = [(block, ys, plane, template, dataset, mode, bits, steps)
               for block in np.array_split(xs, cores)]
     if cores == 1:
         parts = [_surface_rows(*blocks[0])]

@@ -199,23 +199,21 @@ class OptimizerState:
     """Classical momentum buffers plus the scalar hyperparameters.
 
     `l2_scale` is applied to weight tensors only; biases are updated with
-    plain momentum. The buffers are views into `flat`; `work` is scratch
+    plain momentum. `flat` holds the buffers, laid out like the network's
+    parameters (`Network.views_of` gives them per layer); `work` is scratch
     for the L2 term, one value per weight.
     """
 
     momentum: float
     l2_scale: float
     flat: np.ndarray
-    buffers_w: list[np.ndarray | None]
-    buffers_b: list[np.ndarray | None]
     work: np.ndarray
 
     @staticmethod
     def for_network(net: Network, momentum: float, l2_scale: float = 0.0) -> "OptimizerState":
         _check_optimizer(momentum, l2_scale)
         flat = np.zeros_like(net.flat)
-        return OptimizerState(momentum, l2_scale, flat, *net.views_of(flat),
-                              np.empty(net.weight_size))
+        return OptimizerState(momentum, l2_scale, flat, np.empty(net.weight_size))
 
 
 def _check_optimizer(momentum: float, l2_scale: float) -> None:
@@ -375,6 +373,11 @@ def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+
+
 def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     # float64 rows of 0.0 with 1.0 at each label: the targets loss_and_backward takes
     return np.eye(num_classes).take(labels, axis=0)
@@ -468,8 +471,7 @@ def evaluate(net: Network, dataset, batch_size: int = 256) -> tuple[float, float
     n = images.shape[0]
     if n == 0:
         raise ValueError("evaluate: dataset is empty")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    _check_batch_size(batch_size)
     classes = net.num_classes
     labels = _check_labels(dataset.labels, n, classes)
     _check_input(net, images)

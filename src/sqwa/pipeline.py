@@ -26,8 +26,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .averaging import AveragedModel, CaptureBank, average_models, requantize_averaged
-from .data import Dataset, _check_batch_size, _check_blobs, load_idx, synthetic_blobs
-from .nn import LayerSpec, Network, _check_optimizer, evaluate, forward, init_weights
+from .data import Dataset, _check_blobs, load_idx, synthetic_blobs
+from .nn import (LayerSpec, Network, _check_batch_size, _check_optimizer, evaluate, forward,
+                 init_weights)
 from .qat import ShadowModel, _check_finetune, finetune, fit, retrain
 from .quantizer import QuantizedModel, direct_quantize_model
 from .schedule import CyclicalSchedule, StepDecaySchedule, derive_cycle_bounds, lr_at
@@ -288,16 +289,14 @@ def _stage_quantize(cfg: RunConfig, train: Dataset, test: Dataset, net: Network)
 
 def _stage_retrain(cfg: RunConfig, train: Dataset, test: Dataset, net: Network,
                    qm: QuantizedModel) -> dict:
-    model = ShadowModel.from_network(net, cfg.bits, qm.steps)
-
-    def _score_capture(entry, lr):
+    sched = _cyclical_schedule(cfg)
+    _, bank = retrain(ShadowModel.from_network(net, cfg.bits, qm.steps), train, sched,
+                      cfg.seed + 1, batch_size=cfg.pretrain.batch_size,
+                      momentum=cfg.pretrain.momentum)
+    for entry in bank.entries:
         entry.metrics.update(_score(entry.model, train=train, test=test))
         log.info("retrain-cyclical: epoch %d, lr %.2g, test accuracy %.4f",
-                 entry.epoch, lr, entry.metrics["test_accuracy"])
-
-    _, bank = retrain(model, train, _cyclical_schedule(cfg), cfg.cyclical.epochs, cfg.seed + 1,
-                      batch_size=cfg.pretrain.batch_size, momentum=cfg.pretrain.momentum,
-                      on_capture=_score_capture)
+                 entry.epoch, lr_at(sched, entry.epoch), entry.metrics["test_accuracy"])
     log.info("retrain-cyclical: %d captures banked", len(bank))
     return {"capture_bank": (bank, {})}
 
@@ -431,7 +430,7 @@ def run_stages(cfg: RunConfig, last_stage: str) -> dict:
             if name == "report":
                 result["report"], files = out
                 for artifact, text in files.items():
-                    paths[artifact].write_text(text)
+                    ckpt.write_atomic(paths[artifact], text)
             else:
                 for artifact, (obj, provenance) in out.items():
                     ckpt.save(obj, paths[artifact], provenance={"stage": name, **provenance})

@@ -68,9 +68,6 @@ class ShadowModel:
         """Deep-copied snapshot of the applied model."""
         return QuantizedModel(self.applied.copy(), self.bits, list(self.steps))
 
-    def copy(self) -> "ShadowModel":
-        return ShadowModel(self.shadow.copy(), self.applied.copy(), self.bits, list(self.steps))
-
 
 class _StepWorkspace:
     """What the steps of one training loop share: the model, the momentum
@@ -154,29 +151,24 @@ def _check_alive(net: Network, epoch: int) -> None:
                              "training left the layer dead")
 
 
-def retrain(model: ShadowModel, dataset: Dataset, schedule: CyclicalSchedule,
-            epochs: int, seed: int, *, batch_size: int = 32, momentum: float = 0.9,
-            on_capture=None) -> tuple[ShadowModel, CaptureBank]:
-    """Cyclical-rate retraining with a capture at the end of every period.
+def retrain(model: ShadowModel, dataset: Dataset, schedule: CyclicalSchedule, seed: int, *,
+            batch_size: int = 32, momentum: float = 0.9) -> tuple[ShadowModel, CaptureBank]:
+    """Cyclical-rate retraining for the schedule's `total_epochs`, with a
+    capture at the end of every complete period.
 
     No L2 penalty is applied: it fights the clipping built into the
     quantizer. Captures hold a deep copy of the applied model, the shadow
     behind it, and an empty `metrics` dict: retraining scores nothing.
-    `on_capture(entry, lr)` is called after every capture and may fill it.
     """
-    if not (1 <= epochs <= schedule.total_epochs):
-        raise ValueError(f"epochs must be in [1, {schedule.total_epochs}], got {epochs}")
     capture_at = set(capture_epochs(schedule))
     bank = CaptureBank(model.bits, list(model.steps))
 
     def capture(epoch, lr):
         if epoch in capture_at:
             bank.add(CaptureEntry(epoch, model.as_quantized(), model.shadow.copy(), {}))
-            if on_capture is not None:
-                on_capture(bank.entries[-1], lr)
 
-    fit(model, dataset, [lr_at(schedule, epoch) for epoch in range(epochs)], seed,
-        batch_size=batch_size, momentum=momentum, after_epoch=capture)
+    fit(model, dataset, [lr_at(schedule, epoch) for epoch in range(schedule.total_epochs)],
+        seed, batch_size=batch_size, momentum=momentum, after_epoch=capture)
     return model, bank
 
 

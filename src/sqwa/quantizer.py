@@ -56,10 +56,6 @@ class QuantizerConfig:
         if not (self.step > 0.0 and np.isfinite(self.step)):
             raise ValueError(f"step must be a positive finite real, got {self.step!r}")
 
-    @property
-    def levels(self) -> int:
-        return levels_count(self.bits)
-
 
 def _quantize(w: np.ndarray, step, bits: int, out: np.ndarray | None = None,
               work: np.ndarray | None = None) -> np.ndarray:

@@ -103,7 +103,7 @@ def test_criterion_01_quantizer_algebra():
         bits = int(rng.integers(1, 9))
         step = float(rng.uniform(0.01, 2.0))
         cfg = QuantizerConfig(bits, step)
-        half = (cfg.levels - 1) // 2
+        half = (levels_count(cfg.bits) - 1) // 2
 
         w = rng.normal(scale=2.0, size=per_config)
         w = w[w != 0.0]

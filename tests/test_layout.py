@@ -174,12 +174,13 @@ def test_flat_sgd_equals_per_layer_formula(l2):
         lr = 0.05 * (step + 1)
         _old_per_layer_sgd(weights, biases, grads, bufs_w, bufs_b, 0.9, l2, lr)
         sgd_momentum_step(net, grads, state, lr)
+        state_w, state_b = net.views_of(state.flat)
         for i in net.param_layers():
             assert np.array_equal(net.weights[i], weights[i])
-            assert np.array_equal(state.buffers_w[i], bufs_w[i])
+            assert np.array_equal(state_w[i], bufs_w[i])
             if biases[i] is not None:
                 assert np.array_equal(net.biases[i], biases[i])
-                assert np.array_equal(state.buffers_b[i], bufs_b[i])
+                assert np.array_equal(state_b[i], bufs_b[i])
 
 
 def test_biases_get_no_l2_term():

@@ -161,16 +161,6 @@ def test_quantized_mode_rejects_a_step_list_of_the_wrong_length(count):
                          steps=steps)
 
 
-def test_surface_explicit_ranges_and_rectangular_resolution():
-    nets = [_net(s) for s in (92, 93, 94)]
-    plane = build_plane(*[params_to_vector(n) for n in nets])
-    data = synthetic_blobs(2, 6, 3, 0.5, seed=92)
-    grid = evaluate_surface(plane, nets[0], data, resolution=(4, 6),
-                            x_range=(-1.0, 2.0), y_range=(-0.5, 0.5))
-    assert grid.loss.shape == (4, 6)
-    assert grid.xs.min() >= -1.0 and grid.xs.max() <= 2.0
-
-
 def test_export_load_round_trip(tmp_path):
     nets = [_net(s) for s in (95, 96, 97)]
     plane = build_plane(*[params_to_vector(n) for n in nets])
@@ -242,11 +232,11 @@ def _same_grid(a, b):
 
 @pytest.mark.parametrize("mode, quant", [("full_precision", {}),
                                          ("quantized", {"bits": 2, "steps": [0.15, 0.25]})])
-@pytest.mark.parametrize("resolution", [(7, 4), (2, 5)])
+@pytest.mark.parametrize("resolution", [7, 3], ids=["resolution0", "resolution1"])
 def test_surface_is_identical_for_every_core_count(monkeypatch, mode, quant, resolution):
-    # 7 rows do not split evenly over 2 or 3 cores; 2 rows are fewer than 3.
-    # The x range holds one anchor only, so that 2 rows can include it.
-    # Forked and spawned workers both give the in-process grid.
+    # 7 rows do not split evenly over 2 or 4 cores; 3 rows are fewer than 4,
+    # and still hold the three x anchors of the default range. Forked and
+    # spawned workers both give the in-process grid.
     plane, template, data = _surface_inputs()
     calls = []
     real_evaluate = losscape.evaluate
@@ -257,17 +247,16 @@ def test_surface_is_identical_for_every_core_count(monkeypatch, mode, quant, res
 
     monkeypatch.setattr(losscape, "evaluate", counted)
     grids = {}
-    for cores, method in [(1, None), (2, "fork"), (2, "spawn"), (3, "fork"), (3, "spawn")]:
+    for cores, method in [(1, None), (2, "fork"), (2, "spawn"), (4, "fork"), (4, "spawn")]:
         _force_cores(monkeypatch, cores)
         methods = _force_start(monkeypatch, method)
         calls.clear()
         grids[cores, method] = evaluate_surface(plane, template, data, resolution=resolution,
-                                                x_range=(-0.5, 1.0), y_range=(-1.0, 1.0),
                                                 mode=mode, **quant)
         # this process evaluated only its own block, the first of the split
-        first_block = -(-resolution[0] // min(cores, resolution[0]))
-        assert calls == [os.getpid()] * first_block * resolution[1]
-        assert methods == ([] if first_block == resolution[0] else [method])
+        first_block = -(-resolution // min(cores, resolution))
+        assert calls == [os.getpid()] * first_block * resolution
+        assert methods == ([] if first_block == resolution else [method])
     for key in grids:
         assert _same_grid(grids[key], grids[1, None])
 

@@ -312,7 +312,8 @@ def test_momentum_update_sequence():
         sgd_momentum_step(net, grads, state, lr=0.1)
         seen.append(net.weights[0][0, 0])
     np.testing.assert_allclose(seen, [-0.1, -0.29, -0.561], atol=1e-12)
-    assert state.buffers_w[0][0, 0] == pytest.approx(2.71, abs=1e-12)
+    buffers_w, _ = net.views_of(state.flat)
+    assert buffers_w[0][0, 0] == pytest.approx(2.71, abs=1e-12)
 
 
 def test_l2_applies_to_weights_not_biases():

@@ -651,8 +651,8 @@ def _files(root):
     "capture_bank/entry_001/payload.bin",       # a capture-bank entry's payload
     "capture_bank/entry_001/manifest.json.tmp",  # and its manifest
     "config.json.tmp",
-    "metrics.csv",
-    "summary.txt",
+    "metrics.csv.tmp",
+    "summary.txt.tmp",
 ])
 def test_a_failed_write_of_each_kind_reruns_to_the_files_of_an_uninterrupted_run(
         tmp_path, monkeypatch, target):
@@ -681,6 +681,51 @@ def test_a_failed_write_of_each_kind_reruns_to_the_files_of_an_uninterrupted_run
     assert fired == [run_dir / target]
     run_sqwa(_small_cfg(run_dir))
     assert _files(run_dir) == expected
+
+
+def test_a_payload_torn_in_a_rewrite_is_not_vouched_for_by_its_old_manifest(tmp_path,
+                                                                           monkeypatch):
+    # With requantized gone, the finetune stage rewrites all three of its
+    # outputs; a write of final's payload that stops halfway must not leave
+    # final's old manifest in place, which would make the next run skip the
+    # stage and keep the torn payload.
+    run_dir = tmp_path / "run"
+    run_sqwa(_small_cfg(run_dir))
+    expected = _files(run_dir)
+    (run_dir / "requantized" / "manifest.json").unlink()
+    write_bytes = Path.write_bytes
+
+    def torn(self, data):
+        if self == run_dir / "final" / "payload.bin":
+            write_bytes(self, data[:len(data) // 2])
+            raise OSError("no space left on device")
+        return write_bytes(self, data)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Path, "write_bytes", torn)
+        with pytest.raises(PipelineError, match="stage 'finetune': no space left"):
+            run_sqwa(_small_cfg(run_dir))
+    run_sqwa(_small_cfg(run_dir))
+    assert _files(run_dir) == expected
+
+
+@pytest.mark.parametrize("name", ["metrics.csv", "summary.txt"])
+def test_a_report_rewrite_torn_halfway_keeps_the_previous_file(tmp_path, monkeypatch, name):
+    run_sqwa(_small_cfg(tmp_path))
+    before = (tmp_path / name).read_bytes()
+    write_text = Path.write_text
+
+    def torn(self, data, *args, **kwargs):
+        if self.name.startswith(name):
+            write_text(self, data[:len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        return write_text(self, data, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Path, "write_text", torn)
+        with pytest.raises(PipelineError, match="stage 'report': no space left"):
+            run_sqwa(_small_cfg(tmp_path))
+    assert (tmp_path / name).read_bytes() == before
 
 
 # --- a dead or diverged model stops its stage ------------------------------------

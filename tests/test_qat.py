@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ def test_retrain_captures_at_period_ends():
     model = _small_model(seed=50)
     sched = CyclicalSchedule(max_lr=0.01, min_lr=0.0001, period=4,
                              mid_steps=1, total_epochs=12)
-    model, bank = retrain(model, data, sched, epochs=12, seed=50)
+    model, bank = retrain(model, data, sched, seed=50)
     assert [e.epoch for e in bank.entries] == [3, 7, 11]
     assert bank.bits == model.bits
     assert bank.steps == model.steps
@@ -113,8 +115,8 @@ def test_retrain_partial_run_captures_complete_periods_only():
     data = synthetic_blobs(3, 20, 4, 0.4, seed=52)
     model = _small_model(seed=52)
     sched = CyclicalSchedule(max_lr=0.01, min_lr=0.0001, period=4,
-                             mid_steps=1, total_epochs=12)
-    _, bank = retrain(model, data, sched, epochs=6, seed=52)
+                             mid_steps=1, total_epochs=6)
+    _, bank = retrain(model, data, sched, seed=52)
     assert [e.epoch for e in bank.entries] == [3]
 
 
@@ -125,7 +127,7 @@ def test_retrain_is_deterministic():
     for _ in range(2):
         data = synthetic_blobs(3, 20, 4, 0.4, seed=53)
         model = _small_model(seed=53)
-        model, bank = retrain(model, data, sched, epochs=8, seed=53)
+        model, bank = retrain(model, data, sched, seed=53)
         outs.append((model, bank))
     (m1, b1), (m2, b2) = outs
     for w1, w2 in zip(m1.shadow.weights, m2.shadow.weights):
@@ -142,20 +144,9 @@ def test_retrain_improves_on_direct_quantization():
     before = evaluate(model.applied, data)[1]
     sched = CyclicalSchedule(max_lr=0.02, min_lr=0.0002, period=4,
                              mid_steps=1, total_epochs=16)
-    model, _ = retrain(model, data, sched, epochs=16, seed=54)
+    model, _ = retrain(model, data, sched, seed=54)
     after = evaluate(model.applied, data)[1]
     assert after > before
-
-
-def test_retrain_validates_epochs():
-    data = synthetic_blobs(3, 10, 4, 0.4, seed=55)
-    model = _small_model(seed=55)
-    sched = CyclicalSchedule(max_lr=0.01, min_lr=0.0001, period=4,
-                             mid_steps=1, total_epochs=8)
-    with pytest.raises(ValueError):
-        retrain(model, data, sched, epochs=9, seed=55)
-    with pytest.raises(ValueError):
-        retrain(model, data, sched, epochs=0, seed=55)
 
 
 def test_finetune_zero_epochs_is_identity():
@@ -252,7 +243,7 @@ def _workspace_cases():
 @pytest.mark.parametrize("case", list(_workspace_cases()), ids=lambda c: c[0])
 def test_fit_equals_the_per_call_reference_loop(case):
     _, model, data, batch_size = case
-    ref = _reference_fit(model.copy(), data, [0.1, 0.05, 0.02], 64, batch_size)
+    ref = _reference_fit(copy.deepcopy(model), data, [0.1, 0.05, 0.02], 64, batch_size)
     assert fit(model, data, [0.1, 0.05, 0.02], 64, batch_size=batch_size) is model
     assert np.array_equal(model.shadow.flat, ref.shadow.flat)
     assert np.array_equal(model.applied.flat, ref.applied.flat)
@@ -448,7 +439,7 @@ def test_fit_equals_the_per_call_arithmetic_bit_for_bit(monkeypatch, case):
     import sqwa.qat as qat_mod
     _, model, data, batch_size, l2_scale = case
     lrs = [0.2, 0.05, 0.01]
-    ref = model.copy()
+    ref = copy.deepcopy(model)
     ref_buf = _ref_fit_arithmetic(ref, data, lrs, 76, batch_size, l2_scale)
     states = []
 

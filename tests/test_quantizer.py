@@ -29,7 +29,7 @@ def test_config_validation():
         QuantizerConfig(bits=2, step=0.0)
     with pytest.raises(ValueError):
         QuantizerConfig(bits=2, step=-1.0)
-    assert QuantizerConfig(bits=3, step=0.25).levels == 7
+    assert levels_count(QuantizerConfig(bits=3, step=0.25).bits) == 7
 
 
 def test_worked_examples_ternary():
@@ -78,7 +78,7 @@ def test_grid_membership_and_clipping():
     for bits in (2, 3, 5):
         cfg = QuantizerConfig(bits=bits, step=0.4)
         q = quantize_tensor(w, cfg)
-        half = (cfg.levels - 1) // 2
+        half = (levels_count(cfg.bits) - 1) // 2
         levels = np.rint(q / cfg.step)
         np.testing.assert_array_equal(levels * cfg.step, q)
         assert np.abs(levels).max() <= half
@@ -88,7 +88,7 @@ def test_error_bound_inside_range():
     # within the unclipped range the error never exceeds step/2
     rng = np.random.default_rng(10)
     cfg = QuantizerConfig(bits=4, step=0.3)
-    half = (cfg.levels - 1) // 2
+    half = (levels_count(cfg.bits) - 1) // 2
     w = rng.uniform(-half * cfg.step, half * cfg.step, size=5000)
     err = np.abs(quantize_tensor(w, cfg) - w)
     assert err.max() <= cfg.step / 2 + 1e-12

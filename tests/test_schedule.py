@@ -109,3 +109,7 @@ def test_cyclical_validation():
     with pytest.raises(ValueError):
         CyclicalSchedule(max_lr=0.01, min_lr=0.0001, period=6,
                          mid_steps=3, total_epochs=12)
+    # retraining runs the schedule's total_epochs, so an empty schedule is refused
+    with pytest.raises(ValueError, match="total_epochs must be >= 1"):
+        CyclicalSchedule(max_lr=0.01, min_lr=0.0001, period=4,
+                         mid_steps=1, total_epochs=0)
