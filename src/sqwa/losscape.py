@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_atomic, write_json
 from .nn import Network, evaluate
 from .quantizer import _quantize, _weight_steps
 
@@ -284,17 +285,16 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
 def export_grid(grid: SurfaceGrid, path) -> tuple[Path, Path]:
     """Write the grid as CSV rows (x, y, loss, accuracy) in row-major order
     plus a JSON metadata sidecar. Floats go out in full precision, so a
-    load_grid round trip reproduces every record exactly."""
+    load_grid round trip reproduces every record exactly. Each file is
+    renamed into place whole, so a failed rewrite leaves it as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "loss", "accuracy"])
-        for i, x in enumerate(grid.xs):
-            for j, y in enumerate(grid.ys):
-                writer.writerow([repr(float(x)), repr(float(y)),
-                                 repr(float(grid.loss[i, j])),
-                                 repr(float(grid.accuracy[i, j]))])
+    # rows end in "\r\n" as the csv module's writer ends them; a float's
+    # repr never needs quoting
+    lines = ["x,y,loss,accuracy\r\n"] + [
+        f"{float(x)!r},{float(y)!r},{float(grid.loss[i, j])!r},{float(grid.accuracy[i, j])!r}\r\n"
+        for i, x in enumerate(grid.xs) for j, y in enumerate(grid.ys)]
+    write_atomic(path, "".join(lines))
     meta = {
         "schema_version": 1,
         "mode": grid.mode,
@@ -307,7 +307,7 @@ def export_grid(grid: SurfaceGrid, path) -> tuple[Path, Path]:
         "ys": [float(v) for v in grid.ys],
     }
     meta_path = path.with_suffix(path.suffix + ".meta.json")
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True))
+    write_json(meta_path, meta)
     return path, meta_path
 
 

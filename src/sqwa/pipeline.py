@@ -28,7 +28,7 @@ from . import checkpoint as ckpt
 from .averaging import AveragedModel, CaptureBank, average_models, requantize_averaged
 from .data import Dataset, _check_blobs, load_idx, synthetic_blobs
 from .nn import (LayerSpec, Network, _check_batch_size, _check_optimizer, evaluate, forward,
-                 init_weights)
+                 init_weights, output_shapes)
 from .qat import ShadowModel, _check_finetune, finetune, fit, retrain
 from .quantizer import QuantizedModel, direct_quantize_model
 from .schedule import CyclicalSchedule, StepDecaySchedule, derive_cycle_bounds, lr_at
@@ -64,7 +64,10 @@ def _from_dict(cls, d: dict, where: str):
     unknown = set(d) - names
     if unknown:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
-    return cls(**d)
+    try:
+        return cls(**d)
+    except TypeError as exc:  # a required key is missing
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -172,6 +175,11 @@ class RunConfig:
                     {"kind": "dense", "fan_in": 24, "fan_out": cfg.dataset.num_classes},
                 ],
             }
+        specs = _layer_specs(cfg.network)
+        output_shapes(specs, tuple(cfg.network["input_shape"]))  # names a layer that does not fit
+        if not any(spec.has_params for spec in specs):
+            raise ValueError(f"network: none of its layers ({', '.join(s.kind for s in specs)}) "
+                             "carries weights, so there is nothing to train or quantize")
         _check_batch_size(cfg.pretrain.batch_size)
         _check_optimizer(cfg.pretrain.momentum, cfg.pretrain.l2_scale)
         pre_sched = _pretrain_schedule(cfg)
@@ -195,6 +203,30 @@ class RunConfig:
 def default_config(output_dir: str, seed: int = 0) -> RunConfig:
     """The desk-scale default recipe, fully resolved."""
     return RunConfig(seed=seed, output_dir=str(output_dir)).resolve()
+
+
+def _layer_specs(network: dict) -> list[LayerSpec]:
+    if not isinstance(network, dict) or set(network) != {"input_shape", "layers"}:
+        raise ValueError("network: expected a mapping of 'input_shape' and 'layers'")
+    return [_from_dict(LayerSpec, d, f"network layer {i}")
+            for i, d in enumerate(network["layers"])]
+
+
+def _check_network_fits(network: dict, train: Dataset, test: Dataset) -> None:
+    """Refuse a network that cannot take the samples of a split or score
+    its labels, naming the layer at fault. `resolve` has checked that the
+    layers compose over `input_shape`."""
+    specs = _layer_specs(network)
+    input_shape = tuple(network["input_shape"])
+    width = output_shapes(specs, input_shape)[-1][0]
+    for split, data in (("train", train), ("test", test)):
+        if data.images.shape[1:] != input_shape:
+            raise ValueError(f"layer 0 ({specs[0].kind}): takes input_shape "
+                             f"{list(input_shape)}, but the {split} samples have shape "
+                             f"{list(data.images.shape[1:])}")
+        if width < data.num_classes:
+            raise ValueError(f"layer {len(specs) - 1} ({specs[-1].kind}): gives {width} "
+                             f"logits for the {data.num_classes} classes of the {split} split")
 
 
 def _pretrain_schedule(cfg: RunConfig) -> StepDecaySchedule:
@@ -241,8 +273,7 @@ def as_network(obj) -> Network:
 # Each stage is a function (cfg, train, test, *inputs) of its loaded input
 # artifacts. It returns {artifact: (object, provenance)}, except the report,
 # which returns its rows and the text of the report files. A model output
-# records in provenance["metrics"] its scores on the splits the report shows;
-# `final` records none, its applied network is `final_quantized`.
+# records in provenance["metrics"] its scores on the splits the report shows.
 
 def _score(obj, **splits: Dataset) -> dict:
     """{split}_loss and {split}_accuracy of what a reload of `obj` gives."""
@@ -252,7 +283,7 @@ def _score(obj, **splits: Dataset) -> dict:
 
 
 def _stage_pretrain(cfg: RunConfig, train: Dataset, test: Dataset) -> dict:
-    specs = [LayerSpec.from_dict(d) for d in cfg.network["layers"]]
+    specs = _layer_specs(cfg.network)
     sched = _pretrain_schedule(cfg)
     p = cfg.pretrain
     net = init_weights(specs, tuple(cfg.network["input_shape"]), cfg.seed)
@@ -321,7 +352,7 @@ def _stage_finetune(cfg: RunConfig, train: Dataset, test: Dataset,
     log.info("finetune: %d epochs from lr %.2g, test accuracy %.4f",
              f.epochs, f.initial_lr, scores["test_accuracy"])
     return {"requantized": (qm, {"metrics": _score(qm, train=train, test=test)}),
-            "final": (model, {}), "final_quantized": (final_quantized, {"metrics": scores})}
+            "final_quantized": (final_quantized, {"metrics": scores})}
 
 
 def _recorded_scores(cfg: RunConfig, artifact: str) -> dict:
@@ -377,8 +408,7 @@ _STAGE_TABLE = {
     "retrain-cyclical": (_stage_retrain, ("pretrained", "direct_quantized"),
                          ("capture_bank",)),
     "average": (_stage_average, ("capture_bank",), ("averaged",)),
-    "finetune": (_stage_finetune, ("averaged",),
-                 ("requantized", "final", "final_quantized")),
+    "finetune": (_stage_finetune, ("averaged",), ("requantized", "final_quantized")),
     "report": (_stage_report, ("capture_bank", "averaged", "requantized",
                                "final_quantized", "pretrained", "direct_quantized"), ()),
 }
@@ -412,11 +442,13 @@ def run_stages(cfg: RunConfig, last_stage: str) -> dict:
     cfg = cfg.resolve()
     paths = _paths(cfg)
     # before config.json is frozen, so a dataset that cannot be built (a
-    # missing IDX file, say) leaves nothing that refuses the corrected rerun
+    # missing IDX file, say) or a network that does not fit it leaves
+    # nothing that refuses the corrected rerun
     try:
         train, test = build_datasets(cfg)
     except (ValueError, OSError) as exc:
         raise PipelineError(f"datasets: {exc}") from exc
+    _check_network_fits(cfg.network, train, test)
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     _freeze_config(cfg, paths)
     result = {"paths": paths, "config": cfg}

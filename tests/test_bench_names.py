@@ -1,8 +1,9 @@
 """The benchmark under `perfbench/` reaches the package by name: its tracer
-wraps `sqwa.<module>.<attribute>` callables and its workloads call
-`sqwa.<name>` on the package root. A rename in `src/` would otherwise break
-only traced benchmark runs, so the names are resolved here, reading those
-files without importing them."""
+wraps `sqwa.<module>.<attribute>` callables, its workloads call
+`sqwa.<name>` on the package root and open a run's artifacts by their keys
+in `pipeline._paths`. A rename in `src/` would otherwise break only
+benchmark runs, so the names are resolved here, reading those files without
+importing them."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import sqwa
+from sqwa import pipeline
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,8 +33,18 @@ def _root_names():
                    and node.value.id == "sqwa"})
 
 
+def _artifact_keys():
+    # the constant keys read from a `paths` mapping, the run paths that
+    # `pipeline.run_stages` returns
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    return sorted({node.slice.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                   and getattr(node.value, "id", None) == "paths"
+                   and isinstance(node.slice, ast.Constant)})
+
+
 def test_the_benchmark_names_something():
-    assert len(_traced()) >= 10 and len(_root_names()) >= 10
+    assert len(_traced()) >= 10 and len(_root_names()) >= 10 and len(_artifact_keys()) >= 3
 
 
 @pytest.mark.parametrize("module,attribute", _traced())
@@ -49,3 +61,9 @@ def test_every_traced_callable_is_defined_on_its_module(module, attribute):
 @pytest.mark.parametrize("name", _root_names())
 def test_every_workload_name_resolves_on_the_package_root(name):
     assert hasattr(sqwa, name), f"sqwa.{name} is used by perfbench/workloads.py"
+
+
+@pytest.mark.parametrize("key", _artifact_keys())
+def test_every_artifact_the_workloads_open_is_a_run_path(tmp_path, key):
+    assert key in pipeline._paths(pipeline.default_config(tmp_path)), \
+        f"perfbench/workloads.py opens paths[{key!r}]"

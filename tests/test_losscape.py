@@ -6,6 +6,7 @@ import sys
 import textwrap
 import threading
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -190,6 +191,42 @@ def test_export_csv_header_and_row_count(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "x,y,loss,accuracy"
     assert len(lines) == 1 + 9
+
+
+@pytest.mark.parametrize("torn", [".csv", ".csv.meta.json"])
+def test_an_export_torn_halfway_leaves_no_torn_file(tmp_path, monkeypatch, torn):
+    # A rewrite whose write of `torn` stops halfway leaves each of the two
+    # files whole, the old or the new; torn at the CSV, the first write,
+    # load_grid still reads the previous grid exactly.
+    plane, template, data = _surface_inputs()
+    old = evaluate_surface(plane, template, data, resolution=3, dataset_id="old")
+    new = evaluate_surface(plane, template, data, resolution=3, mode="quantized", bits=2,
+                           steps=[0.2, 0.2], dataset_id="new")
+    csv_path, meta_path = export_grid(old, tmp_path / "s.csv")
+    before = {p: p.read_bytes() for p in (csv_path, meta_path)}
+    export_grid(new, tmp_path / "new.csv")
+    after = {csv_path: (tmp_path / "new.csv").read_bytes(),
+             meta_path: (tmp_path / "new.csv.meta.json").read_bytes()}
+    write_text = Path.write_text
+
+    def tearing(self, text, *args, **kwargs):
+        if self.name in (f"s{torn}", f"s{torn}.tmp"):
+            write_text(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        return write_text(self, text, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Path, "write_text", tearing)
+        with pytest.raises(OSError, match="no space left"):
+            export_grid(new, csv_path)
+    for p in (csv_path, meta_path):
+        assert p.read_bytes() in (before[p], after[p]), p.name
+    if torn == ".csv":
+        assert {p: p.read_bytes() for p in (csv_path, meta_path)} == before
+        back = load_grid(csv_path)
+        np.testing.assert_array_equal(back.loss, old.loss)
+        np.testing.assert_array_equal(back.accuracy, old.accuracy)
+        assert (back.mode, back.dataset_id) == ("full_precision", "old")
 
 
 # --- the surface split across processes ------------------------------------

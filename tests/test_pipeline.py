@@ -86,6 +86,13 @@ def test_from_dict_rejects_unknown_keys(tmp_path):
         RunConfig.from_dict(d)
 
 
+def test_from_dict_names_missing_keys(tmp_path):
+    d = _small_dict(tmp_path)
+    del d["seed"]
+    with pytest.raises(ValueError, match=r"^config: .*missing 1 required .*'seed'$"):
+        RunConfig.from_dict(d)
+
+
 def test_from_dict_rejects_wrong_schema_version(tmp_path):
     d = _small_dict(tmp_path)
     d["schema_version"] = 42
@@ -112,7 +119,7 @@ def test_full_run_writes_all_artifacts(tmp_path):
     result = run_sqwa(_small_cfg(tmp_path))
     paths = result["paths"]
     for key in ("pretrained", "direct_quantized", "capture_bank",
-                "averaged", "requantized", "final", "final_quantized"):
+                "averaged", "requantized", "final_quantized"):
         assert (paths[key] / "manifest.json").is_file(), key
     assert not (tmp_path / "retrained_shadow").exists()
     assert paths["config"].is_file()
@@ -140,7 +147,7 @@ def test_report_rows_expose_metrics(tmp_path):
 
 def test_rerun_skips_and_preserves_bytes(tmp_path):
     result = run_sqwa(_small_cfg(tmp_path))
-    payload = result["paths"]["final"] / "payload.bin"
+    payload = result["paths"]["final_quantized"] / "payload.bin"
     first = payload.read_bytes()
     mtime = payload.stat().st_mtime_ns
     run_sqwa(_small_cfg(tmp_path))
@@ -156,7 +163,7 @@ def test_resumed_run_matches_fresh_run(tmp_path):
     run_sqwa(_small_cfg(resumed_dir))
     fresh = sorted(p.relative_to(fresh_dir) for p in fresh_dir.rglob("payload.bin"))
     resumed = sorted(p.relative_to(resumed_dir) for p in resumed_dir.rglob("payload.bin"))
-    assert fresh == resumed and len(fresh) >= 8
+    assert fresh == resumed and len(fresh) == 7
     for rel in fresh:
         assert (fresh_dir / rel).read_bytes() == (resumed_dir / rel).read_bytes(), rel
     assert (fresh_dir / "metrics.csv").read_text() == \
@@ -236,17 +243,25 @@ def test_cli_losscape_quantized(tmp_path):
     assert surface.with_suffix(".csv.meta.json").is_file()
 
 
-def test_cli_losscape_rejects_mixed_grids(tmp_path):
+def test_cli_losscape_rejects_mixed_grids(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["sqwa", *_cli_args(out)]) == 0
-    # `final` was re-quantized with fresh steps, so its grid differs
+    # a shadow on the fresh steps the average was re-quantized with, which
+    # are not the captures' steps
+    averaged, requantized = sqwa.load(out / "averaged"), sqwa.load(out / "requantized")
+    assert list(requantized.steps) != list(sqwa.load(out / "capture_bank").steps)
+    sqwa.save(ShadowModel.from_network(averaged.net, requantized.bits, requantized.steps),
+              tmp_path / "shadow")
+    capsys.readouterr()
     code = main(["losscape", *_cli_args(out),
                  "--models", str(out / "capture_bank" / "entry_000"),
                  str(out / "capture_bank" / "entry_001"),
-                 str(out / "final"),
+                 str(tmp_path / "shadow"),
                  "--mode", "quantized", "--resolution", "3",
                  "--out", str(out / "s.csv")])
     assert code == 1
+    assert "do not share one quantizer configuration" in capsys.readouterr().err
+    assert not (out / "s.csv").exists()
 
 
 def test_cli_bad_override_exits_nonzero(tmp_path, capsys):
@@ -290,7 +305,6 @@ DEFAULT_SEED_101 = {
         "d94c8f5f48926d232e9d0c00890a014b7704b7a49c5815de0f161779d8308b12",
     "averaged/payload.bin": "9193182ac5cf182bdc19541bc3434fd0e4128b31cbbbc1e68f262a6b1818c12f",
     "requantized/payload.bin": "1bc25acc05ae283ca7989cd70d25cf5f19238ecffedb3954a0ae3600e2215f05",
-    "final/payload.bin": "39a949cb299dc619e445e8171bb6d3a4b2d19711d8673995bdd300fae5291792",
     "final_quantized/payload.bin":
         "5dee236d2c106d91376b0f7b8e49c2c270796291a3bb3b19b0c7e9ec83b0e623",
     **{f"capture_bank/entry_{k:03d}/payload.bin": digest for k, digest in enumerate([
@@ -326,8 +340,8 @@ def test_default_recipe_outputs_are_pinned(default_run_101):
     # The digests hold for OpenBLAS's Haswell and SkylakeX kernels. Under
     # its kernels without FMA (OPENBLAS_CORETYPE=Prescott or Sandybridge)
     # two evaluation losses in metrics.csv move by one ulp, and the float64
-    # shadow weights of `final` and of every capture differ in their last
-    # bits; summary.txt and the other payloads still match.
+    # shadow weights of every capture differ in their last bits; summary.txt
+    # and the other payloads still match.
     out, _ = default_run_101
     written = {str(p.relative_to(out)) for p in out.rglob("payload.bin")} | \
         {"metrics.csv", "summary.txt"}
@@ -355,7 +369,7 @@ def test_retrain_evaluates_each_split_once_per_capture(tmp_path, monkeypatch, ca
 
 # --- one score per (model, split) -------------------------------------------------
 
-# the splits each scored artifact records; `final` is scored as `final_quantized`
+# the splits each scored artifact records
 SCORED = {"pretrained": ("test",), "direct_quantized": ("test",),
           "averaged": ("train", "test"), "requantized": ("train", "test"),
           "final_quantized": ("train", "test")}
@@ -383,7 +397,7 @@ def test_every_recorded_score_is_evaluate_of_the_reloaded_artifact(tmp_path, bit
         recorded = ckpt.load_manifest(tmp_path / artifact)["provenance"]["metrics"]
         net = pipeline.as_network(sqwa.load(tmp_path / artifact))
         assert recorded == scores(net, splits), artifact
-    assert "metrics" not in ckpt.load_manifest(tmp_path / "final")["provenance"]
+    assert _manifests(tmp_path) == {*SCORED, "capture_bank"}
 
 
 def test_a_run_scores_each_model_and_split_once_and_the_report_none(tmp_path, monkeypatch):
@@ -549,13 +563,13 @@ def test_each_stage_saves_exactly_its_declared_outputs(tmp_path):
         outputs = pipeline._STAGE_TABLE[name][2]
         assert _manifests(tmp_path) - before == set(outputs), name
         declared += outputs
-    assert len(declared) == len(set(declared)) == 7
+    assert len(declared) == len(set(declared)) == 6
 
 
-@pytest.mark.parametrize("removed", ["requantized", "final", "final_quantized"])
+@pytest.mark.parametrize("removed", ["requantized", "final_quantized"])
 def test_missing_finetune_output_reruns_only_finetune(tmp_path, caplog, removed):
     run_stages(_small_cfg(tmp_path), "finetune")
-    outputs = ("requantized", "final", "final_quantized")
+    outputs = ("requantized", "final_quantized")
     files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
     before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in files}
     shutil.rmtree(tmp_path / removed)
@@ -685,9 +699,9 @@ def test_a_failed_write_of_each_kind_reruns_to_the_files_of_an_uninterrupted_run
 
 def test_a_payload_torn_in_a_rewrite_is_not_vouched_for_by_its_old_manifest(tmp_path,
                                                                            monkeypatch):
-    # With requantized gone, the finetune stage rewrites all three of its
-    # outputs; a write of final's payload that stops halfway must not leave
-    # final's old manifest in place, which would make the next run skip the
+    # With requantized gone, the finetune stage rewrites both of its outputs;
+    # a write of final_quantized's payload that stops halfway must not leave
+    # its old manifest in place, which would make the next run skip the
     # stage and keep the torn payload.
     run_dir = tmp_path / "run"
     run_sqwa(_small_cfg(run_dir))
@@ -696,7 +710,7 @@ def test_a_payload_torn_in_a_rewrite_is_not_vouched_for_by_its_old_manifest(tmp_
     write_bytes = Path.write_bytes
 
     def torn(self, data):
-        if self == run_dir / "final" / "payload.bin":
+        if self == run_dir / "final_quantized" / "payload.bin":
             write_bytes(self, data[:len(data) // 2])
             raise OSError("no space left on device")
         return write_bytes(self, data)
@@ -878,7 +892,13 @@ def test_a_bad_dataset_setting_leaves_no_config_behind(tmp_path, capsys):
     assert (out / "pretrained" / "manifest.json").is_file()
 
 
-def test_a_missing_idx_file_is_a_pipeline_error_that_leaves_no_config_behind(tmp_path):
+def _dense(fan_in, fan_out, **extra):
+    return {"kind": "dense", "fan_in": fan_in, "fan_out": fan_out, **extra}
+
+
+def _idx_dict(tmp_path):
+    """A small run in tmp_path / "run" on IDX files of 30 4x4 images of 3
+    classes per split, with a dense 16 -> 3 network."""
     from sqwa.data import write_idx
     rng = np.random.default_rng(12)
     files = {}
@@ -889,11 +909,66 @@ def test_a_missing_idx_file_is_a_pipeline_error_that_leaves_no_config_behind(tmp
         write_idx(files[f"{split}_labels"], np.arange(30) % 3)
     d = _small_dict(tmp_path / "run")
     d["dataset"] = {"kind": "idx", **{k: str(v) for k, v in files.items()}}
-    d["network"] = {"input_shape": [16], "layers": [{"kind": "dense", "fan_in": 16,
-                                                     "fan_out": 3}]}
+    d["network"] = {"input_shape": [16], "layers": [_dense(16, 3)]}
+    return d
+
+
+def test_a_missing_idx_file_is_a_pipeline_error_that_leaves_no_config_behind(tmp_path):
+    d = _idx_dict(tmp_path)
     missing = dict(d, dataset=dict(d["dataset"], test_labels=str(tmp_path / "nothing.idx")))
     with pytest.raises(PipelineError, match=r"^datasets: .*nothing\.idx"):
         run_stages(RunConfig.from_dict(missing), "pretrain")
     assert not (tmp_path / "run").exists()
+    run_stages(RunConfig.from_dict(d), "pretrain")
+    assert (tmp_path / "run" / "pretrained" / "manifest.json").is_file()
+
+
+# (dims, network, message) of blob configs that cannot run; the data have
+# 10 classes. A network is refused before config.json is written, naming
+# the layer at fault, so the corrected config then runs in the same place.
+_NETWORK_PROBES = {
+    "fan_in": (8, {"input_shape": [8], "layers": [_dense(7, 24), {"kind": "relu"},
+                                                  _dense(24, 10)]},
+               r"^layer 0 \(dense\): fan_in 7 does not match input width 8$"),
+    "input width": (8, {"input_shape": [7], "layers": [_dense(7, 24), {"kind": "relu"},
+                                                       _dense(24, 10)]},
+                    r"^layer 0 \(dense\): takes input_shape \[7\], but the train samples "
+                    r"have shape \[8\]$"),
+    "class count": (8, {"input_shape": [8], "layers": [_dense(8, 24), {"kind": "relu"},
+                                                       _dense(24, 5)]},
+                    r"^layer 2 \(dense\): gives 5 logits for the 10 classes of the train "
+                    r"split$"),
+    "unknown key": (8, {"input_shape": [8], "layers": [_dense(8, 10, bias=False)]},
+                    r"^network layer 0: unknown keys \['bias'\]$"),
+    "missing kind": (8, {"input_shape": [8], "layers": [{"fan_in": 8, "fan_out": 10}]},
+                     r"^network layer 0: .*missing 1 required .*'kind'$"),
+    "no weights": (10, {"input_shape": [10], "layers": [{"kind": "relu"}]},
+                   r"^network: none of its layers \(relu\) carries weights"),
+}
+
+
+@pytest.mark.parametrize("probe", list(_NETWORK_PROBES))
+def test_a_network_that_cannot_run_is_refused_before_config_json(tmp_path, probe):
+    dims, network, message = _NETWORK_PROBES[probe]
+    d = _small_dict(tmp_path / "run")
+    d["dataset"].update(num_classes=10, dims=dims)
+    with pytest.raises(ValueError, match=message):
+        run_stages(RunConfig.from_dict(dict(d, network=network)), "pretrain")
+    assert not (tmp_path / "run").exists()
+    run_sqwa(RunConfig.from_dict(d))
+    assert (tmp_path / "run" / "summary.txt").is_file()
+
+
+def test_an_idx_network_that_does_not_fit_is_refused_before_config_json(tmp_path):
+    d = _idx_dict(tmp_path)
+    for network, message in (
+            ({"input_shape": [9], "layers": [_dense(9, 3)]},
+             r"^layer 0 \(dense\): takes input_shape \[9\], but the train samples have "
+             r"shape \[16\]$"),
+            ({"input_shape": [16], "layers": [_dense(16, 2)]},
+             r"^layer 0 \(dense\): gives 2 logits for the 3 classes of the train split$")):
+        with pytest.raises(ValueError, match=message):
+            run_stages(RunConfig.from_dict(dict(d, network=network)), "pretrain")
+        assert not (tmp_path / "run").exists()
     run_stages(RunConfig.from_dict(d), "pretrain")
     assert (tmp_path / "run" / "pretrained" / "manifest.json").is_file()
