@@ -100,18 +100,19 @@ def _parts(obj):
     raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write `text` to a sibling file, then rename that over `path`, so a
-    crash mid-write never leaves a torn file (a torn manifest would mark its
-    directory done) and `path` keeps its previous content until then."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def write_atomic(files: dict[Path, str]) -> None:
+    """Write each text to a sibling file, then rename each over its path: a
+    crash mid-write leaves no torn file (a torn manifest would mark its
+    directory done), and no path changes until every text is written."""
+    for path, text in files.items():
+        path.with_name(path.name + ".tmp").write_text(text)
+    for path in files:
+        os.replace(path.with_name(path.name + ".tmp"), path)
 
 
 def write_json(path: Path, obj) -> None:
     """write_atomic of `obj` as indented, key-sorted JSON."""
-    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True))
+    write_atomic({path: json.dumps(obj, indent=2, sort_keys=True)})
 
 
 def _encode(obj, provenance: dict | None = None) -> tuple[dict, bytes]:
@@ -205,7 +206,7 @@ def _read_payload(path: Path, manifest: dict) -> bytes:
 
 
 def _rebuild_network(manifest: dict, payload: bytes, weight_name="weight") -> Network:
-    specs = [LayerSpec.from_dict(d) for d in manifest["layers"]]
+    specs = [LayerSpec(**d) for d in manifest["layers"]]
     # a network of the topology's shapes; the payload overwrites every tensor
     net = zero_network(specs, tuple(manifest["input_shape"]))
     descriptors = {d["name"]: d for d in manifest["tensors"]}
@@ -255,6 +256,8 @@ def _save_bank(bank: CaptureBank, path: Path, provenance=None) -> Path:
     encoded = [_encode(ShadowModel(e.shadow, e.model.net, bank.bits, list(bank.steps)),
                        {"epoch": e.epoch}) for e in bank.entries]
     path.mkdir(parents=True, exist_ok=True)
+    if (path / "manifest.json").is_file():  # an old bank's must not vouch for new entries
+        (path / "manifest.json").unlink()
     entries = []
     for k, (entry, (entry_manifest, payload)) in enumerate(zip(bank.entries, encoded)):
         sub = f"entry_{k:03d}"

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_atomic, write_json
+from .checkpoint import write_atomic
 from .nn import Network, evaluate
 from .quantizer import _quantize, _weight_steps
 
@@ -285,8 +285,9 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
 def export_grid(grid: SurfaceGrid, path) -> tuple[Path, Path]:
     """Write the grid as CSV rows (x, y, loss, accuracy) in row-major order
     plus a JSON metadata sidecar. Floats go out in full precision, so a
-    load_grid round trip reproduces every record exactly. Each file is
-    renamed into place whole, so a failed rewrite leaves it as it was."""
+    load_grid round trip reproduces every record exactly. Both files are
+    written before either is renamed into place; only a crash between the
+    two renames can leave the new CSV beside the old sidecar."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # rows end in "\r\n" as the csv module's writer ends them; a float's
@@ -294,7 +295,6 @@ def export_grid(grid: SurfaceGrid, path) -> tuple[Path, Path]:
     lines = ["x,y,loss,accuracy\r\n"] + [
         f"{float(x)!r},{float(y)!r},{float(grid.loss[i, j])!r},{float(grid.accuracy[i, j])!r}\r\n"
         for i, x in enumerate(grid.xs) for j, y in enumerate(grid.ys)]
-    write_atomic(path, "".join(lines))
     meta = {
         "schema_version": 1,
         "mode": grid.mode,
@@ -307,7 +307,7 @@ def export_grid(grid: SurfaceGrid, path) -> tuple[Path, Path]:
         "ys": [float(v) for v in grid.ys],
     }
     meta_path = path.with_suffix(path.suffix + ".meta.json")
-    write_json(meta_path, meta)
+    write_atomic({path: "".join(lines), meta_path: json.dumps(meta, indent=2, sort_keys=True)})
     return path, meta_path
 
 

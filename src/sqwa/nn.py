@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "LayerSpec",
     "Network",
-    "Gradients",
     "OptimizerState",
     "dense",
     "conv2d",
@@ -35,7 +34,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Geometry of one layer. Only `dense` and `conv2d` carry parameters."""
+    """Geometry of one layer. Only `dense` and `conv2d` carry parameters.
+    Each size the kind takes must be an integer >= 1 (numpy integers too,
+    not bools), and `has_bias` a bool."""
 
     kind: str
     fan_in: int | None = None
@@ -44,6 +45,15 @@ class LayerSpec:
     out_channels: int | None = None
     kernel_size: int | None = None
     has_bias: bool = True
+
+    def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in _SIZES):
+            raise ValueError(f"unknown layer kind {self.kind!r}")
+        for name in _SIZES[self.kind]:
+            if not _is_size(value := getattr(self, name)):
+                raise ValueError(f"{self.kind} {name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.has_bias, bool):
+            raise ValueError(f"has_bias must be true or false, got {self.has_bias!r}")
 
     @property
     def has_params(self) -> bool:
@@ -55,9 +65,13 @@ class LayerSpec:
             d.pop("has_bias", None)
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "LayerSpec":
-        return LayerSpec(**d)
+
+_SIZES = {"dense": ("fan_in", "fan_out"), "conv2d": ("in_channels", "out_channels", "kernel_size"),
+          "relu": (), "flatten": ()}
+
+
+def _is_size(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 def dense(fan_in: int, fan_out: int, has_bias: bool = True) -> LayerSpec:
@@ -84,6 +98,8 @@ def output_shapes(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[
     Returns the per-layer output shapes and rejects non-composable stacks
     with a diagnostic naming the offending layer.
     """
+    if not (isinstance(input_shape, (list, tuple)) and all(map(_is_size, input_shape))):
+        raise ValueError(f"input_shape must be a list of integers >= 1, got {input_shape!r}")
     shape = tuple(int(s) for s in input_shape)
     out: list[tuple[int, ...]] = []
     for i, spec in enumerate(specs):
@@ -104,12 +120,8 @@ def output_shapes(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[
             if h < k or w < k:
                 raise ValueError(f"{where}: kernel size {k} exceeds input {h}x{w}")
             shape = (spec.out_channels, h - k + 1, w - k + 1)
-        elif spec.kind == "relu":
-            pass
         elif spec.kind == "flatten":
             shape = (int(np.prod(shape)),)
-        else:
-            raise ValueError(f"{where}: unknown layer kind")
         out.append(shape)
     if not specs:
         raise ValueError("network needs at least one layer")
@@ -154,13 +166,10 @@ class Network:
         self.layout = [None if t is None else (end - size, end, np.shape(t))
                        for t, size, end in zip(tensors, sizes, itertools.accumulate(sizes))]
         self.flat = np.concatenate([np.zeros(0), *(np.ravel(t) for t in tensors if t is not None)])
-        self.weights, self.biases = self.views_of(self.flat)
-        self.weight_size = sum(sizes[:len(self.specs)])
-
-    def views_of(self, flat: np.ndarray) -> tuple[ParamViews, ParamViews]:
-        """Per-layer weight and bias views of a buffer laid out like `flat`."""
-        views = [None if sp is None else flat[sp[0]:sp[1]].reshape(sp[2]) for sp in self.layout]
-        return ParamViews(views[:len(self.specs)]), ParamViews(views[len(self.specs):])
+        views = [None if sp is None else self.flat[sp[0]:sp[1]].reshape(sp[2]) for sp in self.layout]
+        n = len(self.specs)
+        self.weights, self.biases = ParamViews(views[:n]), ParamViews(views[n:])
+        self.weight_size = sum(sizes[:n])
 
     def copy(self) -> "Network":
         return Network(tuple(self.input_shape), list(self.specs), self.weights, self.biases)
@@ -181,39 +190,26 @@ class Network:
 
 
 @dataclass
-class Gradients:
-    """Per-layer gradient views into `flat`, laid out like the network's."""
-
-    flat: np.ndarray
-    weights: list[np.ndarray | None]
-    biases: list[np.ndarray | None]
-
-    @staticmethod
-    def like(net: Network) -> "Gradients":  # uninitialized
-        flat = np.empty_like(net.flat)
-        return Gradients(flat, *net.views_of(flat))
-
-
-@dataclass
 class OptimizerState:
     """Classical momentum buffers plus the scalar hyperparameters.
 
     `l2_scale` is applied to weight tensors only; biases are updated with
-    plain momentum. `flat` holds the buffers, laid out like the network's
-    parameters (`Network.views_of` gives them per layer); `work` is scratch
-    for the L2 term, one value per weight.
+    plain momentum. `buffers` holds them as a Network of the trained
+    network's layout, so `buffers.weights[i]` is layer i's weight buffer;
+    `work` is scratch for the L2 term, one value per weight.
     """
 
     momentum: float
     l2_scale: float
-    flat: np.ndarray
+    buffers: Network
     work: np.ndarray
 
     @staticmethod
     def for_network(net: Network, momentum: float, l2_scale: float = 0.0) -> "OptimizerState":
         _check_optimizer(momentum, l2_scale)
-        flat = np.zeros_like(net.flat)
-        return OptimizerState(momentum, l2_scale, flat, np.empty(net.weight_size))
+        buffers = net.copy()
+        buffers.flat.fill(0.0)
+        return OptimizerState(momentum, l2_scale, buffers, np.empty(net.weight_size))
 
 
 def _check_optimizer(momentum: float, l2_scale: float) -> None:
@@ -346,8 +342,6 @@ def _forward(net: Network, x: np.ndarray, cache: list | None = None,
         elif spec.kind == "flatten":
             x = (np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T) if x.ndim == 4
                  else x.reshape(x.shape[0], -1))
-        else:
-            raise ValueError(f"layer {i}: unknown layer kind {spec.kind!r}")
     return x
 
 
@@ -384,9 +378,10 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
-                      targets: np.ndarray, grads: Gradients) -> Gradients:
+                      targets: np.ndarray, grads: Network) -> Network:
     """Batch-averaged softmax cross-entropy gradients of every parameter,
-    written into `grads`, which is returned.
+    written into the parameters of `grads`, a network of `net`'s layout
+    (`net.copy()` makes one), which is returned.
 
     `cache` and `logits` must come from a forward() call on the same
     network and batch; `targets` is the batch's one-hot label block, float64
@@ -429,7 +424,7 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
     return grads
 
 
-def sgd_momentum_step(net: Network, grads: Gradients, state: OptimizerState,
+def sgd_momentum_step(net: Network, grads: Network, state: OptimizerState,
                       lr: float) -> Network:
     """One classical-momentum update of the whole parameter buffer, in place.
 
@@ -440,9 +435,9 @@ def sgd_momentum_step(net: Network, grads: Gradients, state: OptimizerState,
     """
     if lr < 0.0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    if grads.flat.shape != net.flat.shape or state.flat.shape != net.flat.shape:
+    if grads.flat.shape != net.flat.shape or state.buffers.flat.shape != net.flat.shape:
         raise ValueError("gradients and momentum buffers must match the network's layout")
-    g, nw, buf = grads.flat, net.weight_size, state.flat
+    g, nw, buf = grads.flat, net.weight_size, state.buffers.flat
     buf *= state.momentum
     if state.l2_scale:
         # (l2_scale * weight) + grad, the same bits as grad + l2_scale * weight

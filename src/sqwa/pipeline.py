@@ -66,7 +66,7 @@ def _from_dict(cls, d: dict, where: str):
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
     try:
         return cls(**d)
-    except TypeError as exc:  # a required key is missing
+    except (TypeError, ValueError) as exc:  # a required key is missing, or of the wrong type
         raise ValueError(f"{where}: {exc}") from exc
 
 
@@ -176,7 +176,8 @@ class RunConfig:
                 ],
             }
         specs = _layer_specs(cfg.network)
-        output_shapes(specs, tuple(cfg.network["input_shape"]))  # names a layer that does not fit
+        output_shapes(specs, cfg.network["input_shape"])  # names a field or layer that does not fit
+        cfg.network = json.loads(json.dumps(cfg.network, default=int))  # numpy sizes as ints
         if not any(spec.has_params for spec in specs):
             raise ValueError(f"network: none of its layers ({', '.join(s.kind for s in specs)}) "
                              "carries weights, so there is nothing to train or quantize")
@@ -206,8 +207,9 @@ def default_config(output_dir: str, seed: int = 0) -> RunConfig:
 
 
 def _layer_specs(network: dict) -> list[LayerSpec]:
-    if not isinstance(network, dict) or set(network) != {"input_shape", "layers"}:
-        raise ValueError("network: expected a mapping of 'input_shape' and 'layers'")
+    if not (isinstance(network, dict) and set(network) == {"input_shape", "layers"}
+            and isinstance(network["layers"], (list, tuple))):
+        raise ValueError("network: expected a mapping of 'input_shape' and a list of 'layers'")
     return [_from_dict(LayerSpec, d, f"network layer {i}")
             for i, d in enumerate(network["layers"])]
 
@@ -461,8 +463,7 @@ def run_stages(cfg: RunConfig, last_stage: str) -> dict:
             out = fn(cfg, train, test, *[ckpt.load(paths[a]) for a in inputs])
             if name == "report":
                 result["report"], files = out
-                for artifact, text in files.items():
-                    ckpt.write_atomic(paths[artifact], text)
+                ckpt.write_atomic({paths[artifact]: text for artifact, text in files.items()})
             else:
                 for artifact, (obj, provenance) in out.items():
                     ckpt.save(obj, paths[artifact], provenance={"stage": name, **provenance})

@@ -17,7 +17,7 @@ import numpy as np
 
 from .averaging import CaptureBank, CaptureEntry
 from .data import Dataset, shuffle_batches
-from .nn import (Gradients, Network, OptimizerState, _check_input, _check_labels, _one_hot,
+from .nn import (Network, OptimizerState, _check_input, _check_labels, _one_hot,
                  forward, loss_and_backward, sgd_momentum_step)
 from .quantizer import (QuantizedModel, _quantize, _weight_steps, quantize_network,
                         select_step_size)
@@ -78,7 +78,7 @@ class _StepWorkspace:
         self.quantized = isinstance(model, ShadowModel)
         self.applied = model.applied if self.quantized else model
         self.trained = model.shadow if self.quantized else model
-        self.grads = Gradients.like(self.applied)
+        self.grads = self.applied.copy()
 
 
 def qat_train_step(ws: _StepWorkspace, batch: np.ndarray, targets: np.ndarray,

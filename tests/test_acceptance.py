@@ -30,7 +30,6 @@ from sqwa.losscape import (
     vector_to_network,
 )
 from sqwa.nn import (
-    Gradients,
     OptimizerState,
     conv2d,
     dense,
@@ -274,7 +273,7 @@ def _loss(net, batch, labels):
 def _fd_check(net, batch, labels, rtol=1e-4, eps=1e-5):
     logits, cache = forward(net, batch)
     grads = loss_and_backward(net, cache, logits, np.eye(logits.shape[1])[labels],
-                              Gradients.like(net))
+                              net.copy())
     for i in net.param_layers():
         for arr, g in ((net.weights[i], grads.weights[i]),
                        (net.biases[i], grads.biases[i])):

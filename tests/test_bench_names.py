@@ -1,12 +1,14 @@
 """The benchmark under `perfbench/` reaches the package by name: its tracer
 wraps `sqwa.<module>.<attribute>` callables, its workloads call
 `sqwa.<name>` on the package root and open a run's artifacts by their keys
-in `pipeline._paths`. A rename in `src/` would otherwise break only
-benchmark runs, so the names are resolved here, reading those files without
-importing them."""
+in `pipeline._paths`. A rename in `src/`, of a name or of a parameter, would
+otherwise break only benchmark runs, so the names are resolved and the
+workloads' calls bound to the live signatures here, reading those files
+without importing them."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -43,8 +45,25 @@ def _artifact_keys():
                    and isinstance(node.slice, ast.Constant)})
 
 
+def _calls():
+    # (module, name, positional count, keyword names, starred) of every
+    # `sqwa.<name>(...)` and `pipeline.<name>(...)` call; starred arguments
+    # are not counted, and a call that has any is only partly bound
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in ("sqwa", "pipeline")):
+            positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+            keywords = [k.arg for k in node.keywords if k.arg is not None]
+            starred = len(positional) < len(node.args) or len(keywords) < len(node.keywords)
+            yield pytest.param(func.value.id, func.attr, len(positional), keywords, starred,
+                               id=f"{func.value.id}.{func.attr}:{node.lineno}")
+
+
 def test_the_benchmark_names_something():
     assert len(_traced()) >= 10 and len(_root_names()) >= 10 and len(_artifact_keys()) >= 3
+    assert len(list(_calls())) >= 10
 
 
 @pytest.mark.parametrize("module,attribute", _traced())
@@ -67,3 +86,15 @@ def test_every_workload_name_resolves_on_the_package_root(name):
 def test_every_artifact_the_workloads_open_is_a_run_path(tmp_path, key):
     assert key in pipeline._paths(pipeline.default_config(tmp_path)), \
         f"perfbench/workloads.py opens paths[{key!r}]"
+
+
+@pytest.mark.parametrize("module,name,positional,keywords,starred", _calls())
+def test_every_workload_call_binds_to_the_live_signature(module, name, positional, keywords,
+                                                         starred):
+    target = getattr({"sqwa": sqwa, "pipeline": pipeline}[module], name)
+    bind = inspect.signature(target).bind_partial if starred else inspect.signature(target).bind
+    try:
+        bind(*[None] * positional, **dict.fromkeys(keywords))
+    except TypeError as exc:
+        raise AssertionError(f"perfbench/workloads.py calls {module}.{name} with "
+                             f"{positional} positional and keywords {keywords}: {exc}") from None

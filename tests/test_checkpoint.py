@@ -195,6 +195,36 @@ def test_capture_bank_round_trip(tmp_path):
                                           e_in.model.net.weights[i])
 
 
+def test_a_torn_bank_rewrite_leaves_no_manifest_of_the_old_bank(tmp_path, monkeypatch):
+    # bank B is saved over bank A, of the same bits and steps, and the write
+    # of B's manifest fails: A's manifest must not vouch for B's entries
+    model = ShadowModel.from_network(_net(116), 2)
+    banks = [CaptureBank(model.bits, list(model.steps)) for _ in range(2)]
+    for bank, epochs in zip(banks, ((1, 2, 3), (4, 5, 6))):
+        for epoch in epochs:
+            model.shadow.flat[:] += 0.05
+            model.refresh_applied()
+            bank.add(CaptureEntry(epoch, model.as_quantized(), model.shadow.copy(),
+                                  {"train_loss": float(epoch)}))
+    path = tmp_path / "bank"
+    ckpt.save(banks[0], path)
+    write_json = ckpt.write_json
+
+    def failing(target, obj):
+        if target == path / "manifest.json":
+            raise OSError("no space left on device")
+        write_json(target, obj)
+
+    monkeypatch.setattr(ckpt, "write_json", failing)
+    with pytest.raises(OSError, match="no space left"):
+        ckpt.save(banks[1], path)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="no manifest.json"):
+        ckpt.load(path)
+    ckpt.save(banks[1], path)
+    assert [e.epoch for e in ckpt.load(path).entries] == [4, 5, 6]
+
+
 def _seven_bit_average():
     # three 7-bit captures at the top level 63 sum to level 189, which needs i16
     qm, _ = direct_quantize_model(_net(119), 7)

@@ -11,7 +11,7 @@ from sqwa.averaging import CaptureBank, CaptureEntry, average_models
 from sqwa.data import Dataset
 from sqwa.losscape import (build_plane, evaluate_surface, grid_point, params_to_vector,
                            quantized_grid_point, vector_to_network)
-from sqwa.nn import (Gradients, OptimizerState, conv2d, dense, evaluate, flatten, forward,
+from sqwa.nn import (OptimizerState, conv2d, dense, evaluate, flatten, forward,
                      init_weights, loss_and_backward, relu, sgd_momentum_step,
                      zero_network)
 from sqwa.qat import ShadowModel
@@ -170,11 +170,11 @@ def test_flat_sgd_equals_per_layer_formula(l2):
         x = rng.normal(size=(6, 2, 5, 4))
         y = rng.integers(0, 4, size=6)
         logits, cache = forward(net, x)
-        grads = loss_and_backward(net, cache, logits, np.eye(4)[y], Gradients.like(net))
+        grads = loss_and_backward(net, cache, logits, np.eye(4)[y], net.copy())
         lr = 0.05 * (step + 1)
         _old_per_layer_sgd(weights, biases, grads, bufs_w, bufs_b, 0.9, l2, lr)
         sgd_momentum_step(net, grads, state, lr)
-        state_w, state_b = net.views_of(state.flat)
+        state_w, state_b = state.buffers.weights, state.buffers.biases
         for i in net.param_layers():
             assert np.array_equal(net.weights[i], weights[i])
             assert np.array_equal(state_w[i], bufs_w[i])
@@ -186,7 +186,7 @@ def test_flat_sgd_equals_per_layer_formula(l2):
 def test_biases_get_no_l2_term():
     net = _conv_net()
     state = OptimizerState.for_network(net, momentum=0.0, l2_scale=0.5)
-    grads = Gradients.like(net)
+    grads = net.copy()
     grads.flat[:] = 0.0
     before = net.flat.copy()
     sgd_momentum_step(net, grads, state, lr=1.0)
@@ -200,7 +200,7 @@ def test_sgd_rejects_gradients_of_another_layout():
     other = init_weights([dense(4, 3)], (4,), seed=1)
     state = OptimizerState.for_network(net, momentum=0.9)
     with pytest.raises(ValueError, match="layout"):
-        sgd_momentum_step(net, Gradients.like(other), state, lr=0.1)
+        sgd_momentum_step(net, other.copy(), state, lr=0.1)
 
 
 def test_gradients_share_the_network_layout():
@@ -208,7 +208,7 @@ def test_gradients_share_the_network_layout():
     net = _conv_net()
     logits, cache = forward(net, rng.normal(size=(4, 2, 5, 4)))
     grads = loss_and_backward(net, cache, logits, np.eye(4)[rng.integers(0, 4, size=4)],
-                              Gradients.like(net))
+                              net.copy())
     assert grads.flat.shape == net.flat.shape
     for g, t in zip([*grads.weights, *grads.biases], [*net.weights, *net.biases]):
         assert (g is None) == (t is None)

@@ -231,6 +231,37 @@ def test_an_export_torn_halfway_leaves_no_torn_file(tmp_path, monkeypatch, torn)
 
 # --- the surface split across processes ------------------------------------
 
+def test_an_export_whose_sidecar_write_fails_leaves_the_old_pair(tmp_path, monkeypatch):
+    # the rewrite of a grid on the same axes fails at the sidecar's
+    # temporary file: neither file is renamed, so load_grid reads the old
+    # grid whole, not the new losses under the old metadata
+    plane, template, data = _surface_inputs()
+    old = evaluate_surface(plane, template, data, resolution=3, dataset_id="old")
+    new = evaluate_surface(plane, template, data, resolution=3, mode="quantized", bits=2,
+                           steps=[0.2, 0.2], dataset_id="new")
+    assert not np.array_equal(old.loss, new.loss)
+    csv_path, meta_path = export_grid(old, tmp_path / "s.csv")
+    before = {p: p.read_bytes() for p in (csv_path, meta_path)}
+    write_text = Path.write_text
+
+    def failing(self, text, *args, **kwargs):
+        if self.name == "s.csv.meta.json.tmp":
+            raise OSError("no space left on device")
+        return write_text(self, text, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Path, "write_text", failing)
+        with pytest.raises(OSError, match="no space left"):
+            export_grid(new, csv_path)
+    assert {p: p.read_bytes() for p in (csv_path, meta_path)} == before
+    back = load_grid(csv_path)
+    assert (back.mode, back.dataset_id) == ("full_precision", "old")
+    np.testing.assert_array_equal(back.loss, old.loss)
+    export_grid(new, csv_path)
+    assert load_grid(csv_path).dataset_id == "new"
+    assert csv_path.read_bytes().count(b"\r\n") == 1 + 9
+
+
 def _surface_inputs(seed=95):
     nets = [_net(s) for s in (seed, seed + 1, seed + 2)]
     plane = build_plane(*[params_to_vector(n) for n in nets])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sqwa.nn import (
-    Gradients,
+    LayerSpec,
     Network,
     OptimizerState,
     conv2d,
@@ -36,7 +37,7 @@ def _loss_only(net, batch, labels):
 def _gradients(net, cache, logits, labels):
     # loss_and_backward with one-hot targets into a fresh gradient buffer
     targets = np.eye(logits.shape[1])[labels]
-    return loss_and_backward(net, cache, logits, targets, Gradients.like(net))
+    return loss_and_backward(net, cache, logits, targets, net.copy())
 
 
 def _fd_gradients(net, batch, labels, eps=1e-5):
@@ -88,6 +89,28 @@ def test_output_shapes_conv_chain():
 def test_output_shapes_mismatch_is_diagnosed():
     with pytest.raises(ValueError, match="layer 2"):
         output_shapes([dense(8, 24), relu(), dense(23, 10)], (8,))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: dense(8.0, 10), "dense fan_in must be an integer >= 1, got 8.0"),
+    (lambda: dense(8, "10"), "dense fan_out must be an integer >= 1, got '10'"),
+    (lambda: dense(True, 10), "dense fan_in must be an integer >= 1, got True"),
+    (lambda: conv2d(1, 0, 3), "conv2d out_channels must be an integer >= 1, got 0"),
+    (lambda: LayerSpec("conv2d", in_channels=1, out_channels=2),
+     "conv2d kernel_size must be an integer >= 1, got None"),
+    (lambda: dense(8, 10, has_bias="no"), "has_bias must be true or false, got 'no'"),
+])
+def test_a_layer_spec_of_the_wrong_field_types_is_refused(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_layer_sizes_may_be_numpy_integers_and_input_shapes_are_checked():
+    specs = [conv2d(np.int64(1), np.int32(2), np.int64(3)), flatten(), dense(np.int64(32), 3)]
+    assert output_shapes(specs, [np.int64(1), 6, 6])[-1] == (3,)
+    for shape in (6, (1, 6.0, 6), (1, True, 6), (1, 0, 6)):
+        with pytest.raises(ValueError, match="input_shape must be a list of integers >= 1"):
+            output_shapes(specs, shape)
 
 
 def test_init_weights_uniform_bound_and_zero_bias():
@@ -304,7 +327,7 @@ def test_momentum_update_sequence():
     net = Network(input_shape=(1,), specs=[dense(1, 1, has_bias=False)],
                   weights=[np.zeros((1, 1))], biases=[None])
     state = OptimizerState.for_network(net, momentum=0.9)
-    grads = Gradients.like(net)
+    grads = net.copy()
     grads.flat[:] = 1.0
 
     seen = []
@@ -312,7 +335,7 @@ def test_momentum_update_sequence():
         sgd_momentum_step(net, grads, state, lr=0.1)
         seen.append(net.weights[0][0, 0])
     np.testing.assert_allclose(seen, [-0.1, -0.29, -0.561], atol=1e-12)
-    buffers_w, _ = net.views_of(state.flat)
+    buffers_w = state.buffers.weights
     assert buffers_w[0][0, 0] == pytest.approx(2.71, abs=1e-12)
 
 
@@ -321,7 +344,7 @@ def test_l2_applies_to_weights_not_biases():
     net.weights[0][:] = 1.0
     net.biases[0][:] = 1.0
     state = OptimizerState.for_network(net, momentum=0.0, l2_scale=0.5)
-    grads = Gradients.like(net)
+    grads = net.copy()
     grads.flat[:] = 0.0
 
     sgd_momentum_step(net, grads, state, lr=1.0)
@@ -342,7 +365,7 @@ def test_l2_step_equals_the_copying_formula_and_leaves_grads_alone(l2):
     state = OptimizerState.for_network(net, momentum=0.9, l2_scale=l2)
     nw = net.weight_size
     for step in range(3):
-        grads = Gradients.like(net)
+        grads = net.copy()
         grads.flat[:] = rng.normal(size=grads.flat.shape)
         g = grads.flat.copy()
         g[:nw] += l2 * ref[:nw]
@@ -357,7 +380,7 @@ def test_l2_step_equals_the_copying_formula_and_leaves_grads_alone(l2):
         finally:
             tracemalloc.stop()
         assert np.array_equal(grads.flat, before)
-        assert np.array_equal(net.flat, ref) and np.array_equal(state.flat, ref_buf)
+        assert np.array_equal(net.flat, ref) and np.array_equal(state.buffers.flat, ref_buf)
         assert peak < 1.5 * net.flat.nbytes
 
 
@@ -542,7 +565,7 @@ def test_backward_kernel_overwrites_every_gradient_view():
     y = rng.integers(0, 4, size=6)
     logits, cache = forward(net, x)
     expected = _gradients(net, cache, logits, y)
-    grads = Gradients.like(net)
+    grads = net.copy()
     grads.flat[:] = np.nan
     assert loss_and_backward(net, cache, logits, np.eye(4)[y], grads) is grads
     assert np.array_equal(grads.flat, expected.flat)

@@ -822,9 +822,52 @@ def _reloaded_arrays(obj):
     return [pipeline.as_network(obj).flat]
 
 
+@pytest.fixture(scope="module")
+def chw_idx_dataset(tmp_path_factory):
+    """An IDX dataset config of 12 train and 12 test 6x6 images of 3
+    classes, loaded as (N, 1, 6, 6); the files are written once."""
+    from sqwa.data import write_idx
+    root = tmp_path_factory.mktemp("idx")
+    rng = np.random.default_rng(13)
+    files = {}
+    for split in ("train", "test"):
+        files[f"{split}_images"] = str(root / f"{split}-images.idx")
+        files[f"{split}_labels"] = str(root / f"{split}-labels.idx")
+        write_idx(files[f"{split}_images"], rng.integers(0, 256, size=(12, 6, 6)))
+        write_idx(files[f"{split}_labels"], np.arange(12) % 3)
+    return {"kind": "idx", "layout": "chw", **files}
+
+
+def _drawn_network(arch, depth, widths, kernels, biases, dims, classes):
+    # "dense": `depth` dense layers from `dims` inputs through widths to
+    # `classes` logits, relu between; "conv": up to two conv2d + relu layers
+    # over the IDX images, then flatten and a dense layer to their 3
+    # classes. biases[i] is whether weighted layer i has a bias.
+    if arch == "dense":
+        sizes = [dims, *widths[:depth - 1], classes]
+        layers = []
+        for i in range(depth):
+            if i:
+                layers.append({"kind": "relu"})
+            layers.append(_dense(sizes[i], sizes[i + 1], has_bias=biases[i]))
+        return {"input_shape": [dims], "layers": layers}
+    channels, side, layers = 1, 6, []
+    for i, (out_c, k) in enumerate(zip(widths[:min(depth, 2)], kernels)):
+        layers += [{"kind": "conv2d", "in_channels": channels, "out_channels": out_c,
+                    "kernel_size": k, "has_bias": biases[i]}, {"kind": "relu"}]
+        channels, side = out_c, side - k + 1
+    return {"input_shape": [1, 6, 6],
+            "layers": [*layers, {"kind": "flatten"},
+                       _dense(channels * side * side, 3, has_bias=biases[-1])]}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(bits=st.integers(1, 9), average_last_n=st.integers(1, 3), period=st.integers(3, 5),
+@given(arch=st.sampled_from(["default", "dense", "conv"]), depth=st.integers(1, 3),
+       widths=st.lists(st.integers(1, 6), min_size=2, max_size=2),
+       kernels=st.lists(st.integers(1, 3), min_size=2, max_size=2),
+       biases=st.lists(st.booleans(), min_size=3, max_size=3),
+       bits=st.integers(1, 9), average_last_n=st.integers(1, 3), period=st.integers(3, 5),
        mid_steps=st.integers(1, 2), captures=st.integers(1, 3), extra_epochs=st.integers(0, 2),
        pre_epochs=st.integers(1, 6), ft_epochs=st.integers(0, 2),
        initial_lr=st.sampled_from([1e-3, 0.1, 2.0, 50.0, 1e6]),
@@ -834,11 +877,13 @@ def _reloaded_arrays(obj):
        dims=st.integers(1, 4), spread=st.sampled_from([1e-9, 0.3, 3.0]),
        seed=st.integers(0, 999))
 def test_a_generated_config_is_rejected_or_runs_or_fails_a_stage_cleanly(
-        bits, average_last_n, period, mid_steps, captures, extra_epochs, pre_epochs, ft_epochs,
-        initial_lr, milestones, decay, l2_scale, batch_size, classes, samples, dims, spread,
-        seed):
+        chw_idx_dataset, arch, depth, widths, kernels, biases, bits, average_last_n, period,
+        mid_steps, captures, extra_epochs, pre_epochs, ft_epochs, initial_lr, milestones, decay,
+        l2_scale, batch_size, classes, samples, dims, spread, seed):
     # resolve() rejects an average of more models than the captures, a
-    # period too short for its ladder, bits 9 and too few dims for the classes
+    # period too short for its ladder, bits 9 and too few dims for the
+    # classes. The network is the default, a drawn dense stack on the blobs,
+    # or a drawn conv stack on the IDX images.
     cyc_epochs = captures * period + extra_epochs
     with tempfile.TemporaryDirectory() as out:
         d = {"seed": seed, "output_dir": out, "bits": bits, "average_last_n": average_last_n,
@@ -849,6 +894,10 @@ def test_a_generated_config_is_rejected_or_runs_or_fails_a_stage_cleanly(
                           "l2_scale": l2_scale, "batch_size": batch_size},
              "cyclical": {"epochs": cyc_epochs, "period": period, "mid_steps": mid_steps},
              "finetune": {"epochs": ft_epochs}}
+        if arch == "conv":
+            d["dataset"] = chw_idx_dataset
+        if arch != "default":
+            d["network"] = _drawn_network(arch, depth, widths, kernels, biases, dims, classes)
         try:
             cfg = RunConfig.from_dict(d).resolve()
         except ValueError:
@@ -957,6 +1006,43 @@ def test_a_network_that_cannot_run_is_refused_before_config_json(tmp_path, probe
     assert not (tmp_path / "run").exists()
     run_sqwa(RunConfig.from_dict(d))
     assert (tmp_path / "run" / "summary.txt").is_file()
+
+
+# (network, message) of network fields of the wrong type or missing, each
+# once a traceback, a stage error after config.json, or a bias trained anyway
+_NETWORK_TYPE_PROBES = {
+    "input_shape int": ({"input_shape": 8, "layers": [_dense(8, 10)]},
+                        "input_shape must be a list of integers >= 1, got 8"),
+    "fan_out str": ({"input_shape": [8], "layers": [_dense(8, "10")]},
+                    "network layer 0: dense fan_out must be an integer >= 1, got '10'"),
+    "fan_in float": ({"input_shape": [8], "layers": [_dense(8.0, 10)]},
+                     "network layer 0: dense fan_in must be an integer >= 1, got 8.0"),
+    "has_bias str": ({"input_shape": [8], "layers": [_dense(8, 10, has_bias="no")]},
+                     "network layer 0: has_bias must be true or false, got 'no'"),
+    "fan_out missing": ({"input_shape": [8], "layers": [{"kind": "dense", "fan_in": 8}]},
+                        "network layer 0: dense fan_out must be an integer >= 1, got None"),
+}
+
+
+@pytest.mark.parametrize("probe", list(_NETWORK_TYPE_PROBES))
+def test_a_network_field_of_the_wrong_type_is_an_error_line_before_config_json(
+        tmp_path, capsys, probe):
+    network, message = _NETWORK_TYPE_PROBES[probe]
+    out = tmp_path / "run"
+    args = _default_cli_args(out, "dataset.samples_per_class=5",
+                             "dataset.test_samples_per_class=5", f"network={json.dumps(network)}")
+    assert main(["pretrain", *args]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
+def test_numpy_integer_sizes_resolve_to_a_json_config(tmp_path):
+    d = _small_dict(tmp_path / "run")
+    d["network"] = {"input_shape": [np.int64(4)],
+                    "layers": [_dense(np.int64(4), np.int32(3), has_bias=False)]}
+    cfg = RunConfig.from_dict(d).resolve()
+    assert json.loads(json.dumps(cfg.network)) == {
+        "input_shape": [4], "layers": [_dense(4, 3, has_bias=False)]}
 
 
 def test_an_idx_network_that_does_not_fit_is_refused_before_config_json(tmp_path):

@@ -186,7 +186,7 @@ def test_fit_rejects_more_classes_than_outputs():
 
 def test_fit_without_quantizer_is_plain_sgd():
     from sqwa.data import shuffle_batches
-    from sqwa.nn import Gradients, forward, loss_and_backward, sgd_momentum_step
+    from sqwa.nn import forward, loss_and_backward, sgd_momentum_step
     data = synthetic_blobs(3, 20, 4, 0.4, seed=60)
     net = init_weights([dense(4, 8), relu(), dense(8, 3)], (4,), seed=60)
     ref = net.copy()
@@ -194,7 +194,7 @@ def test_fit_without_quantizer_is_plain_sgd():
     for epoch, lr in enumerate([0.1, 0.05]):
         for xb, yb in shuffle_batches(data, 16, 60, epoch):
             logits, cache = forward(ref, xb)
-            grads = loss_and_backward(ref, cache, logits, np.eye(3)[yb], Gradients.like(ref))
+            grads = loss_and_backward(ref, cache, logits, np.eye(3)[yb], ref.copy())
             sgd_momentum_step(ref, grads, opt, lr)
     assert fit(net, data, [0.1, 0.05], 60, batch_size=16, l2_scale=1e-3) is net
     assert np.array_equal(net.flat, ref.flat)
@@ -206,14 +206,14 @@ def _reference_fit(model, data, lrs, seed, batch_size):
     # fit of a ShadowModel spelled out with the public kernels: a fresh
     # gradient buffer and fresh one-hot targets on every step
     from sqwa.data import shuffle_batches
-    from sqwa.nn import Gradients, forward, loss_and_backward, sgd_momentum_step
+    from sqwa.nn import forward, loss_and_backward, sgd_momentum_step
     opt = OptimizerState.for_network(model.shadow, momentum=0.9)
     for epoch, lr in enumerate(lrs):
         for xb, yb in shuffle_batches(data, batch_size, seed, epoch):
             logits, cache = forward(model.applied, xb)
             targets = np.eye(model.applied.num_classes)[yb]
             grads = loss_and_backward(model.applied, cache, logits, targets,
-                                      Gradients.like(model.applied))
+                                      model.applied.copy())
             sgd_momentum_step(model.shadow, grads, opt, lr)
             model.refresh_applied()
     return model
@@ -350,8 +350,8 @@ def _ref_forward(net, x):
 
 
 def _ref_gradients(net, cache, logits, labels):
-    from sqwa.nn import Gradients, _col2im, _im2col
-    grads = Gradients.like(net)
+    from sqwa.nn import _col2im, _im2col
+    grads = net.copy()
     n = logits.shape[0]
     log_probs = logits - logits.max(axis=1, keepdims=True)
     log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
@@ -451,7 +451,7 @@ def test_fit_equals_the_per_call_arithmetic_bit_for_bit(monkeypatch, case):
     monkeypatch.setattr(qat_mod, "sgd_momentum_step", spy)
     assert fit(model, data, lrs, 76, batch_size=batch_size, l2_scale=l2_scale) is model
     assert len(states) == len(lrs) * -(-len(data) // batch_size)
-    assert np.array_equal(states[-1].flat, ref_buf)
+    assert np.array_equal(states[-1].buffers.flat, ref_buf)
     if isinstance(model, ShadowModel):
         assert np.array_equal(model.shadow.flat, ref.shadow.flat)
         assert np.array_equal(model.applied.flat, ref.applied.flat)
