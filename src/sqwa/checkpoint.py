@@ -103,11 +103,19 @@ def _parts(obj):
 def write_atomic(files: dict[Path, str]) -> None:
     """Write each text to a sibling file, then rename each over its path: a
     crash mid-write leaves no torn file (a torn manifest would mark its
-    directory done), and no path changes until every text is written."""
-    for path, text in files.items():
-        path.with_name(path.name + ".tmp").write_text(text)
-    for path in files:
-        os.replace(path.with_name(path.name + ".tmp"), path)
+    directory done), and no path changes until every text is written. A
+    write or rename that raises removes the siblings this call made."""
+    made = []
+    try:
+        for path, text in files.items():
+            made.append(path.with_name(path.name + ".tmp"))
+            made[-1].write_text(text)
+        for path, tmp in zip(files, made):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in made:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path: Path, obj) -> None:

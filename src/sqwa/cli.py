@@ -39,6 +39,8 @@ def _apply_overrides(d: dict, overrides: list[str]) -> dict:
         *parents, leaf = dotted.split(".")
         for p in parents:
             target = target.setdefault(p, {})
+            if not isinstance(target, dict):
+                raise ValueError(f"override {item!r}: {p} holds {target!r}, not a mapping")
         target[leaf] = value
     return d
 

@@ -70,8 +70,12 @@ _SIZES = {"dense": ("fan_in", "fan_out"), "conv2d": ("in_channels", "out_channel
           "relu": (), "flatten": ()}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_size(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
 
 
 def dense(fan_in: int, fan_out: int, has_bias: bool = True) -> LayerSpec:
@@ -191,17 +195,19 @@ class Network:
 
 @dataclass
 class OptimizerState:
-    """Classical momentum buffers plus the scalar hyperparameters.
+    """Classical momentum and gradient buffers plus the scalar hyperparameters.
 
     `l2_scale` is applied to weight tensors only; biases are updated with
     plain momentum. `buffers` holds them as a Network of the trained
     network's layout, so `buffers.weights[i]` is layer i's weight buffer;
+    `grads` is another such Network, which every step overwrites whole;
     `work` is scratch for the L2 term, one value per weight.
     """
 
     momentum: float
     l2_scale: float
     buffers: Network
+    grads: Network
     work: np.ndarray
 
     @staticmethod
@@ -209,7 +215,7 @@ class OptimizerState:
         _check_optimizer(momentum, l2_scale)
         buffers = net.copy()
         buffers.flat.fill(0.0)
-        return OptimizerState(momentum, l2_scale, buffers, np.empty(net.weight_size))
+        return OptimizerState(momentum, l2_scale, buffers, net.copy(), np.empty(net.weight_size))
 
 
 def _check_optimizer(momentum: float, l2_scale: float) -> None:

@@ -27,11 +27,11 @@ import numpy as np
 from . import checkpoint as ckpt
 from .averaging import AveragedModel, CaptureBank, average_models, requantize_averaged
 from .data import Dataset, _check_blobs, load_idx, synthetic_blobs
-from .nn import (LayerSpec, Network, _check_batch_size, _check_optimizer, evaluate, forward,
-                 init_weights, output_shapes)
+from .nn import (LayerSpec, Network, _check_batch_size, _check_optimizer, _is_int, evaluate,
+                 forward, init_weights, output_shapes)
 from .qat import ShadowModel, _check_finetune, finetune, fit, retrain
 from .quantizer import QuantizedModel, direct_quantize_model
-from .schedule import CyclicalSchedule, StepDecaySchedule, derive_cycle_bounds, lr_at
+from .schedule import CyclicalSchedule, StepDecaySchedule, derive_cycle_bounds
 
 __all__ = [
     "PipelineError",
@@ -57,13 +57,30 @@ class PipelineError(RuntimeError):
     pass
 
 
-def _from_dict(cls, d: dict, where: str):
+# a field's annotation -> (check, what it must be); `X | None` takes None
+# too, and a field of any other annotation (a section, the network) is
+# checked where it is built
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, (float, np.floating)), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+}
+
+
+def _from_dict(cls, d: dict, where: str, check_types: bool = True):
     if not isinstance(d, dict):
         raise ValueError(f"{where}: expected a mapping, got {type(d).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - names
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(annotations)
     if unknown:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    for name, value in d.items() if check_types else ():
+        optional = annotations[name].endswith(" | None")
+        check, expected = _FIELD_TYPES.get(annotations[name].removesuffix(" | None"), (None, None))
+        if check and not (check(value) or optional and value is None):
+            raise ValueError(f"{where}.{name}: expected {expected}, got {value!r}")
     try:
         return cls(**d)
     except (TypeError, ValueError) as exc:  # a required key is missing, or of the wrong type
@@ -152,7 +169,7 @@ class RunConfig:
         cfg = RunConfig.from_dict(self.to_dict())  # a deep copy
         if cfg.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not (isinstance(cfg.bits, int) and 1 <= cfg.bits <= 8):
+        if not 1 <= cfg.bits <= 8:
             raise ValueError(f"bits must be an integer in 1..8, got {cfg.bits!r}")
         if cfg.dataset.kind == "blobs":
             d = cfg.dataset
@@ -177,7 +194,6 @@ class RunConfig:
             }
         specs = _layer_specs(cfg.network)
         output_shapes(specs, cfg.network["input_shape"])  # names a field or layer that does not fit
-        cfg.network = json.loads(json.dumps(cfg.network, default=int))  # numpy sizes as ints
         if not any(spec.has_params for spec in specs):
             raise ValueError(f"network: none of its layers ({', '.join(s.kind for s in specs)}) "
                              "carries weights, so there is nothing to train or quantize")
@@ -198,7 +214,8 @@ class RunConfig:
         if not (1 <= cfg.average_last_n <= captures):
             raise ValueError(f"average_last_n {cfg.average_last_n} exceeds the "
                              f"{captures} captures the cyclical stage will produce")
-        return cfg
+        # as config.json will hold it, numpy numbers as Python ones
+        return RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict(), default=np.generic.item)))
 
 
 def default_config(output_dir: str, seed: int = 0) -> RunConfig:
@@ -210,7 +227,8 @@ def _layer_specs(network: dict) -> list[LayerSpec]:
     if not (isinstance(network, dict) and set(network) == {"input_shape", "layers"}
             and isinstance(network["layers"], (list, tuple))):
         raise ValueError("network: expected a mapping of 'input_shape' and a list of 'layers'")
-    return [_from_dict(LayerSpec, d, f"network layer {i}")
+    # a layer spec checks its own fields, naming the layer kind
+    return [_from_dict(LayerSpec, d, f"network layer {i}", check_types=False)
             for i, d in enumerate(network["layers"])]
 
 
@@ -286,10 +304,9 @@ def _score(obj, **splits: Dataset) -> dict:
 
 def _stage_pretrain(cfg: RunConfig, train: Dataset, test: Dataset) -> dict:
     specs = _layer_specs(cfg.network)
-    sched = _pretrain_schedule(cfg)
     p = cfg.pretrain
     net = init_weights(specs, tuple(cfg.network["input_shape"]), cfg.seed)
-    fit(net, train, [lr_at(sched, epoch) for epoch in range(p.epochs)], cfg.seed,
+    fit(net, train, _pretrain_schedule(cfg).rates(), cfg.seed,
         batch_size=p.batch_size, momentum=p.momentum, l2_scale=p.l2_scale)
     _check_responsive(net, train)
     scores = _score(net, test=test)
@@ -329,7 +346,7 @@ def _stage_retrain(cfg: RunConfig, train: Dataset, test: Dataset, net: Network,
     for entry in bank.entries:
         entry.metrics.update(_score(entry.model, train=train, test=test))
         log.info("retrain-cyclical: epoch %d, lr %.2g, test accuracy %.4f",
-                 entry.epoch, lr_at(sched, entry.epoch), entry.metrics["test_accuracy"])
+                 entry.epoch, sched.rates()[entry.epoch], entry.metrics["test_accuracy"])
     log.info("retrain-cyclical: %d captures banked", len(bank))
     return {"capture_bank": (bank, {})}
 

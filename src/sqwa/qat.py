@@ -21,7 +21,7 @@ from .nn import (Network, OptimizerState, _check_input, _check_labels, _one_hot,
                  forward, loss_and_backward, sgd_momentum_step)
 from .quantizer import (QuantizedModel, _quantize, _weight_steps, quantize_network,
                         select_step_size)
-from .schedule import CyclicalSchedule, capture_epochs, lr_at
+from .schedule import CyclicalSchedule, capture_epochs
 
 __all__ = ["ShadowModel", "qat_train_step", "fit", "retrain", "finetune"]
 
@@ -69,20 +69,8 @@ class ShadowModel:
         return QuantizedModel(self.applied.copy(), self.bits, list(self.steps))
 
 
-class _StepWorkspace:
-    """What the steps of one training loop share: the model, the momentum
-    state, and one gradient buffer that every step overwrites whole."""
-
-    def __init__(self, model: ShadowModel | Network, opt: OptimizerState):
-        self.model, self.opt = model, opt
-        self.quantized = isinstance(model, ShadowModel)
-        self.applied = model.applied if self.quantized else model
-        self.trained = model.shadow if self.quantized else model
-        self.grads = self.applied.copy()
-
-
-def qat_train_step(ws: _StepWorkspace, batch: np.ndarray, targets: np.ndarray,
-                   lr: float) -> None:
+def qat_train_step(model: ShadowModel | Network, state: OptimizerState, batch: np.ndarray,
+                   targets: np.ndarray, lr: float) -> None:
     """One training step on quantized weights.
 
     Forward pass and gradients are computed on the applied (quantized)
@@ -92,11 +80,13 @@ def qat_train_step(ws: _StepWorkspace, batch: np.ndarray, targets: np.ndarray,
     batch's one-hot label block, which fit builds from labels it has checked;
     the forward pass checks the batch's input shape.
     """
-    logits, cache = forward(ws.applied, batch)
-    loss_and_backward(ws.applied, cache, logits, targets, ws.grads)
-    sgd_momentum_step(ws.trained, ws.grads, ws.opt, lr)
-    if ws.quantized:
-        ws.model.refresh_applied()
+    quantized = isinstance(model, ShadowModel)
+    applied = model.applied if quantized else model
+    logits, cache = forward(applied, batch)
+    loss_and_backward(applied, cache, logits, targets, state.grads)
+    sgd_momentum_step(model.shadow if quantized else model, state.grads, state, lr)
+    if quantized:
+        model.refresh_applied()
 
 
 def fit(model: ShadowModel | Network, dataset: Dataset, lrs: list[float], seed: int, *,
@@ -107,33 +97,34 @@ def fit(model: ShadowModel | Network, dataset: Dataset, lrs: list[float], seed: 
     `after_epoch(epoch, lr)` after every epoch. Mutates `model`, returns it.
 
     The dataset's input shape and labels are checked once, before the
-    first step, and all steps share one gradient buffer. Each epoch builds
+    first step, and all steps share one OptimizerState. Each epoch builds
     the one-hot targets of its shuffled labels once. After every epoch
     a trained parameter that is not finite, or a weighted layer whose
     weights are all zero at float32 precision, raises ValueError naming the
     epoch and layer.
     """
-    net = model.applied if isinstance(model, ShadowModel) else model
-    ws = _StepWorkspace(model, OptimizerState.for_network(net, momentum, l2_scale))
-    _check_input(net, dataset.images)
-    _check_labels(dataset.labels, len(dataset), net.num_classes)
+    quantized = isinstance(model, ShadowModel)
+    applied, trained = (model.applied, model.shadow) if quantized else (model, model)
+    state = OptimizerState.for_network(applied, momentum, l2_scale)
+    _check_input(applied, dataset.images)
+    _check_labels(dataset.labels, len(dataset), applied.num_classes)
     for epoch, lr in enumerate(lrs):
-        _run_epoch(model, dataset, lr, ws, batch_size, seed, epoch)
-        _check_alive(ws.trained, epoch)
+        _run_epoch(model, dataset, lr, state, batch_size, seed, epoch)
+        _check_alive(trained, epoch)
         if after_epoch is not None:
             after_epoch(epoch, lr)
     return model
 
 
 def _run_epoch(model: ShadowModel | Network, dataset: Dataset, lr: float,
-               ws: _StepWorkspace, batch_size: int, seed: int, epoch: int) -> None:
+               state: OptimizerState, batch_size: int, seed: int, epoch: int) -> None:
     batches = shuffle_batches(dataset, batch_size, seed, epoch)
     # the epoch's labels in batch order (the empty head keeps an empty
     # dataset's list nonempty) as one target block, sliced per step
     targets = _one_hot(np.concatenate([dataset.labels[:0], *(yb for _, yb in batches)]),
-                       ws.applied.num_classes)
+                       state.grads.num_classes)
     for start, (xb, _) in zip(range(0, len(dataset), batch_size), batches):
-        qat_train_step(ws, xb, targets[start:start + batch_size], lr)
+        qat_train_step(model, state, xb, targets[start:start + batch_size], lr)
 
 
 def _check_alive(net: Network, epoch: int) -> None:
@@ -167,8 +158,8 @@ def retrain(model: ShadowModel, dataset: Dataset, schedule: CyclicalSchedule, se
         if epoch in capture_at:
             bank.add(CaptureEntry(epoch, model.as_quantized(), model.shadow.copy(), {}))
 
-    fit(model, dataset, [lr_at(schedule, epoch) for epoch in range(schedule.total_epochs)],
-        seed, batch_size=batch_size, momentum=momentum, after_epoch=capture)
+    fit(model, dataset, schedule.rates(), seed, batch_size=batch_size, momentum=momentum,
+        after_epoch=capture)
     return model, bank
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "CyclicalSchedule",
     "derive_cycle_bounds",
     "ladder",
-    "lr_at",
     "capture_epochs",
 ]
 
@@ -44,8 +43,14 @@ class StepDecaySchedule:
         object.__setattr__(self, "milestones", ms)
 
     def lr_values(self) -> list[float]:
-        """Every distinct rate the schedule takes, in order of use."""
+        """Every distinct rate the schedule takes, in order of use. A rate
+        past the last epoch (a milestone >= total_epochs) is included."""
         return [self.initial_lr * self.factor ** i for i in range(len(self.milestones) + 1)]
+
+    def rates(self) -> list[float]:
+        """The rate of each epoch, in order."""
+        return [self.initial_lr * self.factor ** sum(1 for m in self.milestones if m <= epoch)
+                for epoch in range(self.total_epochs)]
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,13 @@ class CyclicalSchedule:
         if self.total_epochs < 1:
             raise ValueError("total_epochs must be >= 1")
 
+    def rates(self) -> list[float]:
+        """The rate of each epoch, in order."""
+        values = ladder(self)
+        dwell = self.period // len(values)
+        return [values[min(epoch % self.period // dwell, len(values) - 1)]
+                for epoch in range(self.total_epochs)]
+
 
 def derive_cycle_bounds(pretrain_lrs) -> tuple[float, float]:
     """Cycle bounds from the pretraining rates: (max/10, min/10).
@@ -99,21 +111,6 @@ def ladder(spec: CyclicalSchedule) -> list[float]:
     values = [spec.max_lr * ratio ** (j / (n - 1)) for j in range(n)]
     values[-1] = spec.min_lr  # exact endpoints
     return values
-
-
-def lr_at(spec, epoch: int) -> float:
-    """Learning rate for a 0-based epoch index."""
-    if not (0 <= epoch < spec.total_epochs):
-        raise ValueError(f"epoch {epoch} outside [0, {spec.total_epochs})")
-    if isinstance(spec, StepDecaySchedule):
-        passed = sum(1 for m in spec.milestones if m <= epoch)
-        return spec.initial_lr * spec.factor ** passed
-    if isinstance(spec, CyclicalSchedule):
-        values = ladder(spec)
-        dwell = spec.period // len(values)
-        pos = epoch % spec.period
-        return values[min(pos // dwell, len(values) - 1)]
-    raise TypeError(f"unknown schedule type {type(spec).__name__}")
 
 
 def capture_epochs(spec: CyclicalSchedule) -> list[int]:

@@ -41,7 +41,7 @@ from sqwa.nn import (
     relu,
 )
 from sqwa.pipeline import RunConfig, build_datasets, run_sqwa
-from sqwa.qat import ShadowModel, _StepWorkspace, finetune, qat_train_step
+from sqwa.qat import ShadowModel, finetune, qat_train_step
 from sqwa.quantizer import QuantizerConfig, levels_count, quantize_tensor
 from sqwa.schedule import CyclicalSchedule, capture_epochs, derive_cycle_bounds
 
@@ -315,11 +315,11 @@ def test_criterion_07_applied_equals_quantized_shadow():
     rng = np.random.default_rng(1007)
     net = init_weights([dense(5, 10), relu(), dense(10, 4)], (5,), seed=1007)
     model = ShadowModel.from_network(net, 2)
-    ws = _StepWorkspace(model, OptimizerState.for_network(model.shadow, momentum=0.9))
+    state = OptimizerState.for_network(model.shadow, momentum=0.9)
     for step in range(30):
         x = rng.normal(size=(12, 5))
         y = rng.integers(0, 4, size=12)
-        qat_train_step(ws, x, np.eye(4)[y], lr=0.05)
+        qat_train_step(model, state, x, np.eye(4)[y], lr=0.05)
         idx = model.shadow.param_layers()
         for i, s in zip(idx, model.steps):
             expected = quantize_tensor(model.shadow.weights[i],
@@ -332,12 +332,12 @@ def test_criterion_07_small_step_leaves_applied_unchanged():
     rng = np.random.default_rng(1008)
     net = init_weights([dense(5, 8), relu(), dense(8, 3)], (5,), seed=1008)
     model = ShadowModel.from_network(net, 2)
-    ws = _StepWorkspace(model, OptimizerState.for_network(model.shadow, momentum=0.0))
+    state = OptimizerState.for_network(model.shadow, momentum=0.0)
     shadow_before = [w.copy() for w in model.shadow.weights if w is not None]
     applied_before = [w.copy() for w in model.applied.weights if w is not None]
     x = rng.normal(size=(8, 5))
     y = rng.integers(0, 3, size=8)
-    qat_train_step(ws, x, np.eye(3)[y], lr=1e-10)
+    qat_train_step(model, state, x, np.eye(3)[y], lr=1e-10)
     shadow_after = [w for w in model.shadow.weights if w is not None]
     applied_after = [w for w in model.applied.weights if w is not None]
     assert any(not np.array_equal(b, a) for b, a in zip(shadow_before, shadow_after))

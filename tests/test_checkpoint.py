@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +255,27 @@ def _state(obj) -> list:
     if isinstance(obj, ShadowModel):
         return [type(obj), *_state(obj.shadow), *_state(obj.applied), obj.bits, obj.steps]
     return [type(obj), *_state(obj.net), obj.count, obj.base_steps, obj.effective_bits]
+
+
+def test_a_failed_rename_in_an_atomic_write_removes_the_temporaries(tmp_path, monkeypatch):
+    # the second rename fails: the first path already holds its new text,
+    # the second its old one, and no temporary sibling is left behind (a
+    # failed write is test_an_export_whose_sidecar_write_fails_leaves_the_old_pair)
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    ckpt.write_atomic({a: "old a", b: "old b"})
+    replace = ckpt.os.replace
+
+    def failing(src, dst):
+        if Path(dst) == b:
+            raise OSError("no space left on device")
+        return replace(src, dst)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ckpt.os, "replace", failing)
+        with pytest.raises(OSError, match="no space left"):
+            ckpt.write_atomic({a: "new a", b: "new b"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+    assert (a.read_text(), b.read_text()) == ("new a", "old b")
 
 
 @pytest.mark.parametrize("case", sorted(ROUND_TRIP_CASES))

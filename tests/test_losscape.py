@@ -253,6 +253,8 @@ def test_an_export_whose_sidecar_write_fails_leaves_the_old_pair(tmp_path, monke
         mp.setattr(Path, "write_text", failing)
         with pytest.raises(OSError, match="no space left"):
             export_grid(new, csv_path)
+    # and the new CSV's temporary sibling is gone with it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.meta.json"]
     assert {p: p.read_bytes() for p in (csv_path, meta_path)} == before
     back = load_grid(csv_path)
     assert (back.mode, back.dataset_id) == ("full_precision", "old")

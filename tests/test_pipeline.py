@@ -1045,6 +1045,66 @@ def test_numpy_integer_sizes_resolve_to_a_json_config(tmp_path):
         "input_shape": [4], "layers": [_dense(4, 3, has_bias=False)]}
 
 
+# (override, message) of config fields outside the network of the wrong
+# type, each once run as given, a traceback, or a config.json frozen by a
+# stage that could not use it
+_FIELD_TYPE_PROBES = {
+    "bits bool": ("bits=true", "config.bits: expected an integer, got True"),
+    "average_last_n bool": ("average_last_n=true",
+                            "config.average_last_n: expected an integer, got True"),
+    "average_last_n str": ('average_last_n="2"',
+                           "config.average_last_n: expected an integer, got '2'"),
+    "seed float": ("seed=1.5", "config.seed: expected an integer, got 1.5"),
+    "epochs str": ('pretrain.epochs="4"', "pretrain.epochs: expected an integer, got '4'"),
+    "momentum str": ('pretrain.momentum="x"', "pretrain.momentum: expected a number, got 'x'"),
+    "batch_size float": ("pretrain.batch_size=8.5",
+                         "pretrain.batch_size: expected an integer, got 8.5"),
+    "milestones int": ("pretrain.milestones=5",
+                       "pretrain.milestones: expected a list of integers, got 5"),
+    "period float": ("cyclical.period=4.5", "cyclical.period: expected an integer, got 4.5"),
+    "max_lr str": ('cyclical.max_lr="x"', "cyclical.max_lr: expected a number, got 'x'"),
+    "finetune epochs float": ("finetune.epochs=1.5",
+                              "finetune.epochs: expected an integer, got 1.5"),
+    "dims str": ('dataset.dims="8"', "dataset.dims: expected an integer, got '8'"),
+    "spread str": ('dataset.spread="x"', "dataset.spread: expected a number, got 'x'"),
+    "normalize str": ('dataset.normalize="no"',
+                      "dataset.normalize: expected true or false, got 'no'"),
+}
+
+
+@pytest.mark.parametrize("probe", list(_FIELD_TYPE_PROBES))
+def test_a_config_field_of_the_wrong_type_is_an_error_line_before_config_json(
+        tmp_path, capsys, probe):
+    override, message = _FIELD_TYPE_PROBES[probe]
+    out = tmp_path / "run"
+    assert main(["pretrain", *_default_cli_args(out, override)]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
+def test_ints_for_numbers_and_numpy_scalars_resolve_to_a_json_config(tmp_path):
+    d = _small_dict(tmp_path / "run")
+    d.update(seed=np.int64(7), bits=np.int32(2))
+    d["dataset"]["spread"] = 1
+    d["pretrain"].update(initial_lr=np.float32(0.25), milestones=[np.int64(2), 4])
+    frozen = json.loads(json.dumps(RunConfig.from_dict(d).resolve().to_dict()))
+    assert (frozen["seed"], frozen["bits"], frozen["dataset"]["spread"]) == (7, 2, 1)
+    assert (frozen["pretrain"]["initial_lr"], frozen["pretrain"]["milestones"]) == (0.25, [2, 4])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["bits.x=1"], "override 'bits.x=1': bits holds 2, not a mapping"),
+    (["dataset=null", "dataset.dims=5"],
+     "override 'dataset.dims=5': dataset holds None, not a mapping"),
+])
+def test_an_override_through_a_value_that_is_not_a_mapping_is_an_error_line(
+        tmp_path, capsys, overrides, message):
+    out = tmp_path / "run"
+    assert main(["pretrain", *_default_cli_args(out, *overrides)]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_an_idx_network_that_does_not_fit_is_refused_before_config_json(tmp_path):
     d = _idx_dict(tmp_path)
     for network, message in (

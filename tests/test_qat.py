@@ -5,7 +5,7 @@ import pytest
 
 from sqwa.data import synthetic_blobs
 from sqwa.nn import OptimizerState, dense, evaluate, init_weights, relu
-from sqwa.qat import ShadowModel, _StepWorkspace, finetune, fit, qat_train_step, retrain
+from sqwa.qat import ShadowModel, finetune, fit, qat_train_step, retrain
 from sqwa.quantizer import QuantizerConfig, quantize_tensor
 from sqwa.schedule import CyclicalSchedule
 
@@ -41,23 +41,23 @@ def test_from_network_respects_given_steps():
 def test_step_preserves_invariant():
     rng = np.random.default_rng(41)
     model = _small_model()
-    ws = _StepWorkspace(model, OptimizerState.for_network(model.shadow, momentum=0.9))
+    state = OptimizerState.for_network(model.shadow, momentum=0.9)
     for _ in range(10):
         x = rng.normal(size=(16, 4))
         y = rng.integers(0, 3, size=16)
-        qat_train_step(ws, x, np.eye(3)[y], lr=0.05)
+        qat_train_step(model, state, x, np.eye(3)[y], lr=0.05)
         _assert_invariant(model)
 
 
 def test_tiny_lr_moves_shadow_not_applied():
     rng = np.random.default_rng(42)
     model = _small_model()
-    ws = _StepWorkspace(model, OptimizerState.for_network(model.shadow, momentum=0.0))
+    state = OptimizerState.for_network(model.shadow, momentum=0.0)
     shadow_before = [w.copy() for w in model.shadow.weights if w is not None]
     applied_before = [w.copy() for w in model.applied.weights if w is not None]
     x = rng.normal(size=(8, 4))
     y = rng.integers(0, 3, size=8)
-    qat_train_step(ws, x, np.eye(3)[y], lr=1e-9)
+    qat_train_step(model, state, x, np.eye(3)[y], lr=1e-9)
     shadow_after = [w for w in model.shadow.weights if w is not None]
     applied_after = [w for w in model.applied.weights if w is not None]
     assert any(not np.array_equal(b, a) for b, a in zip(shadow_before, shadow_after))
@@ -68,12 +68,12 @@ def test_tiny_lr_moves_shadow_not_applied():
 def test_large_lr_flips_applied_levels():
     rng = np.random.default_rng(43)
     model = _small_model()
-    ws = _StepWorkspace(model, OptimizerState.for_network(model.shadow, momentum=0.9))
+    state = OptimizerState.for_network(model.shadow, momentum=0.9)
     applied_before = [w.copy() for w in model.applied.weights if w is not None]
     for _ in range(20):
         x = rng.normal(size=(16, 4))
         y = rng.integers(0, 3, size=16)
-        qat_train_step(ws, x, np.eye(3)[y], lr=0.5)
+        qat_train_step(model, state, x, np.eye(3)[y], lr=0.5)
     applied_after = [w for w in model.applied.weights if w is not None]
     assert any(not np.array_equal(b, a) for b, a in zip(applied_before, applied_after))
 
@@ -81,10 +81,10 @@ def test_large_lr_flips_applied_levels():
 def test_biases_follow_shadow_exactly():
     rng = np.random.default_rng(44)
     model = _small_model()
-    ws = _StepWorkspace(model, OptimizerState.for_network(model.shadow, momentum=0.9))
+    state = OptimizerState.for_network(model.shadow, momentum=0.9)
     x = rng.normal(size=(8, 4))
     y = rng.integers(0, 3, size=8)
-    qat_train_step(ws, x, np.eye(3)[y], lr=0.1)
+    qat_train_step(model, state, x, np.eye(3)[y], lr=0.1)
     for i in model.shadow.param_layers():
         np.testing.assert_array_equal(model.applied.biases[i], model.shadow.biases[i])
         assert model.applied.biases[i] is not model.shadow.biases[i]

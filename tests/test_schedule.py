@@ -6,7 +6,6 @@ from sqwa.schedule import (
     capture_epochs,
     derive_cycle_bounds,
     ladder,
-    lr_at,
 )
 
 
@@ -16,15 +15,25 @@ def test_step_decay_values():
     assert sched.lr_values() == pytest.approx([0.1, 0.01, 0.001])
 
 
-def test_step_decay_lr_at_milestones():
+def test_step_decay_rates_at_milestones():
     sched = StepDecaySchedule(initial_lr=0.1, factor=0.1,
                               milestones=(20, 30), total_epochs=40)
-    assert lr_at(sched, 0) == 0.1
-    assert lr_at(sched, 19) == 0.1
-    assert lr_at(sched, 20) == pytest.approx(0.01)
-    assert lr_at(sched, 29) == pytest.approx(0.01)
-    assert lr_at(sched, 30) == pytest.approx(0.001)
-    assert lr_at(sched, 39) == pytest.approx(0.001)
+    assert len(sched.rates()) == 40
+    assert sched.rates()[0] == 0.1
+    assert sched.rates()[19] == 0.1
+    assert sched.rates()[20] == pytest.approx(0.01)
+    assert sched.rates()[29] == pytest.approx(0.01)
+    assert sched.rates()[30] == pytest.approx(0.001)
+    assert sched.rates()[39] == pytest.approx(0.001)
+
+
+def test_step_decay_lr_values_keep_a_rate_no_epoch_reaches():
+    # a milestone past the last epoch: every epoch runs at the initial rate,
+    # but the cycle bounds come from every rate the schedule names
+    sched = StepDecaySchedule(initial_lr=0.1, factor=0.1, milestones=(50,), total_epochs=40)
+    assert sched.rates() == [0.1] * 40
+    assert derive_cycle_bounds(sched.lr_values()) == (
+        pytest.approx(0.01), pytest.approx(0.001))
 
 
 def test_derive_cycle_bounds_tenth_rule():
@@ -67,19 +76,19 @@ def test_cyclical_dwell_pattern_period_six():
     # 3 ladder values over 6 epochs: two epochs at each value
     spec = CyclicalSchedule(max_lr=0.01, min_lr=0.0001, period=6,
                             mid_steps=1, total_epochs=18)
-    lrs = [lr_at(spec, e) for e in range(6)]
+    lrs = [spec.rates()[e] for e in range(6)]
     assert lrs[0] == lrs[1] == pytest.approx(0.01)
     assert lrs[2] == lrs[3] == pytest.approx(0.001)
     assert lrs[4] == lrs[5] == pytest.approx(0.0001)
     # the pattern repeats each period
-    assert [lr_at(spec, e) for e in range(6, 12)] == lrs
+    assert [spec.rates()[e] for e in range(6, 12)] == lrs
 
 
 def test_cyclical_remainder_dwells_at_minimum():
     # 3 values over period 7: dwell 2 each, the leftover epoch sits at min
     spec = CyclicalSchedule(max_lr=0.01, min_lr=0.0001, period=7,
                             mid_steps=1, total_epochs=14)
-    lrs = [lr_at(spec, e) for e in range(7)]
+    lrs = [spec.rates()[e] for e in range(7)]
     assert lrs[6] == pytest.approx(0.0001)
     assert lrs.count(pytest.approx(0.0001)) == 3
 
