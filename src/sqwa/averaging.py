@@ -94,7 +94,7 @@ def average_models(bank: CaptureBank, last_n: int) -> AveragedModel:
     if not (1 <= last_n <= len(bank)):
         raise ValueError(f"last_n must be in [1, {len(bank)}], got {last_n}")
     entries = bank.entries[-last_n:]
-    out = entries[0].model.net.copy()
+    out = Network(entries[0].model.net.input_shape, entries[0].model.net.specs)
     nw = out.weight_size
     step_of = _weight_steps(out, bank.bits, bank.steps)
     weights = np.array([e.model.net.flat[:nw] for e in entries])

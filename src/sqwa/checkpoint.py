@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import AveragedModel, CaptureBank, CaptureEntry
-from .nn import LayerSpec, Network, zero_network
+from .nn import LayerSpec, Network
 from .qat import ShadowModel
 from .quantizer import QuantizedModel
 
@@ -216,7 +216,7 @@ def _read_payload(path: Path, manifest: dict) -> bytes:
 def _rebuild_network(manifest: dict, payload: bytes, weight_name="weight") -> Network:
     specs = [LayerSpec(**d) for d in manifest["layers"]]
     # a network of the topology's shapes; the payload overwrites every tensor
-    net = zero_network(specs, tuple(manifest["input_shape"]))
+    net = Network(manifest["input_shape"], specs)
     descriptors = {d["name"]: d for d in manifest["tensors"]}
     for i in net.param_layers():
         for name, view in ((f"layer{i}.{weight_name}", net.weights[i]),

@@ -61,7 +61,7 @@ def vector_to_network(template: Network, vec: np.ndarray) -> Network:
     """Inverse of params_to_vector, using `template` for shapes."""
     if vec.shape != template.flat.shape:
         raise ValueError(f"vector has {vec.size} values, template needs {template.flat.size}")
-    out = template.copy()
+    out = Network(template.input_shape, template.specs)
     out.flat[:] = vec
     return out
 

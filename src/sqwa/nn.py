@@ -10,6 +10,7 @@ spawns threads; networks and datasets are safe to share read-only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "relu",
     "flatten",
     "output_shapes",
-    "zero_network",
     "init_weights",
     "forward",
     "loss_and_backward",
@@ -36,7 +36,8 @@ __all__ = [
 class LayerSpec:
     """Geometry of one layer. Only `dense` and `conv2d` carry parameters.
     Each size the kind takes must be an integer >= 1 (numpy integers too,
-    not bools), and `has_bias` a bool."""
+    not bools), and `has_bias` a bool; a size the kind does not take must
+    be None, and a parameter-free layer cannot drop a bias."""
 
     kind: str
     fan_in: int | None = None
@@ -52,8 +53,13 @@ class LayerSpec:
         for name in _SIZES[self.kind]:
             if not _is_size(value := getattr(self, name)):
                 raise ValueError(f"{self.kind} {name} must be an integer >= 1, got {value!r}")
+        for name in _SIZES["dense"] + _SIZES["conv2d"]:
+            if name not in _SIZES[self.kind] and (value := getattr(self, name)) is not None:
+                raise ValueError(f"{self.kind} does not take {name}, got {value!r}")
         if not isinstance(self.has_bias, bool):
             raise ValueError(f"has_bias must be true or false, got {self.has_bias!r}")
+        if not (self.has_bias or self.has_params):
+            raise ValueError(f"{self.kind} does not take has_bias, got False")
 
     @property
     def has_params(self) -> bool:
@@ -146,51 +152,53 @@ class ParamViews(list):
         view[...] = value
 
 
-@dataclass
+@dataclass(eq=False)
 class Network:
-    """A layer stack plus its parameters, aligned by layer index.
+    """A layer stack plus its parameters, built from the specs alone.
 
-    `weights[i]` / `biases[i]` are None for parameter-free layers. Dense
-    weights are (fan_out, fan_in); conv weights are (out_c, in_c, k, k).
-    Construction copies the tensors into the network's own buffer `flat`,
-    biases from `weight_size` on; `layout` holds each tensor's (start, stop,
-    shape) in it, in buffer order.
+    Construction refuses specs that do not compose over `input_shape`, sets
+    `num_classes`, and allocates every parameter, zero, in one float64
+    buffer `flat`: weights in layer order, then biases from `weight_size` on.
+    `layout` holds each tensor's (start, stop, shape) in it. `weights[i]` /
+    `biases[i]` view it, None for parameter-free layers. Dense weights are
+    (fan_out, fan_in); conv weights are (out_c, in_c, k, k).
     """
 
     input_shape: tuple[int, ...]
     specs: list[LayerSpec]
-    weights: list[np.ndarray | None]
-    biases: list[np.ndarray | None]
 
     def __post_init__(self):
-        if not len(self.weights) == len(self.biases) == len(self.specs):
-            raise ValueError("need one weight and one bias entry per layer")
-        tensors = [*self.weights, *self.biases]
-        sizes = [0 if t is None else np.size(t) for t in tensors]
-        self.layout = [None if t is None else (end - size, end, np.shape(t))
-                       for t, size, end in zip(tensors, sizes, itertools.accumulate(sizes))]
-        self.flat = np.concatenate([np.zeros(0), *(np.ravel(t) for t in tensors if t is not None)])
+        self.num_classes = int(output_shapes(self.specs, self.input_shape)[-1][0])
+        self.input_shape, self.specs = tuple(int(s) for s in self.input_shape), list(self.specs)
+        weights = [tuple(map(int, (s.fan_out, s.fan_in) if s.kind == "dense" else
+                             (s.out_channels, s.in_channels, s.kernel_size, s.kernel_size)))
+                   if s.has_params else None for s in self.specs]
+        shapes = weights + [w[:1] if w and s.has_bias else None for w, s in zip(weights, self.specs)]
+        sizes = [0 if t is None else math.prod(t) for t in shapes]
+        self.layout = [None if t is None else (end - size, end, t)
+                       for t, size, end in zip(shapes, sizes, itertools.accumulate(sizes))]
+        self.flat = np.zeros(sum(sizes))
         views = [None if sp is None else self.flat[sp[0]:sp[1]].reshape(sp[2]) for sp in self.layout]
         n = len(self.specs)
         self.weights, self.biases = ParamViews(views[:n]), ParamViews(views[n:])
         self.weight_size = sum(sizes[:n])
 
     def copy(self) -> "Network":
-        return Network(tuple(self.input_shape), list(self.specs), self.weights, self.biases)
+        out = Network(self.input_shape, self.specs)
+        out.flat[:] = self.flat
+        return out
 
     def __reduce__(self):
-        # Pickle the tensors, not the buffer and its views, which would
-        # unpickle as separate arrays.
-        return Network, (tuple(self.input_shape), list(self.specs),
-                         list(self.weights), list(self.biases))
+        # Pickle the buffer's values as state: the views are rebuilt from the
+        # specs, so they view the unpickled buffer, not separate arrays.
+        return Network, (self.input_shape, self.specs), self.flat
+
+    def __setstate__(self, flat):
+        self.flat[:] = flat
 
     def param_layers(self) -> list[int]:
         """Indices of layers that carry a weight tensor."""
         return [i for i, w in enumerate(self.weights) if w is not None]
-
-    @property
-    def num_classes(self) -> int:
-        return output_shapes(self.specs, self.input_shape)[-1][0]
 
 
 @dataclass
@@ -213,9 +221,8 @@ class OptimizerState:
     @staticmethod
     def for_network(net: Network, momentum: float, l2_scale: float = 0.0) -> "OptimizerState":
         _check_optimizer(momentum, l2_scale)
-        buffers = net.copy()
-        buffers.flat.fill(0.0)
-        return OptimizerState(momentum, l2_scale, buffers, net.copy(), np.empty(net.weight_size))
+        return OptimizerState(momentum, l2_scale, Network(net.input_shape, net.specs),
+                              Network(net.input_shape, net.specs), np.empty(net.weight_size))
 
 
 def _check_optimizer(momentum: float, l2_scale: float) -> None:
@@ -225,27 +232,13 @@ def _check_optimizer(momentum: float, l2_scale: float) -> None:
         raise ValueError(f"l2_scale must be >= 0, got {l2_scale}")
 
 
-def zero_network(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> Network:
-    """A Network of the topology's shapes with every parameter zero."""
-    output_shapes(specs, input_shape)  # reject non-composable stacks up front
-    weights: list[np.ndarray | None] = []
-    biases: list[np.ndarray | None] = []
-    for spec in specs:
-        shape = ((spec.fan_out, spec.fan_in) if spec.kind == "dense" else
-                 (spec.out_channels, spec.in_channels, spec.kernel_size, spec.kernel_size)
-                 if spec.kind == "conv2d" else None)
-        weights.append(None if shape is None else np.zeros(shape))
-        biases.append(np.zeros(shape[0]) if shape and spec.has_bias else None)
-    return Network(tuple(int(s) for s in input_shape), list(specs), weights, biases)
-
-
 def init_weights(specs: list[LayerSpec], input_shape: tuple[int, ...], seed: int) -> Network:
     """Build a Network with uniform [-sqrt(6/fan_in), +sqrt(6/fan_in)] weights.
 
     Conv layers use fan_in = in_channels * kernel_size^2. Biases start at
     zero. The same seed reproduces the same network bit for bit.
     """
-    net = zero_network(specs, input_shape)
+    net = Network(input_shape, specs)
     rng = np.random.default_rng(seed)
     for i in net.param_layers():
         w = net.weights[i]
@@ -281,7 +274,7 @@ def _col2im(dcols: np.ndarray, x_shape: tuple, k: int) -> np.ndarray:
 
 
 def _check_input(net: Network, x: np.ndarray) -> None:
-    if x.ndim < 2 or x.shape[1:] != tuple(net.input_shape):
+    if x.ndim < 2 or x.shape[1:] != net.input_shape:
         raise ValueError(
             f"network input: expected batch of shape (N, {', '.join(map(str, net.input_shape))}), "
             f"got {x.shape}")
@@ -311,7 +304,8 @@ def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
 def _forward(net: Network, x: np.ndarray, cache: list | None = None,
              biases: list | None = None) -> np.ndarray:
     # forward's kernel, for a float64 batch already checked against
-    # net.input_shape; appends each layer's input to `cache` if given one.
+    # net.input_shape (the layers compose, as construction checked, so no
+    # layer checks its input); appends each layer's input to `cache` if given.
     # `biases` stands in for net.biases: evaluate passes each dense bias
     # repeated over the batch's rows, so that its add is contiguous.
     # Every 4-D activation is held batch-innermost, as (C, H, W, N): an image
@@ -325,19 +319,12 @@ def _forward(net: Network, x: np.ndarray, cache: list | None = None,
         if cache is not None:
             cache.append(x)
         if spec.kind == "dense":
-            w, b = net.weights[i], biases[i]
-            if x.shape[1] != w.shape[1]:
-                raise ValueError(f"layer {i} (dense): input width {x.shape[1]} "
-                                 f"does not match fan_in {w.shape[1]}")
-            x = x @ w.T
-            if b is not None:
-                x += b
+            x = x @ net.weights[i].T
+            if biases[i] is not None:
+                x += biases[i]
         elif spec.kind == "conv2d":
             w, b = net.weights[i], net.biases[i]
-            out_c, in_c, k, _ = w.shape
-            if x.shape[0] != in_c:
-                raise ValueError(f"layer {i} (conv2d): input channels {x.shape[0]} "
-                                 f"do not match in_channels {in_c}")
+            out_c, _, k, _ = w.shape
             _, h, ww, n = x.shape
             y = w.reshape(out_c, -1) @ _im2col(x, k)
             if b is not None:
@@ -387,7 +374,7 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
                       targets: np.ndarray, grads: Network) -> Network:
     """Batch-averaged softmax cross-entropy gradients of every parameter,
     written into the parameters of `grads`, a network of `net`'s layout
-    (`net.copy()` makes one), which is returned.
+    (`Network(net.input_shape, net.specs)` builds one), which is returned.
 
     `cache` and `logits` must come from a forward() call on the same
     network and batch; `targets` is the batch's one-hot label block, float64

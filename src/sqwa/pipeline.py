@@ -19,6 +19,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,7 +64,9 @@ class PipelineError(RuntimeError):
 # checked where it is built
 _FIELD_TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, (float, np.floating)), "a number"),
+    # an integer is compared exactly, so one too large for a float is refused
+    "float": (lambda v: _is_int(v) and abs(int(v)) <= sys.float_info.max
+              or isinstance(v, (float, np.floating)) and math.isfinite(v), "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),

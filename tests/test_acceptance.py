@@ -158,8 +158,8 @@ def test_criterion_03_synthetic_grids():
         bank = CaptureBank(2, [step])
         for k in range(n):
             levels = rng.integers(-1, 2, size=(8, 6)).astype(np.float64)
-            net = Network(input_shape=(6,), specs=[dense(6, 8)],
-                          weights=[levels * step], biases=[np.zeros(8)])
+            net = Network(input_shape=(6,), specs=[dense(6, 8)])
+            net.weights[0] = levels * step
             bank.add(CaptureEntry(k, QuantizedModel(net, 2, [step]),
                                   net.copy(), {}))
         avg = average_models(bank, n)

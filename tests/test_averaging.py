@@ -21,9 +21,9 @@ def _ternary_net(levels, step, bias=None):
     levels = np.asarray(levels, dtype=np.float64)
     w = levels * step
     b = np.zeros(levels.shape[0]) if bias is None else np.asarray(bias, float)
-    return Network(input_shape=(levels.shape[1],),
-                   specs=[dense(levels.shape[1], levels.shape[0])],
-                   weights=[w], biases=[b])
+    net = Network(input_shape=(levels.shape[1],), specs=[dense(levels.shape[1], levels.shape[0])])
+    net.weights[0], net.biases[0] = w, b
+    return net
 
 
 def _entry(epoch, levels, step, bias=None, metrics=None):
@@ -183,8 +183,8 @@ def _bank_of_levels(bits, levels, step, seed):
     rng = np.random.default_rng(seed)
     bank = CaptureBank(bits, [step])
     for k, lv in enumerate(levels):
-        net = Network((lv.shape[1],), [dense(lv.shape[1], lv.shape[0])], [lv * step],
-                      [rng.normal(size=lv.shape[0])])
+        net = Network((lv.shape[1],), [dense(lv.shape[1], lv.shape[0])])
+        net.weights[0], net.biases[0] = lv * step, rng.normal(size=lv.shape[0])
         bank.add(CaptureEntry(k, QuantizedModel(net, bits, [step]), net.copy(), {}))
     return bank
 

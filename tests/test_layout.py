@@ -1,6 +1,7 @@
 """The flat parameter layout: one float64 buffer per network, all weights in
 layer order and then all biases, with per-layer views into it."""
 
+import copy
 import pickle
 
 import numpy as np
@@ -11,9 +12,8 @@ from sqwa.averaging import CaptureBank, CaptureEntry, average_models
 from sqwa.data import Dataset
 from sqwa.losscape import (build_plane, evaluate_surface, grid_point, params_to_vector,
                            quantized_grid_point, vector_to_network)
-from sqwa.nn import (OptimizerState, conv2d, dense, evaluate, flatten, forward,
-                     init_weights, loss_and_backward, relu, sgd_momentum_step,
-                     zero_network)
+from sqwa.nn import (Network, OptimizerState, conv2d, dense, evaluate, flatten, forward,
+                     init_weights, loss_and_backward, relu, sgd_momentum_step)
 from sqwa.qat import ShadowModel
 from sqwa.quantizer import QuantizerConfig, quantize_network, quantize_tensor
 
@@ -66,6 +66,9 @@ def test_every_entry_views_the_one_buffer(tmp_path):
     unpickled = pickle.loads(pickle.dumps(net))
     _assert_one_buffer(unpickled)
     np.testing.assert_array_equal(unpickled.flat, net.flat)
+    deep = copy.deepcopy(net)
+    _assert_one_buffer(deep)
+    np.testing.assert_array_equal(deep.flat, net.flat)
     bank = _bank(net)
     _assert_one_buffer(average_models(bank, 3).net)
 
@@ -93,11 +96,16 @@ def test_copy_owns_its_buffer():
     assert np.abs(net.flat).max() > 0.0
 
 
-def test_zero_network_has_the_layout_of_init_weights():
+def test_a_network_built_from_its_specs_has_the_layout_of_init_weights():
     net = _conv_net()
-    zero = zero_network(net.specs, net.input_shape)
+    zero = Network(net.input_shape, net.specs)
     _assert_one_buffer(zero)
     assert zero.layout == net.layout and not zero.flat.any()
+
+
+def test_specs_that_do_not_compose_are_refused_where_the_network_is_built():
+    with pytest.raises(ValueError, match=r"layer 0 \(dense\): fan_in 4 does not match input width 3"):
+        Network((3,), [dense(4, 2)])
 
 
 def test_loading_draws_no_random_numbers(tmp_path, monkeypatch):

@@ -222,8 +222,10 @@ def test_conv_matches_direct_reference(in_c, h, w, k0, k1, n, lead_relu, mid_rel
     (w0, b0), (w1, b1), (wd, bd) = [(net.weights[i], net.biases[i]) for i in (c0, c1, d)]
     zb0, zb1 = (np.zeros(mid_c), np.zeros(out_c)) if b0 is None else (b0, b1)
 
-    single = Network((in_c, h, w), [conv2d(in_c, mid_c, k0, has_bias=bias), flatten()],
-                     [w0, None], [b0, None])
+    single = Network((in_c, h, w), [conv2d(in_c, mid_c, k0, has_bias=bias), flatten()])
+    single.weights[0] = w0
+    if bias:
+        single.biases[0] = b0
     _assert_rel_close(forward(single, x)[0], _ref_conv(x, w0, zb0).reshape(n, -1))
 
     x0 = np.maximum(x, 0.0) if lead_relu else x
@@ -310,8 +312,8 @@ def test_first_layer_gradients_unchanged_without_input_gradient(specs, shape):
     x = np.abs(rng.normal(size=(6, *shape)))
     y = rng.integers(0, 3, size=6)
     net = init_weights(specs, shape, seed=26)
-    shifted = Network(net.input_shape, [relu()] + net.specs, [None] + net.weights,
-                      [None] + net.biases)
+    shifted = Network(net.input_shape, [relu()] + net.specs)
+    shifted.flat[:] = net.flat  # a relu has no parameters: the same buffer order
     logits, cache = forward(net, x)
     grads = _gradients(net, cache, logits, y)
     logits, cache = forward(shifted, x)
@@ -324,8 +326,7 @@ def test_first_layer_gradients_unchanged_without_input_gradient(specs, shape):
 def test_momentum_update_sequence():
     # one weight, constant gradient 1, lr 0.1, momentum 0.9:
     # buffers 1, 1.9, 2.71; weight 0 -> -0.1 -> -0.29 -> -0.561
-    net = Network(input_shape=(1,), specs=[dense(1, 1, has_bias=False)],
-                  weights=[np.zeros((1, 1))], biases=[None])
+    net = Network(input_shape=(1,), specs=[dense(1, 1, has_bias=False)])
     state = OptimizerState.for_network(net, momentum=0.9)
     grads = net.copy()
     grads.flat[:] = 1.0

@@ -413,7 +413,7 @@ def test_a_run_scores_each_model_and_split_once_and_the_report_none(tmp_path, mo
 def test_report_on_artifacts_without_recorded_scores_asks_for_a_fresh_directory(tmp_path):
     # Artifacts written before scores were recorded carry none in their
     # manifests; the report names the artifact instead of guessing.
-    run_sqwa(_small_cfg(tmp_path))
+    run_stages(_small_cfg(tmp_path), "finetune")
     for artifact in SCORED:
         path = tmp_path / artifact / "manifest.json"
         kept = path.read_text()
@@ -524,9 +524,8 @@ def test_resolve_bounds_summed_levels_by_8_bit_storage(tmp_path, bits):
     step = 0.3
     bank = CaptureBank(bits, [step])
     for k in range(n):
-        net = Network((2,), [dense(2, 2)],
-                      [np.array([[1.0, -1.0], [-1.0, 1.0]]) * (TOP_LEVEL[bits] * step)],
-                      [np.zeros(2)])
+        net = Network((2,), [dense(2, 2)])
+        net.weights[0] = np.array([[1.0, -1.0], [-1.0, 1.0]]) * (TOP_LEVEL[bits] * step)
         bank.add(CaptureEntry(k, QuantizedModel(net, bits, [step]), net.copy(), {}))
     avg = average_models(bank, n)
     ckpt.save(avg, tmp_path / "avg")
@@ -778,7 +777,7 @@ def test_a_pretrained_model_with_input_blind_logits_fails_its_stage(tmp_path):
 def test_input_blind_check_skips_identical_probe_samples():
     # weights zero and biases not: the logits are the biases for any input
     specs = [sqwa.nn.dense(4, 3)]
-    net = sqwa.nn.zero_network(specs, (4,))
+    net = Network((4,), specs)
     net.biases[0] = [0.5, -1.0, 2.0]
     same = Dataset(np.ones((300, 4)), np.zeros(300, dtype=np.int64), 3)
     pipeline._check_responsive(net, same)
@@ -1021,6 +1020,15 @@ _NETWORK_TYPE_PROBES = {
                      "network layer 0: has_bias must be true or false, got 'no'"),
     "fan_out missing": ({"input_shape": [8], "layers": [{"kind": "dense", "fan_in": 8}]},
                         "network layer 0: dense fan_out must be an integer >= 1, got None"),
+    # fields the layer's kind does not take, once frozen into config.json
+    "dense kernel_size": ({"input_shape": [8], "layers": [_dense(8, 10, kernel_size="x")]},
+                          "network layer 0: dense does not take kernel_size, got 'x'"),
+    "relu fan_out": ({"input_shape": [8], "layers": [{"kind": "relu", "fan_out": 3},
+                                                     _dense(8, 10)]},
+                     "network layer 0: relu does not take fan_out, got 3"),
+    "flatten has_bias": ({"input_shape": [8], "layers": [_dense(8, 10),
+                                                         {"kind": "flatten", "has_bias": False}]},
+                         "network layer 1: flatten does not take has_bias, got False"),
 }
 
 
@@ -1056,19 +1064,35 @@ _FIELD_TYPE_PROBES = {
                            "config.average_last_n: expected an integer, got '2'"),
     "seed float": ("seed=1.5", "config.seed: expected an integer, got 1.5"),
     "epochs str": ('pretrain.epochs="4"', "pretrain.epochs: expected an integer, got '4'"),
-    "momentum str": ('pretrain.momentum="x"', "pretrain.momentum: expected a number, got 'x'"),
+    "momentum str": ('pretrain.momentum="x"', "pretrain.momentum: expected a finite number, got 'x'"),
     "batch_size float": ("pretrain.batch_size=8.5",
                          "pretrain.batch_size: expected an integer, got 8.5"),
     "milestones int": ("pretrain.milestones=5",
                        "pretrain.milestones: expected a list of integers, got 5"),
     "period float": ("cyclical.period=4.5", "cyclical.period: expected an integer, got 4.5"),
-    "max_lr str": ('cyclical.max_lr="x"', "cyclical.max_lr: expected a number, got 'x'"),
+    "max_lr str": ('cyclical.max_lr="x"', "cyclical.max_lr: expected a finite number, got 'x'"),
     "finetune epochs float": ("finetune.epochs=1.5",
                               "finetune.epochs: expected an integer, got 1.5"),
     "dims str": ('dataset.dims="8"', "dataset.dims: expected an integer, got '8'"),
-    "spread str": ('dataset.spread="x"', "dataset.spread: expected a number, got 'x'"),
+    "spread str": ('dataset.spread="x"', "dataset.spread: expected a finite number, got 'x'"),
     "normalize str": ('dataset.normalize="no"',
                       "dataset.normalize: expected true or false, got 'no'"),
+    # non-finite numbers, once frozen into config.json (or misreported) and
+    # then fatal in a stage
+    "l2_scale inf": ("pretrain.l2_scale=Infinity",
+                     "pretrain.l2_scale: expected a finite number, got inf"),
+    "l2_scale nan": ("pretrain.l2_scale=NaN", "pretrain.l2_scale: expected a finite number, got nan"),
+    "l2_scale too large": (f"pretrain.l2_scale={10 ** 400}",
+                           f"pretrain.l2_scale: expected a finite number, got {10 ** 400}"),
+    "initial_lr inf": ("pretrain.initial_lr=Infinity",
+                       "pretrain.initial_lr: expected a finite number, got inf"),
+    "finetune initial_lr inf": ("finetune.initial_lr=Infinity",
+                                "finetune.initial_lr: expected a finite number, got inf"),
+    "finetune initial_lr nan": ("finetune.initial_lr=NaN",
+                                "finetune.initial_lr: expected a finite number, got nan"),
+    "max_lr inf": ("cyclical.max_lr=Infinity", "cyclical.max_lr: expected a finite number, got inf"),
+    "spread inf": ("dataset.spread=Infinity", "dataset.spread: expected a finite number, got inf"),
+    "spread nan": ("dataset.spread=NaN", "dataset.spread: expected a finite number, got nan"),
 }
 
 
