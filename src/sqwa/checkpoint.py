@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import AveragedModel, CaptureBank, CaptureEntry
-from .nn import LayerSpec, Network
+from .nn import LayerSpec, Network, _is_int
 from .qat import ShadowModel
 from .quantizer import QuantizedModel
 
@@ -63,15 +63,26 @@ def _level_bytes(arr: np.ndarray, scale: float, name: str) -> tuple[str, bytes]:
     return encoding, np.ascontiguousarray(levels, dtype=_LEVEL_DTYPES[encoding]).tobytes()
 
 
-def _decode(desc: dict, payload: bytes) -> np.ndarray:
-    encoding = desc["encoding"]
+def _field(record, key: str, where: str):
+    # record[key] of a manifest record, or a CheckpointError naming `where`
+    # and the field when the record lacks it (or is no JSON object)
+    value = record.get(key) if isinstance(record, dict) else None
+    if value is None:
+        raise CheckpointError(f"{where} lacks {key!r}")
+    return value
+
+
+def _decode(desc: dict, payload: bytes, where) -> np.ndarray:
+    where = f"{where}: tensor {desc['name']!r}"
+    encoding = _field(desc, "encoding", where)
     dtype = _FLOAT_DTYPES.get(encoding) or _LEVEL_DTYPES.get(encoding)
     if dtype is None:
-        raise CheckpointError(f"unknown tensor encoding {encoding!r}")
-    shape = tuple(desc["shape"])
-    t = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)), offset=desc["offset"])
+        raise CheckpointError(f"{where}: unknown tensor encoding {encoding!r}")
+    shape = tuple(_field(desc, "shape", where))
+    t = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)),
+                      offset=_field(desc, "offset", where))
     t = t.astype(np.float64).reshape(shape)
-    return t * desc["scale"] if encoding in _LEVEL_DTYPES else t
+    return t * _field(desc, "scale", where) if encoding in _LEVEL_DTYPES else t
 
 
 def _parts(obj):
@@ -196,6 +207,9 @@ def load_manifest(path) -> dict:
     if not manifest_path.is_file():
         raise CheckpointError(f"{path}: no manifest.json")
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{manifest_path}: holds a JSON {type(manifest).__name__}, "
+                              f"not an object")
     version = manifest.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CheckpointError(f"{path}: unsupported schema version {version!r} "
@@ -204,20 +218,28 @@ def load_manifest(path) -> dict:
 
 
 def _read_payload(path: Path, manifest: dict) -> bytes:
+    size = _field(manifest, "payload_bytes", f"{path}: manifest")
+    digest = _field(manifest, "payload_sha256", f"{path}: manifest")
     payload = (path / "payload.bin").read_bytes()
-    if len(payload) != manifest["payload_bytes"]:
+    if len(payload) != size:
         raise CheckpointError(f"{path}: payload is {len(payload)} bytes, manifest "
-                              f"says {manifest['payload_bytes']}")
-    if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
+                              f"says {size}")
+    if hashlib.sha256(payload).hexdigest() != digest:
         raise CheckpointError(f"{path}: checksum mismatch, payload corrupted or tampered")
     return payload
 
 
-def _rebuild_network(manifest: dict, payload: bytes, weight_name="weight") -> Network:
-    specs = [LayerSpec(**d) for d in manifest["layers"]]
+def _rebuild_network(manifest: dict, payload: bytes, where,
+                     weight_name="weight") -> Network:
+    fields = f"{where}: manifest"
+    try:
+        specs = [LayerSpec(**d) for d in _field(manifest, "layers", fields)]
+    except TypeError as exc:  # an entry that is no object, or has an unknown field
+        raise CheckpointError(f"{where}: unreadable layer in manifest 'layers': {exc}") from exc
     # a network of the topology's shapes; the payload overwrites every tensor
-    net = Network(manifest["input_shape"], specs)
-    descriptors = {d["name"]: d for d in manifest["tensors"]}
+    net = Network(_field(manifest, "input_shape", fields), specs)
+    descriptors = {_field(d, "name", f"{where}: a tensor"): d
+                   for d in _field(manifest, "tensors", fields)}
     for i in net.param_layers():
         for name, view in ((f"layer{i}.{weight_name}", net.weights[i]),
                            (f"layer{i}.bias", net.biases[i])):
@@ -225,7 +247,7 @@ def _rebuild_network(manifest: dict, payload: bytes, weight_name="weight") -> Ne
                 continue
             if name not in descriptors:
                 raise CheckpointError(f"{name}: tensor missing from payload")
-            t = _decode(descriptors[name], payload)
+            t = _decode(descriptors[name], payload, where)
             if t.shape != view.shape:
                 raise CheckpointError(f"{name}: shape mismatch, payload {t.shape} vs "
                                       f"topology {view.shape}")
@@ -234,26 +256,36 @@ def _rebuild_network(manifest: dict, payload: bytes, weight_name="weight") -> Ne
 
 
 def _decode_model(manifest: dict, payload: bytes, where) -> object:
-    kind, q = manifest["kind"], manifest.get("quantization")
+    kind = _field(manifest, "kind", f"{where}: manifest")
     if kind == "network":
-        return _rebuild_network(manifest, payload)
+        return _rebuild_network(manifest, payload, where)
+    if kind not in ("quantized", "shadow", "averaged"):
+        raise CheckpointError(f"{where}: unknown checkpoint kind {kind!r}")
+    record = _field(manifest, "quantization", f"{where}: manifest")
+
+    def q(key):
+        return _field(record, key, f"{where}: manifest 'quantization'")
+
     if kind == "quantized":
-        return QuantizedModel(_rebuild_network(manifest, payload), q["bits"], list(q["steps"]))
+        return QuantizedModel(_rebuild_network(manifest, payload, where), q("bits"),
+                              list(q("steps")))
     if kind == "shadow":
-        return ShadowModel(_rebuild_network(manifest, payload, "shadow_weight"),
-                           _rebuild_network(manifest, payload, "applied_weight"),
-                           q["bits"], list(q["steps"]))
-    if kind == "averaged":
-        return AveragedModel(_rebuild_network(manifest, payload), q["denominator"],
-                             list(q["base_steps"]), q["effective_bits"])
-    raise CheckpointError(f"{where}: unknown checkpoint kind {kind!r}")
+        return ShadowModel(_rebuild_network(manifest, payload, where, "shadow_weight"),
+                           _rebuild_network(manifest, payload, where, "applied_weight"),
+                           q("bits"), list(q("steps")))
+    count = q("denominator")
+    if not (_is_int(count) and count >= 1):
+        raise CheckpointError(f"{where}: manifest 'quantization' 'denominator' must be an "
+                              f"integer >= 1, got {count!r}")
+    return AveragedModel(_rebuild_network(manifest, payload, where), count,
+                         list(q("base_steps")), q("effective_bits"))
 
 
 def load(path):
     """Load whatever `save` wrote at `path`, verifying checksum and shapes."""
     path = Path(path)
     manifest = load_manifest(path)
-    if manifest["kind"] == "capture-bank":
+    if _field(manifest, "kind", f"{path}: manifest") == "capture-bank":
         return _load_bank(path, manifest)
     return _decode_model(manifest, _read_payload(path, manifest), path)
 
@@ -284,11 +316,14 @@ def _save_bank(bank: CaptureBank, path: Path, provenance=None) -> Path:
 
 
 def _load_bank(path: Path, manifest: dict) -> CaptureBank:
-    bank = CaptureBank(manifest["bits"], list(manifest["steps"]))
-    for rec in manifest["entries"]:
-        sub = path / rec["dir"]
+    fields = f"{path}: manifest"
+    bank = CaptureBank(_field(manifest, "bits", fields), list(_field(manifest, "steps", fields)))
+    for rec in _field(manifest, "entries", fields):
+        where = f"{path}: manifest entry"
+        sub = path / _field(rec, "dir", where)
         if not (sub / "manifest.json").is_file():
             raise CheckpointError(f"{path}: capture bank incomplete, missing {rec['dir']}")
         sm = load(sub)
-        bank.add(CaptureEntry(rec["epoch"], sm.as_quantized(), sm.shadow, dict(rec["metrics"])))
+        bank.add(CaptureEntry(_field(rec, "epoch", where), sm.as_quantized(), sm.shadow,
+                              dict(_field(rec, "metrics", where))))
     return bank

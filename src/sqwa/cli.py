@@ -80,7 +80,7 @@ def _cmd_eval(args) -> int:
     cfg = _load_config(args).resolve()
     train, test = build_datasets(cfg)
     ds = train if args.split == "train" else test
-    net = as_network(ckpt.load(args.checkpoint))
+    net = as_network(ckpt.load(args.checkpoint), args.checkpoint)
     loss, acc = evaluate(net, ds)
     print(f"checkpoint={args.checkpoint} split={args.split} "
           f"loss={loss!r} accuracy={acc!r}")
@@ -102,7 +102,8 @@ def _cmd_losscape(args) -> int:
         template = models[0].shadow
         bits, steps = models[0].bits, list(models[0].steps)
     else:
-        nets = [m.shadow if isinstance(m, ShadowModel) else as_network(m) for m in models]
+        nets = [m.shadow if isinstance(m, ShadowModel) else as_network(m, p)
+                for m, p in zip(models, args.models)]
         vectors = [params_to_vector(n) for n in nets]
         template = nets[0]
         bits, steps = None, None

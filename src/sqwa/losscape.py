@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import write_atomic
-from .nn import Network, evaluate
+from .nn import Network, _evaluate_stack, output_shapes
 from .quantizer import _quantize, _weight_steps
 
 __all__ = [
@@ -47,9 +48,18 @@ _DEGENERATE_RTOL = 1e-10
 # Fewest point-samples (grid points times dataset samples) a row block must
 # hold before the surface starts worker processes: on a 2-core machine a
 # spawned worker takes about 0.25 s to start (a forked one far less), the
-# time a block of about 500,000 point-samples takes to evaluate. The 41x41
-# grid over 5,000 samples still splits in two.
+# time a block of about 900,000 point-samples takes to evaluate at 8 points
+# per pass. The 41x41 grid over 5,000 samples still splits in two.
 _MIN_BLOCK_SAMPLES = 1_000_000
+
+# float64 values (1 MiB) that the grid points scored in one pass of the
+# stacked evaluation may hold between them: each point's parameter vector
+# plus its layer outputs over one batch. The default 8-24-10 MLP at batch
+# 256 scores 8 points per pass, a CNN whose activations alone exceed it 1.
+_PASS_VALUES = 2 ** 17
+
+# The batch every surface point is scored at, evaluate's default.
+_BATCH_SIZE = 256
 
 
 def params_to_vector(net: Network) -> np.ndarray:
@@ -188,21 +198,36 @@ def _runs_one_thread() -> bool:
         return False
 
 
+def _points_per_pass(template: Network, samples: int) -> int:
+    # Grid points one call of the stacked kernel scores: as many as fit in
+    # _PASS_VALUES, at least 1
+    rows = min(_BATCH_SIZE, samples)
+    shapes = output_shapes(template.specs, template.input_shape)
+    per_point = template.flat.size + rows * sum(math.prod(shape) for shape in shapes)
+    return max(1, _PASS_VALUES // max(per_point, 1))
+
+
 def _surface_rows(xs: np.ndarray, ys: np.ndarray, plane: LossPlane, template: Network,
                   dataset, mode: str, bits: int | None,
                   steps: list[float] | None) -> tuple[np.ndarray, np.ndarray]:
-    # Loss and accuracy at every (x, y) of one block of rows
-    net = vector_to_network(template, plane.origin)  # the one working copy
-    loss = np.empty((len(xs), len(ys)))
-    acc = np.empty((len(xs), len(ys)))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            if mode == "quantized":
-                net.flat[:] = quantized_grid_point(plane, x, y, template, bits, steps)
-            else:
-                net.flat[:] = grid_point(plane, x, y)
-            loss[i, j], acc[i, j] = evaluate(net, dataset)
-    return loss, acc
+    # Loss and accuracy at every (x, y) of one block of rows, in row-major
+    # order, _points_per_pass points per kernel call. The stack of parameter
+    # vectors and the kernel's temporaries are made once per block.
+    points = [(x, y) for x in xs for y in ys]
+    per_pass = min(len(points), _points_per_pass(template, len(dataset.labels)))
+    stack = np.empty((per_pass, template.flat.size))
+    scratch: dict = {}
+    loss = np.empty(len(points))
+    acc = np.empty(len(points))
+    for start in range(0, len(points), per_pass):
+        chunk = points[start:start + per_pass]
+        for k, (x, y) in enumerate(chunk):
+            stack[k] = (quantized_grid_point(plane, x, y, template, bits, steps)
+                        if mode == "quantized" else grid_point(plane, x, y))
+        done = slice(start, start + len(chunk))
+        loss[done], acc[done] = _evaluate_stack(template, stack[:len(chunk)], dataset,
+                                                _BATCH_SIZE, scratch)
+    return loss.reshape(len(xs), len(ys)), acc.reshape(len(xs), len(ys))
 
 
 def _surface_rows_in_workers(blocks: list[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -241,9 +266,11 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
     split into contiguous blocks, one per usable core: this process
     evaluates the first block and worker processes the others. A grid too
     small to repay starting a worker (see _MIN_BLOCK_SAMPLES) is evaluated
-    in this process alone. Each point is computed the same way in any
-    block, so the output is deterministic and identical for every core
-    count.
+    in this process alone. A block scores several points per pass of the
+    stacked evaluation kernel, as many as _PASS_VALUES allows, and each
+    point's loss and accuracy are bit for bit what `evaluate` gives for its
+    network. Each point is computed the same way in any block, so the
+    output is deterministic and identical for every core count.
 
     Args:
         resolution: points per axis (>= 2).
@@ -259,6 +286,9 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
         raise ValueError("resolution must be >= 2 per axis")
     if margin < 0.0:
         raise ValueError("margin must be >= 0")
+    if plane.origin.shape != template.flat.shape:
+        raise ValueError(f"vector has {plane.origin.size} values, "
+                         f"template needs {template.flat.size}")
 
     xs, ys = (_axis_with_anchors(a, margin, resolution) for a in plane.anchors.T)
 

@@ -248,17 +248,17 @@ def init_weights(specs: list[LayerSpec], input_shape: tuple[int, ...], seed: int
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    # (C, H, W, N) -> (C*k*k, oh*ow*N): rows ordered (channel, di, dj) to match
-    # weight.reshape(out_c, -1), columns ordered (i, j, n), so a conv layer is
-    # one 2-D matmul; with the batch innermost each slice copy moves runs of
-    # ow*N contiguous values
-    c, h, w, n = x.shape
+    # (..., C, H, W, N) -> (..., C*k*k, oh*ow*N): rows ordered (channel, di,
+    # dj) to match weight.reshape(out_c, -1), columns ordered (i, j, n), so a
+    # conv layer is one matmul per leading index; with the batch innermost
+    # each slice copy moves runs of ow*N contiguous values
+    *lead, c, h, w, n = x.shape
     oh, ow = h - k + 1, w - k + 1
-    cols = np.empty((c, k, k, oh, ow, n), dtype=x.dtype)
+    cols = np.empty((*lead, c, k, k, oh, ow, n), dtype=x.dtype)
     for di in range(k):
         for dj in range(k):
-            cols[:, di, dj] = x[:, di:di + oh, dj:dj + ow]
-    return cols.reshape(c * k * k, oh * ow * n)
+            cols[..., di, dj, :, :, :] = x[..., di:di + oh, dj:dj + ow, :]
+    return cols.reshape(*lead, c * k * k, oh * ow * n)
 
 
 def _col2im(dcols: np.ndarray, x_shape: tuple, k: int) -> np.ndarray:
@@ -292,8 +292,8 @@ def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
         holds each layer's input, as needed by loss_and_backward.
 
     The batch is converted to float64 and its shape checked on every call;
-    evaluate checks a whole dataset once and runs the unchecked kernel
-    `_forward` without a cache instead.
+    evaluate checks a whole dataset once and runs its own kernel, which
+    keeps no cache.
     """
     x = np.asarray(batch, dtype=np.float64)
     _check_input(net, x)
@@ -301,27 +301,21 @@ def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return _forward(net, x, cache), cache
 
 
-def _forward(net: Network, x: np.ndarray, cache: list | None = None,
-             biases: list | None = None) -> np.ndarray:
+def _forward(net: Network, x: np.ndarray, cache: list) -> np.ndarray:
     # forward's kernel, for a float64 batch already checked against
     # net.input_shape (the layers compose, as construction checked, so no
-    # layer checks its input); appends each layer's input to `cache` if given.
-    # `biases` stands in for net.biases: evaluate passes each dense bias
-    # repeated over the batch's rows, so that its add is contiguous.
+    # layer checks its input); appends each layer's input to `cache`.
     # Every 4-D activation is held batch-innermost, as (C, H, W, N): an image
     # batch is transposed once on entry, and flatten turns it back into the
     # (N, C*H*W) rows that dense layers take, in the same C order.
-    if biases is None:
-        biases = net.biases
     if x.ndim == 4:
         x = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
     for i, spec in enumerate(net.specs):
-        if cache is not None:
-            cache.append(x)
+        cache.append(x)
         if spec.kind == "dense":
             x = x @ net.weights[i].T
-            if biases[i] is not None:
-                x += biases[i]
+            if net.biases[i] is not None:
+                x += net.biases[i]
         elif spec.kind == "conv2d":
             w, b = net.weights[i], net.biases[i]
             out_c, _, k, _ = w.shape
@@ -338,16 +332,84 @@ def _forward(net: Network, x: np.ndarray, cache: list | None = None,
     return x
 
 
-def _batch_loss(logits: np.ndarray, at_labels: np.ndarray) -> float:
+def _buffer(scratch: dict, key, shape: tuple, dtype=np.float64) -> np.ndarray:
+    # A contiguous array of `shape` over the memory `scratch` keeps for
+    # `key`, made on first use and replaced by a larger one when too small.
+    # The stacked evaluation writes into these with out= instead of
+    # allocating its temporaries batch by batch; a shorter batch or a
+    # smaller stack reuses the front of the memory. Each view is kept too,
+    # under (key, shape), so a batch looks it up instead of rebuilding it.
+    view = scratch.get((key, shape))
+    if view is None:
+        size = math.prod(shape)
+        memory = scratch.get(key)
+        if memory is None or memory.size < size:
+            memory = scratch[key] = np.empty(size, dtype)
+        view = scratch[key, shape] = memory[:size].reshape(shape)
+    return view
+
+
+def _forward_stack(specs: list[LayerSpec], weights: list, biases: list, x: np.ndarray,
+                   scratch: dict) -> np.ndarray:
+    # Logits (S, N, classes) of one checked float64 batch under each of S
+    # parameter sets: weights[i] is layer i's (S, *shape) stack of weight
+    # views and biases[i] its bias stack (dense ones repeated over the rows).
+    # The batch enters with a leading stack axis of 1, which the first
+    # parameter layer broadcasts to S. Dense layers are batched matmuls on
+    # the transposed weight views, member by member the 2-D product forward
+    # computes, into buffers from `scratch`; conv layers make their outputs
+    # per batch as forward does. Relu works in place on arrays made here.
+    if x.ndim == 4:
+        x = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+    x, made = x[None], False   # made: x is an array of this batch, not the input's
+    for i, spec in enumerate(specs):
+        if spec.kind == "dense":
+            w = weights[i]
+            x = np.matmul(x, w.transpose(0, 2, 1),
+                          out=_buffer(scratch, i, (w.shape[0], x.shape[1], w.shape[1])))
+            if biases[i] is not None:
+                x += biases[i]
+        elif spec.kind == "conv2d":
+            w, b = weights[i], biases[i]
+            s, out_c, _, k, _ = w.shape
+            *_, h, ww, n = x.shape
+            y = w.reshape(s, out_c, -1) @ _im2col(x, k)
+            if b is not None:
+                y = y + b[:, :, None]  # not in place: see README "Parameter layout"
+            x = y.reshape(s, out_c, h - k + 1, ww - k + 1, n)
+        elif spec.kind == "relu":
+            x = np.maximum(x, 0.0, out=x if made else None)
+        elif spec.kind == "flatten":
+            x = (np.ascontiguousarray(x.reshape(x.shape[0], -1, x.shape[-1]).transpose(0, 2, 1))
+                 if x.ndim == 5 else x.reshape(*x.shape[:2], -1))
+        made = made or spec.kind != "flatten"
+    return x
+
+
+def _batch_loss(logits: np.ndarray, at_labels: np.ndarray, scratch: dict | None = None):
     # Mean of minus the stable log-softmax of each row at its label, bit for
-    # bit; `at_labels` holds each row's label entry as a flat index into the
-    # (N, classes) logits, row * classes + label. The max, exact in any
-    # order, runs over a class-major copy; the class sum stays row-wise, as
-    # a column sum rounds differently.
-    m = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)
-    z = logits - m[:, None]
-    picked = z.take(at_labels) - np.log(np.add.reduce(np.exp(z), axis=1))
-    return float(-np.add.reduce(picked) / logits.shape[0])
+    # bit, for each (N, classes) matrix of `logits` (..., N, classes): a
+    # value, or an array of the leading shape. `at_labels` holds each row's
+    # label entry as a flat index into an (N, classes) matrix,
+    # row * classes + label. The max, exact in any order, runs over a
+    # class-major copy; the class sum stays row-wise, as a column sum rounds
+    # differently. Temporaries are buffers from `scratch` if given.
+    scratch = {} if scratch is None else scratch
+    *lead, n, c = shape = logits.shape
+    by_class = _buffer(scratch, "by_class", shape[:-2] + (c, n))
+    np.copyto(by_class, logits.swapaxes(-1, -2))
+    m = np.maximum.reduce(by_class, axis=-2, out=_buffer(scratch, "max", shape[:-1]))
+    z = np.subtract(logits, m[..., None], out=_buffer(scratch, "z", shape))
+    # the class-major copy is done with, so its memory takes the exponentials
+    e = np.exp(z, out=_buffer(scratch, "by_class", shape))
+    norm = np.add.reduce(e, axis=-1, out=_buffer(scratch, "norm", shape[:-1]))
+    np.log(norm, out=norm)
+    # mode="clip" picks the same entries (every index is in range) without
+    # the buffering that out= costs under mode="raise"
+    picked = z.reshape(*lead, n * c).take(at_labels, axis=-1, mode="clip",
+                                          out=_buffer(scratch, "picked", shape[:-1]))
+    picked -= norm
+    return -np.add.reduce(picked, axis=-1) / n
 
 
 def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
@@ -448,13 +510,26 @@ def evaluate(net: Network, dataset, batch_size: int = 256) -> tuple[float, float
     """Mean cross-entropy loss and top-1 accuracy over a whole dataset.
 
     Batches are visited in fixed order, so the result is deterministic, and
-    each equals what forward and a full log-softmax give for that batch. The
-    images and labels are checked once per call, not per batch, and the
-    forward passes keep no cache, so each layer's input is freed once its
-    output exists. What every batch shares is built once per call: each
-    dense bias repeated over a batch's rows, and each sample's label entry
-    as a flat index into its batch's logits.
+    each equals what forward and a full log-softmax give for that batch.
+    This is the one-network case of the stacked evaluation kernel that loss
+    surfaces use to score several parameter vectors per pass: the images
+    and labels are checked once per call, not per batch, no cache is kept,
+    and a CNN evaluation holds one column matrix and little else.
     """
+    loss, accuracy = _evaluate_stack(net, net.flat[None], dataset, batch_size)
+    return float(loss[0]), float(accuracy[0])
+
+
+def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 256,
+                    scratch: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    # Loss and accuracy over a whole dataset of each row of `stack`, an
+    # (S, P) float64 array of parameter vectors in net's layout, as two (S,)
+    # arrays: row s holds, bit for bit, what evaluate gives for a network
+    # whose buffer holds stack[s]. The temporaries live in `scratch`, reused
+    # by every batch and by every call given the same dict. What every batch
+    # shares is built once per call: each dense bias repeated over a batch's
+    # rows, so that its add is contiguous, and each sample's label entry as
+    # a flat index into its batch's logits.
     images = np.asarray(dataset.images)
     n = images.shape[0]
     if n == 0:
@@ -463,21 +538,31 @@ def evaluate(net: Network, dataset, batch_size: int = 256) -> tuple[float, float
     classes = net.num_classes
     labels = _check_labels(dataset.labels, n, classes)
     _check_input(net, images)
-
-    def repeated(count):  # net.biases, each dense bias repeated over `count` rows
-        return [b[None].repeat(count, axis=0) if spec.kind == "dense" and b is not None else b
-                for spec, b in zip(net.specs, net.biases)]
-
+    scratch = {} if scratch is None else scratch
+    s, layers = stack.shape[0], len(net.specs)
+    tensors = [None if sp is None else stack[:, sp[0]:sp[1]].reshape(s, *sp[2])
+               for sp in net.layout]
     rows = min(batch_size, n)
-    full = repeated(rows)
+    biases = tensors[layers:]
+    for i, spec in enumerate(net.specs):  # each dense bias repeated over a full batch's rows
+        if spec.kind == "dense" and biases[i] is not None:
+            repeated = _buffer(scratch, ("bias", i), (s, rows, spec.fan_out))
+            repeated[...] = biases[i][:, None]
+            biases[i] = repeated
     at_labels = np.arange(n) % batch_size * classes + labels
-    loss_sum = 0.0
-    correct = 0
+    loss_sum = np.zeros(s)
+    correct = np.zeros(s, dtype=np.int64)
     for start in range(0, n, batch_size):
         yb = labels[start:start + batch_size]
         nb = yb.shape[0]
-        logits = _forward(net, np.asarray(images[start:start + batch_size], dtype=np.float64),
-                          None, full if nb == rows else repeated(nb))
-        loss_sum += _batch_loss(logits, at_labels[start:start + nb]) * nb
-        correct += int(np.count_nonzero(logits.argmax(axis=1) == yb))
+        if nb < rows:  # the last batch, shorter: the front rows of each repeat
+            biases = [b[:, :nb] if spec.kind == "dense" and b is not None else b
+                      for spec, b in zip(net.specs, biases)]
+        logits = _forward_stack(net.specs, tensors[:layers], biases,
+                                np.asarray(images[start:start + batch_size], dtype=np.float64),
+                                scratch)
+        loss_sum += _batch_loss(logits, at_labels[start:start + nb], scratch) * nb
+        hits = np.equal(logits.argmax(axis=-1, out=_buffer(scratch, "argmax", (s, nb), np.intp)),
+                        yb, out=_buffer(scratch, "hits", (s, nb), bool))
+        correct += np.add.reduce(hits, axis=-1)
     return loss_sum / n, correct / n

@@ -281,14 +281,20 @@ def dataset_id(cfg: RunConfig, split: str) -> str:
                       sort_keys=True)
 
 
-def as_network(obj) -> Network:
-    """The evaluable network behind any checkpointable model object."""
+def as_network(obj, path=None) -> Network:
+    """The evaluable network behind any checkpointable model object. A
+    capture bank holds several, so it is a ValueError that names the bank
+    (`path`, where it was loaded from, if given) and its entry directories."""
     if isinstance(obj, Network):
         return obj
     if isinstance(obj, (QuantizedModel, AveragedModel)):
         return obj.net
     if isinstance(obj, ShadowModel):
         return obj.applied
+    if isinstance(obj, CaptureBank):
+        bank = "capture_bank" if path is None else path
+        raise ValueError(f"{bank} is a capture bank, not one model: give one of its "
+                         f"entries, {bank}/entry_NNN")
     raise TypeError(f"no evaluable network in {type(obj).__name__}")
 
 

@@ -332,6 +332,73 @@ def test_topology_payload_mismatch_rejected(tmp_path):
         ckpt.load(tmp_path / "t")
 
 
+def _drop(key):
+    def tamper(manifest):
+        del manifest[key]
+        return manifest
+    return tamper
+
+
+def _set_quantization(key, value):
+    def tamper(manifest):
+        if key is None:
+            manifest["quantization"] = value
+        else:
+            manifest["quantization"][key] = value
+        return manifest
+    return tamper
+
+
+def _drop_first_scale(manifest):
+    del next(t for t in manifest["tensors"] if "scale" in t)["scale"]
+    return manifest
+
+
+def _unknown_layer_field(manifest):
+    manifest["layers"][0]["stride"] = 2
+    return manifest
+
+
+def _bank():
+    model = ShadowModel.from_network(_net(117), 2)
+    bank = CaptureBank(model.bits, list(model.steps))
+    bank.add(CaptureEntry(3, model.as_quantized(), model.shadow.copy(), {}))
+    return bank
+
+
+# (model, manifest edit, fragment the error names besides the path)
+TAMPERINGS = {
+    "no-kind": ("network", _drop("kind"), "'kind'"),
+    "no-layers": ("network", _drop("layers"), "'layers'"),
+    "no-input-shape": ("network", _drop("input_shape"), "'input_shape'"),
+    "no-tensors": ("network", _drop("tensors"), "'tensors'"),
+    "no-payload-bytes": ("network", _drop("payload_bytes"), "'payload_bytes'"),
+    "level-tensor-without-scale": ("quantized", _drop_first_scale, "'scale'"),
+    "averaged-without-quantization": ("averaged", _set_quantization(None, None),
+                                      "'quantization'"),
+    "json-list": ("network", lambda manifest: [manifest], "JSON list"),
+    "zero-denominator": ("averaged", _set_quantization("denominator", 0), "'denominator'"),
+    "layer-with-unknown-field": ("network", _unknown_layer_field, "'layers'"),
+    "bank-without-entries": ("bank", _drop("entries"), "'entries'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERINGS))
+def test_a_tampered_manifest_is_a_checkpoint_error_naming_path_and_field(tmp_path, case,
+                                                                        capsys):
+    kind, tamper, field = TAMPERINGS[case]
+    ckpt.save(_bank() if kind == "bank" else ROUND_TRIP_CASES[kind](), tmp_path / "t")
+    mp = tmp_path / "t" / "manifest.json"
+    mp.write_text(json.dumps(tamper(json.loads(mp.read_text()))))
+    with pytest.raises(CheckpointError) as info:
+        ckpt.load(tmp_path / "t")
+    assert str(tmp_path / "t") in str(info.value) and field in str(info.value)
+    from sqwa.cli import main
+    assert main(["eval", "--output-dir", str(tmp_path / "run"),
+                 "--checkpoint", str(tmp_path / "t")]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
 def test_missing_manifest_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="manifest"):
         ckpt.load(tmp_path / "nothing")

@@ -309,13 +309,13 @@ def test_surface_is_identical_for_every_core_count(monkeypatch, mode, quant, res
     # spawned workers both give the in-process grid.
     plane, template, data = _surface_inputs()
     calls = []
-    real_evaluate = losscape.evaluate
+    real_kernel = losscape._evaluate_stack
 
-    def counted(*args):
-        calls.append(os.getpid())
-        return real_evaluate(*args)
+    def counted(net, stack, *args):
+        calls.extend([os.getpid()] * len(stack))  # one entry per point scored
+        return real_kernel(net, stack, *args)
 
-    monkeypatch.setattr(losscape, "evaluate", counted)
+    monkeypatch.setattr(losscape, "_evaluate_stack", counted)
     grids = {}
     for cores, method in [(1, None), (2, "fork"), (2, "spawn"), (4, "fork"), (4, "spawn")]:
         _force_cores(monkeypatch, cores)

@@ -20,7 +20,7 @@ from sqwa.nn import (
     relu,
     sgd_momentum_step,
 )
-from sqwa.nn import _batch_loss, _col2im, _im2col
+from sqwa.nn import _batch_loss, _col2im, _evaluate_stack, _im2col
 from sqwa.data import Dataset
 from sqwa.qat import fit
 
@@ -493,6 +493,30 @@ def test_evaluate_equals_the_per_batch_reference(name, batch_size):
     data = Dataset(images=rng.normal(size=(30, *shape)), labels=rng.integers(0, 5, size=30),
                    num_classes=5)
     assert evaluate(net, data, batch_size) == _reference_evaluate(net, data, batch_size)
+
+
+@pytest.mark.parametrize("stack_size", [1, 2, 5])
+@pytest.mark.parametrize("batch_size", [7, 29, 30, 64],
+                         ids=["short-last", "single-row-last", "one-batch", "beyond-n"])
+@pytest.mark.parametrize("name", sorted(EVAL_NETS))
+def test_the_stacked_kernel_equals_evaluate_of_each_member(name, batch_size, stack_size):
+    specs, shape = EVAL_NETS[name]
+    nets = [init_weights(specs, shape, seed=41 + k) for k in range(stack_size)]
+    for k, net in enumerate(nets):
+        for i in net.param_layers():
+            if net.biases[i] is not None:
+                net.biases[i] = np.linspace(-0.5, 0.5, net.biases[i].size) * (k + 1)
+    rng = np.random.default_rng(41)
+    data = Dataset(images=rng.normal(size=(30, *shape)), labels=rng.integers(0, 5, size=30),
+                   num_classes=5)
+    expected = [evaluate(net, data, batch_size) for net in nets]
+    stack = np.stack([net.flat for net in nets])
+    scratch = {}
+    loss, acc = _evaluate_stack(nets[0], stack, data, batch_size, scratch)
+    assert list(zip(loss.tolist(), acc.tolist())) == expected
+    # a smaller stack then reuses the front of the same buffers
+    loss, acc = _evaluate_stack(nets[0], stack[-1:], data, batch_size, scratch)
+    assert list(zip(loss.tolist(), acc.tolist())) == expected[-1:]
 
 
 def test_evaluate_rejects_a_wrong_input_shape_before_any_batch(monkeypatch):

@@ -278,6 +278,24 @@ def test_cli_missing_checkpoint_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_capture_bank_given_as_a_model_is_an_error_line(tmp_path, capsys):
+    model = ShadowModel.from_network(sqwa.nn.init_weights([dense(8, 10)], (8,), seed=7), 2)
+    bank = CaptureBank(model.bits, list(model.steps))
+    bank.add(CaptureEntry(1, model.as_quantized(), model.shadow.copy(), {}))
+    bank_dir = str(sqwa.save(bank, tmp_path / "capture_bank"))
+    entry = str(tmp_path / "capture_bank" / "entry_000")
+    out = tmp_path / "run"
+    for argv in (["eval", *_cli_args(out), "--checkpoint", bank_dir],
+                 ["losscape", *_cli_args(out), "--models", bank_dir, entry, entry,
+                  "--resolution", "3", "--out", str(out / "s.csv")]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bank_dir} is a capture bank, not one model: give one of its "
+            f"entries, {bank_dir}/entry_NNN\n")
+    assert not (out / "s.csv").exists()
+
+
 def _count_calls(monkeypatch, module, name):
     """Count the calls of `module.name` through every `sqwa` module that
     binds it, the package re-exports included."""
