@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -209,7 +209,9 @@ class OptimizerState:
     plain momentum. `buffers` holds them as a Network of the trained
     network's layout, so `buffers.weights[i]` is layer i's weight buffer;
     `grads` is another such Network, which every step overwrites whole;
-    `work` is scratch for the L2 term, one value per weight.
+    `work` is scratch for the L2 term, one value per weight; `scratch` is
+    the `forward` scratch of the loop's steps, so their parameter views and
+    dense outputs are built once, not per step.
     """
 
     momentum: float
@@ -217,6 +219,7 @@ class OptimizerState:
     buffers: Network
     grads: Network
     work: np.ndarray
+    scratch: dict = field(default_factory=dict)
 
     @staticmethod
     def for_network(net: Network, momentum: float, l2_scale: float = 0.0) -> "OptimizerState":
@@ -280,65 +283,49 @@ def _check_input(net: Network, x: np.ndarray) -> None:
             f"got {x.shape}")
 
 
-def forward(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run a batch through the network, keeping what backward needs.
+def forward(net: Network, batch: np.ndarray,
+            scratch: dict | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run a batch of shape (N, *net.input_shape) through the network,
+    keeping what backward needs, and return (logits, cache): logits of shape
+    (N, num_classes) and each layer's input, as loss_and_backward takes it
+    (a relu that runs in place leaves its output, which gives the same
+    mask). The batch is converted to float64, its shape checked on every
+    call, and it is not modified.
 
-    Args:
-        net: the network.
-        batch: array of shape (N, *net.input_shape).
-
-    Returns:
-        (logits, cache) where logits has shape (N, num_classes) and cache
-        holds each layer's input, as needed by loss_and_backward.
-
-    The batch is converted to float64 and its shape checked on every call;
-    evaluate checks a whole dataset once and runs its own kernel, which
-    keeps no cache.
+    This is the one-network case of the forward kernel that evaluate runs
+    on stacks. `scratch`, a dict kept from call to call such as a training
+    loop's `OptimizerState.scratch`, holds the per-layer parameter views and
+    the dense outputs, so the next call with it overwrites both results;
+    None makes them for this call.
     """
     x = np.asarray(batch, dtype=np.float64)
     _check_input(net, x)
+    scratch = {} if scratch is None else scratch
+    if scratch.get("net") is not net:
+        scratch["net"], scratch["views"] = net, _stack_views(net, net.flat[None])
     cache: list[np.ndarray] = []
-    return _forward(net, x, cache), cache
+    logits = _forward_stack(net.specs, *scratch["views"], x, scratch, cache)
+    return logits[0], [c[0] for c in cache]
 
 
-def _forward(net: Network, x: np.ndarray, cache: list) -> np.ndarray:
-    # forward's kernel, for a float64 batch already checked against
-    # net.input_shape (the layers compose, as construction checked, so no
-    # layer checks its input); appends each layer's input to `cache`.
-    # Every 4-D activation is held batch-innermost, as (C, H, W, N): an image
-    # batch is transposed once on entry, and flatten turns it back into the
-    # (N, C*H*W) rows that dense layers take, in the same C order.
-    if x.ndim == 4:
-        x = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
-    for i, spec in enumerate(net.specs):
-        cache.append(x)
-        if spec.kind == "dense":
-            x = x @ net.weights[i].T
-            if net.biases[i] is not None:
-                x += net.biases[i]
-        elif spec.kind == "conv2d":
-            w, b = net.weights[i], net.biases[i]
-            out_c, _, k, _ = w.shape
-            _, h, ww, n = x.shape
-            y = w.reshape(out_c, -1) @ _im2col(x, k)
-            if b is not None:
-                y = y + b[:, None]  # not in place: see README "Parameter layout"
-            x = y.reshape(out_c, h - k + 1, ww - k + 1, n)
-        elif spec.kind == "relu":
-            x = np.maximum(x, 0.0)
-        elif spec.kind == "flatten":
-            x = (np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T) if x.ndim == 4
-                 else x.reshape(x.shape[0], -1))
-    return x
+def _stack_views(net: Network, stack: np.ndarray) -> tuple[list, list]:
+    # Each layer's weights and biases as (S, *shape) views of the rows of an
+    # (S, P) stack in net's layout, None where a layer has no such tensor; a
+    # dense weight is transposed, (S, fan_in, fan_out), as the kernel
+    # multiplies by it, and its bias is (S, 1, fan_out), to broadcast over rows
+    s, layers = stack.shape[0], len(net.specs)
+    views = [None if sp is None else stack[:, sp[0]:sp[1]].reshape(s, *sp[2]) for sp in net.layout]
+    dense = [spec.kind == "dense" for spec in net.specs]
+    return ([w.transpose(0, 2, 1) if d else w for w, d in zip(views, dense)],
+            [b[:, None] if d and b is not None else b for b, d in zip(views[layers:], dense)])
 
 
 def _buffer(scratch: dict, key, shape: tuple, dtype=np.float64) -> np.ndarray:
     # A contiguous array of `shape` over the memory `scratch` keeps for
     # `key`, made on first use and replaced by a larger one when too small.
-    # The stacked evaluation writes into these with out= instead of
-    # allocating its temporaries batch by batch; a shorter batch or a
-    # smaller stack reuses the front of the memory. Each view is kept too,
-    # under (key, shape), so a batch looks it up instead of rebuilding it.
+    # The forward kernel and the loss write into these with out= instead of
+    # allocating per batch; a shorter batch or a smaller stack reuses the
+    # front of the memory. The view is kept too, under (key, shape).
     view = scratch.get((key, shape))
     if view is None:
         size = math.prod(shape)
@@ -350,23 +337,30 @@ def _buffer(scratch: dict, key, shape: tuple, dtype=np.float64) -> np.ndarray:
 
 
 def _forward_stack(specs: list[LayerSpec], weights: list, biases: list, x: np.ndarray,
-                   scratch: dict) -> np.ndarray:
-    # Logits (S, N, classes) of one checked float64 batch under each of S
-    # parameter sets: weights[i] is layer i's (S, *shape) stack of weight
-    # views and biases[i] its bias stack (dense ones repeated over the rows).
-    # The batch enters with a leading stack axis of 1, which the first
-    # parameter layer broadcasts to S. Dense layers are batched matmuls on
-    # the transposed weight views, member by member the 2-D product forward
-    # computes, into buffers from `scratch`; conv layers make their outputs
-    # per batch as forward does. Relu works in place on arrays made here.
+                   scratch: dict, cache: list | None = None) -> np.ndarray:
+    # The one forward body: logits (S, N, classes) of one checked float64
+    # batch under each of S parameter sets, as _stack_views gives them (a
+    # dense bias may be repeated over the batch's rows). The layers compose,
+    # as construction checked, so no layer checks its input. 4-D activations
+    # are held batch-innermost, as (C, H, W, N): an image batch is
+    # transposed once on entry, and flatten turns it back into the (N, C*H*W)
+    # rows that dense layers take, in the same C order. The batch then gains
+    # a stack axis of 1, which the first parameter layer broadcasts to S.
+    # Dense layers are batched matmuls, member by member the 2-D x @ W.T,
+    # into buffers from `scratch`; conv outputs are made per batch. Relu
+    # works in place only on arrays made here. `cache` gets each layer's
+    # (S, ...) input, good until the next call on the same `scratch`; a relu
+    # that ran in place leaves its output there, whose `x > 0.0` mask is the
+    # input's, NaN included.
     if x.ndim == 4:
         x = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
     x, made = x[None], False   # made: x is an array of this batch, not the input's
     for i, spec in enumerate(specs):
+        if cache is not None:
+            cache.append(x)
         if spec.kind == "dense":
             w = weights[i]
-            x = np.matmul(x, w.transpose(0, 2, 1),
-                          out=_buffer(scratch, i, (w.shape[0], x.shape[1], w.shape[1])))
+            x = np.matmul(x, w, out=_buffer(scratch, i, (w.shape[0], x.shape[1], w.shape[2])))
             if biases[i] is not None:
                 x += biases[i]
         elif spec.kind == "conv2d":
@@ -386,14 +380,16 @@ def _forward_stack(specs: list[LayerSpec], weights: list, biases: list, x: np.nd
     return x
 
 
-def _batch_loss(logits: np.ndarray, at_labels: np.ndarray, scratch: dict | None = None):
-    # Mean of minus the stable log-softmax of each row at its label, bit for
-    # bit, for each (N, classes) matrix of `logits` (..., N, classes): a
-    # value, or an array of the leading shape. `at_labels` holds each row's
-    # label entry as a flat index into an (N, classes) matrix,
-    # row * classes + label. The max, exact in any order, runs over a
-    # class-major copy; the class sum stays row-wise, as a column sum rounds
-    # differently. Temporaries are buffers from `scratch` if given.
+def _log_likelihood(logits: np.ndarray, at_labels: np.ndarray, scratch: dict | None = None,
+                    out: np.ndarray | None = None):
+    # Sum over the rows of each (N, classes) matrix of `logits`
+    # (..., N, classes) of the stable log-softmax at the row's label, into
+    # `out` if given: minus it over N is the mean loss, bit for bit what a
+    # full log-softmax gives. `at_labels` holds each row's label entry as a
+    # flat index into an (N, classes) matrix, row * classes + label. The
+    # max, exact in any order, runs over a class-major copy; the class sum
+    # stays row-wise, as a column sum rounds differently. Temporaries are
+    # buffers from `scratch` if given.
     scratch = {} if scratch is None else scratch
     *lead, n, c = shape = logits.shape
     by_class = _buffer(scratch, "by_class", shape[:-2] + (c, n))
@@ -409,7 +405,7 @@ def _batch_loss(logits: np.ndarray, at_labels: np.ndarray, scratch: dict | None 
     picked = z.reshape(*lead, n * c).take(at_labels, axis=-1, mode="clip",
                                           out=_buffer(scratch, "picked", shape[:-1]))
     picked -= norm
-    return -np.add.reduce(picked, axis=-1) / n
+    return np.add.reduce(picked, axis=-1, out=out)
 
 
 def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
@@ -438,11 +434,11 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
     written into the parameters of `grads`, a network of `net`'s layout
     (`Network(net.input_shape, net.specs)` builds one), which is returned.
 
-    `cache` and `logits` must come from a forward() call on the same
-    network and batch; `targets` is the batch's one-hot label block, float64
-    of the logits' shape, and is not checked. Every gradient view is
-    written, so a reused buffer holds nothing of an earlier batch. No loss
-    value is formed, despite the name; `evaluate` reports losses.
+    `cache` and `logits` must come from the last forward() call on the
+    same network, batch and scratch; `targets` is the batch's one-hot label
+    block, float64 of the logits' shape, and is not checked. Every gradient
+    view is written, so a reused buffer holds nothing of an earlier batch.
+    No loss value is formed, despite the name; `evaluate` reports losses.
     """
     # The logits' gradient is formed in a new array, in the order a full
     # log-softmax, its exp and a subtraction of 1.0 at each label take. The
@@ -526,10 +522,11 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
     # (S, P) float64 array of parameter vectors in net's layout, as two (S,)
     # arrays: row s holds, bit for bit, what evaluate gives for a network
     # whose buffer holds stack[s]. The temporaries live in `scratch`, reused
-    # by every batch and by every call given the same dict. What every batch
-    # shares is built once per call: each dense bias repeated over a batch's
-    # rows, so that its add is contiguous, and each sample's label entry as
-    # a flat index into its batch's logits.
+    # by every batch and by every call given the same dict. What batches
+    # share is built once per call: the parameter views, each dense bias
+    # repeated over a batch's rows (a contiguous add), and each sample's
+    # label entry as a flat index into its batch's logits. Each batch only
+    # writes its log-likelihoods and hits; the sums come after.
     images = np.asarray(dataset.images)
     n = images.shape[0]
     if n == 0:
@@ -539,30 +536,32 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
     labels = _check_labels(dataset.labels, n, classes)
     _check_input(net, images)
     scratch = {} if scratch is None else scratch
-    s, layers = stack.shape[0], len(net.specs)
-    tensors = [None if sp is None else stack[:, sp[0]:sp[1]].reshape(s, *sp[2])
-               for sp in net.layout]
+    s = stack.shape[0]
+    weights, biases = _stack_views(net, stack)
     rows = min(batch_size, n)
-    biases = tensors[layers:]
     for i, spec in enumerate(net.specs):  # each dense bias repeated over a full batch's rows
         if spec.kind == "dense" and biases[i] is not None:
             repeated = _buffer(scratch, ("bias", i), (s, rows, spec.fan_out))
-            repeated[...] = biases[i][:, None]
+            repeated[...] = biases[i]
             biases[i] = repeated
     at_labels = np.arange(n) % batch_size * classes + labels
-    loss_sum = np.zeros(s)
-    correct = np.zeros(s, dtype=np.int64)
-    for start in range(0, n, batch_size):
-        yb = labels[start:start + batch_size]
-        nb = yb.shape[0]
+    starts = range(0, n, batch_size)
+    summed = _buffer(scratch, "summed", (len(starts) + 1, s))  # row 0 starts the running sum
+    summed[0] = 0.0
+    hits = _buffer(scratch, "hits", (s, n), bool)
+    for j, start in enumerate(starts):
+        nb = min(batch_size, n - start)
         if nb < rows:  # the last batch, shorter: the front rows of each repeat
             biases = [b[:, :nb] if spec.kind == "dense" and b is not None else b
                       for spec, b in zip(net.specs, biases)]
-        logits = _forward_stack(net.specs, tensors[:layers], biases,
+        logits = _forward_stack(net.specs, weights, biases,
                                 np.asarray(images[start:start + batch_size], dtype=np.float64),
                                 scratch)
-        loss_sum += _batch_loss(logits, at_labels[start:start + nb], scratch) * nb
-        hits = np.equal(logits.argmax(axis=-1, out=_buffer(scratch, "argmax", (s, nb), np.intp)),
-                        yb, out=_buffer(scratch, "hits", (s, nb), bool))
-        correct += np.add.reduce(hits, axis=-1)
-    return loss_sum / n, correct / n
+        _log_likelihood(logits, at_labels[start:start + nb], scratch, out=summed[j + 1])
+        np.equal(logits.argmax(axis=-1, out=_buffer(scratch, "argmax", (s, nb), np.intp)),
+                 labels[start:start + nb], out=hits[:, start:start + nb])
+    # each batch's mean loss times its size, summed in batch order: the bits of a running sum
+    sizes = np.minimum(n - np.array(starts), batch_size)[:, None]
+    summed[1:] = -summed[1:] / sizes * sizes
+    loss = np.add.accumulate(summed, axis=0, out=summed)[-1] / n
+    return loss, np.add.reduce(hits, axis=-1) / n

@@ -78,11 +78,11 @@ def qat_train_step(model: ShadowModel | Network, state: OptimizerState, batch: n
     applied view is rebuilt from the updated shadow. A plain Network is the
     no-quantizer case, its own applied and shadow network. `targets` is the
     batch's one-hot label block, which fit builds from labels it has checked;
-    the forward pass checks the batch's input shape.
+    the forward pass, on `state.scratch`, checks the batch's input shape.
     """
     quantized = isinstance(model, ShadowModel)
     applied = model.applied if quantized else model
-    logits, cache = forward(applied, batch)
+    logits, cache = forward(applied, batch, state.scratch)
     loss_and_backward(applied, cache, logits, targets, state.grads)
     sgd_momentum_step(model.shadow if quantized else model, state.grads, state, lr)
     if quantized:

@@ -98,3 +98,28 @@ def test_every_workload_call_binds_to_the_live_signature(module, name, positiona
     except TypeError as exc:
         raise AssertionError(f"perfbench/workloads.py calls {module}.{name} with "
                              f"{positional} positional and keywords {keywords}: {exc}") from None
+
+
+def test_the_tracer_finds_its_arguments_where_it_reads_them(monkeypatch):
+    # perfbench/tracer.py reads forward's args[0] and args[1] as the network
+    # and the batch, and loss_and_backward's args[0] and args[2] as the
+    # network and the logits, whose len() it counts as the batch size
+    import numpy as np
+    from sqwa import nn, qat
+    assert list(inspect.signature(nn.forward).parameters)[:2] == ["net", "batch"]
+    assert list(inspect.signature(nn.loss_and_backward).parameters)[:3] == \
+        ["net", "cache", "logits"]
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((args, nn.forward(*args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(qat, "forward", spy)
+    net = nn.init_weights([nn.dense(8, 24), nn.relu(), nn.dense(24, 10)], (8,), seed=1)
+    batch = np.zeros((32, 8))
+    qat.qat_train_step(net, nn.OptimizerState.for_network(net, 0.9), batch,
+                       np.eye(10)[np.arange(32) % 10], 0.1)
+    [(args, (logits, _))] = seen
+    assert args[0] is net and args[1] is batch
+    assert logits.shape == (32, 10) and len(logits) == len(batch)

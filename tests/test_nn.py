@@ -20,7 +20,7 @@ from sqwa.nn import (
     relu,
     sgd_momentum_step,
 )
-from sqwa.nn import _batch_loss, _col2im, _evaluate_stack, _im2col
+from sqwa.nn import _col2im, _evaluate_stack, _im2col, _log_likelihood
 from sqwa.data import Dataset
 from sqwa.qat import fit
 
@@ -526,12 +526,46 @@ def test_evaluate_rejects_a_wrong_input_shape_before_any_batch(monkeypatch):
     with pytest.raises(ValueError) as expected:
         forward(net, data.images)
     batches = []
-    monkeypatch.setattr(sqwa.nn, "_forward", lambda *args: batches.append(args))
+    monkeypatch.setattr(sqwa.nn, "_forward_stack", lambda *args: batches.append(args))
     with pytest.raises(ValueError) as raised:
         evaluate(net, data, batch_size=4)
     assert str(raised.value) == str(expected.value) == \
         "network input: expected batch of shape (N, 3), got (9, 4)"
     assert batches == []
+
+
+BUFFER_NETS = {
+    "default-mlp": ([dense(8, 24), relu(), dense(24, 10)], (8,)),
+    "benchmark-cnn": ([conv2d(1, 4, 5), relu(), conv2d(4, 8, 5), relu(), flatten(),
+                       dense(512, 10)], (1, 16, 16)),
+    "relu-first": ([relu(), dense(8, 6), relu(), dense(6, 3)], (8,)),
+    "flatten-then-relu": ([flatten(), relu(), dense(18, 6), relu(), dense(6, 3)], (2, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("name", sorted(BUFFER_NETS))
+def test_forward_leaves_the_callers_batch_unchanged(name, rows):
+    # relu runs in place only on arrays the kernel made; a one-row image
+    # batch enters, transposed and flattened, as views of the caller's array
+    specs, shape = BUFFER_NETS[name]
+    net = init_weights(specs, shape, seed=42)
+    batch = np.random.default_rng(42).normal(size=(rows, *shape))
+    before = batch.copy()
+    scratch = {}
+    kept = [forward(net, batch, scratch)[0].copy() for _ in range(2)]
+    assert np.array_equal(batch, before)
+    assert np.array_equal(kept[0], kept[1]) and np.array_equal(kept[0], forward(net, batch)[0])
+
+
+def test_a_kept_scratch_follows_the_network_it_is_given():
+    # the parameter views are rebuilt when another network brings the scratch
+    specs, shape = BUFFER_NETS["default-mlp"]
+    nets = [init_weights(specs, shape, seed=seed) for seed in (43, 44)]
+    batch = np.random.default_rng(43).normal(size=(7, *shape))
+    scratch = {}
+    for net in nets + nets[::-1]:
+        assert np.array_equal(forward(net, batch, scratch)[0], forward(net, batch)[0])
 
 
 SPECIAL_LOGITS = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
@@ -555,7 +589,7 @@ def test_batch_loss_equals_the_full_log_softmax_loss(c, n, seed, special, coarse
         z = logits - logits.max(axis=1, keepdims=True)
         z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
         expected = float(-z[np.arange(n), labels].sum() / n)
-        got = _batch_loss(logits, np.arange(n) * c + labels)
+        got = -_log_likelihood(logits, np.arange(n) * c + labels) / n
     assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 

@@ -458,3 +458,73 @@ def test_fit_equals_the_per_call_arithmetic_bit_for_bit(monkeypatch, case):
         _assert_invariant(model)
     else:
         assert np.array_equal(model.flat, ref.flat)
+
+
+# --- consecutive steps on one state: the forward scratch it keeps ----------------
+# A step's forward pass writes into buffers the OptimizerState keeps (the dense
+# outputs, which the cache then holds) and runs relu in place on them; backward
+# consumes them before the next step overwrites them.
+
+def _shared_buffer_cases():
+    from sqwa.nn import conv2d, flatten
+    yield "default MLP", [dense(8, 24), relu(), dense(24, 10)], (8,), 2
+    yield "benchmark CNN", [conv2d(1, 4, 5), relu(), conv2d(4, 8, 5), relu(), flatten(),
+                            dense(512, 10)], (1, 16, 16), 4
+    yield "relu first", [relu(), dense(8, 6), relu(), dense(6, 3)], (8,), 2
+    yield "flatten then relu", [flatten(), relu(), dense(18, 6), relu(), dense(6, 3)], (2, 3, 3), 2
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+@pytest.mark.parametrize("case", list(_shared_buffer_cases()), ids=lambda c: c[0])
+def test_consecutive_steps_on_one_state_equal_the_reference_path(case, steps):
+    _, specs, shape, bits = case
+    model = ShadowModel.from_network(init_weights(specs, shape, seed=80), bits)
+    ref = copy.deepcopy(model)
+    state = OptimizerState.for_network(model.applied, momentum=0.9)
+    classes, nw = ref.applied.num_classes, ref.shadow.weight_size
+    step_of = np.repeat(ref.steps, [ref.shadow.weights[i].size for i in ref.shadow.param_layers()])
+    buf = np.zeros_like(ref.shadow.flat)
+    rng = np.random.default_rng(80)
+    # 32, 1 and 12 rows: the scratch buffers are reused, shrunk and regrown
+    for rows, lr in list(zip((32, 1, 12), (0.2, 0.1, 0.05)))[:steps]:
+        xb = rng.normal(size=(rows, *shape))
+        yb = rng.integers(0, classes, size=rows)
+        before = xb.copy()
+        qat_train_step(model, state, xb, np.eye(classes)[yb], lr)
+        assert np.array_equal(xb, before)
+        logits, cache = _ref_forward(ref.applied, xb)
+        g = _ref_gradients(ref.applied, cache, logits, yb)
+        buf *= 0.9
+        buf += g
+        ref.shadow.flat -= lr * buf
+        ref.applied.flat[:nw] = _ref_quantize(ref.shadow.flat[:nw], step_of, bits)
+        ref.applied.flat[nw:] = ref.shadow.flat[nw:]
+    assert (model.shadow.flat == ref.shadow.flat).all()
+    assert (model.applied.flat == ref.applied.flat).all()
+    assert (state.buffers.flat == buf).all()
+    assert (state.grads.flat == g).all()
+
+
+def test_a_relu_cached_after_it_ran_in_place_keeps_the_gradient_bits():
+    # The kernel's relu runs in place on the dense output it made, so the
+    # cache holds the relu's output where the reference keeps its input.
+    # Backward masks with `x > 0.0`, False on NaN, +0.0 and -0.0 of either,
+    # so the gradients match the reference's `dx * (x > 0.0)` bit for bit.
+    from sqwa.nn import forward, loss_and_backward
+    net = init_weights([dense(3, 6), relu(), dense(6, 2)], (3,), seed=82)
+    x = np.random.default_rng(82).normal(size=(4, 3))
+    labels = np.array([0, 1, 1, 0])
+    logits, cache = forward(net, x)
+    pre = _ref_forward(net, x)[1][1]
+    assert np.array_equal(cache[1], np.maximum(pre, 0.0))
+    pre[0, :3] = [np.nan, 0.0, -0.0]
+    pre[1, :2] = [-0.0, np.nan]
+    pre[2, 4] = np.nan
+    out = pre.copy()
+    np.maximum(out, 0.0, out=out)
+    got = loss_and_backward(net, [x, out, out], logits, np.eye(2)[labels], net.copy()).flat
+    expected = _ref_gradients(net, [x, pre, out], logits, labels)
+    assert np.isnan(expected).any() and not np.isnan(expected).all()
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert np.array_equal(got, expected, equal_nan=True)
