@@ -211,22 +211,31 @@ def _surface_rows(xs: np.ndarray, ys: np.ndarray, plane: LossPlane, template: Ne
                   dataset, mode: str, bits: int | None,
                   steps: list[float] | None) -> tuple[np.ndarray, np.ndarray]:
     # Loss and accuracy at every (x, y) of one block of rows, in row-major
-    # order, _points_per_pass points per kernel call. The stack of parameter
-    # vectors and the kernel's temporaries are made once per block.
-    points = [(x, y) for x in xs for y in ys]
-    per_pass = min(len(points), _points_per_pass(template, len(dataset.labels)))
+    # order, _points_per_pass points per kernel call. A pass's points are
+    # built in one broadcast, (origin + x * u_hat) + y * v_hat as in
+    # grid_point, and in quantized mode their weight columns are quantized
+    # in one call, as quantized_grid_point does one point. The stack, its
+    # scratch, the step vector and the kernel's temporaries are made once
+    # per block.
+    px, py = np.repeat(xs, len(ys))[:, None], np.tile(ys, len(xs))[:, None]
+    per_pass = min(len(px), _points_per_pass(template, len(dataset.labels)))
     stack = np.empty((per_pass, template.flat.size))
+    work = np.empty_like(stack)
+    nw = template.weight_size
+    step_of = _weight_steps(template, bits, steps) if mode == "quantized" else None
     scratch: dict = {}
-    loss = np.empty(len(points))
-    acc = np.empty(len(points))
-    for start in range(0, len(points), per_pass):
-        chunk = points[start:start + per_pass]
-        for k, (x, y) in enumerate(chunk):
-            stack[k] = (quantized_grid_point(plane, x, y, template, bits, steps)
-                        if mode == "quantized" else grid_point(plane, x, y))
-        done = slice(start, start + len(chunk))
-        loss[done], acc[done] = _evaluate_stack(template, stack[:len(chunk)], dataset,
-                                                _BATCH_SIZE, scratch)
+    loss = np.empty(len(px))
+    acc = np.empty(len(px))
+    for start in range(0, len(px), per_pass):
+        done = slice(start, start + per_pass)
+        x, y = px[done], py[done]
+        points, tmp = stack[:len(x)], work[:len(x)]
+        np.multiply(x, plane.u_hat, out=points)
+        points += plane.origin
+        points += np.multiply(y, plane.v_hat, out=tmp)
+        if step_of is not None:
+            _quantize(points[:, :nw], step_of, bits, out=points[:, :nw], work=tmp[:, :nw])
+        loss[done], acc[done] = _evaluate_stack(template, points, dataset, _BATCH_SIZE, scratch)
     return loss.reshape(len(xs), len(ys)), acc.reshape(len(xs), len(ys))
 
 
@@ -275,8 +284,9 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
     Args:
         resolution: points per axis (>= 2).
         mode: 'full_precision' evaluates grid points as-is; 'quantized'
-            pushes each point through quantized_grid_point first (requires
-            bits and per-layer steps, e.g. a capture's frozen values).
+            first quantizes each point's weights as quantized_grid_point
+            does (requires bits and per-layer steps, e.g. a capture's
+            frozen values).
     """
     if mode not in ("full_precision", "quantized"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -15,6 +15,8 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
+from .scoring import _label_layout, _score_pass
+
 __all__ = [
     "LayerSpec",
     "Network",
@@ -380,32 +382,12 @@ def _forward_stack(specs: list[LayerSpec], weights: list, biases: list, x: np.nd
     return x
 
 
-def _log_likelihood(logits: np.ndarray, at_labels: np.ndarray, scratch: dict | None = None,
-                    out: np.ndarray | None = None):
-    # Sum over the rows of each (N, classes) matrix of `logits`
-    # (..., N, classes) of the stable log-softmax at the row's label, into
-    # `out` if given: minus it over N is the mean loss, bit for bit what a
-    # full log-softmax gives. `at_labels` holds each row's label entry as a
-    # flat index into an (N, classes) matrix, row * classes + label. The
-    # max, exact in any order, runs over a class-major copy; the class sum
-    # stays row-wise, as a column sum rounds differently. Temporaries are
-    # buffers from `scratch` if given.
-    scratch = {} if scratch is None else scratch
-    *lead, n, c = shape = logits.shape
-    by_class = _buffer(scratch, "by_class", shape[:-2] + (c, n))
-    np.copyto(by_class, logits.swapaxes(-1, -2))
-    m = np.maximum.reduce(by_class, axis=-2, out=_buffer(scratch, "max", shape[:-1]))
-    z = np.subtract(logits, m[..., None], out=_buffer(scratch, "z", shape))
-    # the class-major copy is done with, so its memory takes the exponentials
-    e = np.exp(z, out=_buffer(scratch, "by_class", shape))
-    norm = np.add.reduce(e, axis=-1, out=_buffer(scratch, "norm", shape[:-1]))
-    np.log(norm, out=norm)
-    # mode="clip" picks the same entries (every index is in range) without
-    # the buffering that out= costs under mode="raise"
-    picked = z.reshape(*lead, n * c).take(at_labels, axis=-1, mode="clip",
-                                          out=_buffer(scratch, "picked", shape[:-1]))
-    picked -= norm
-    return np.add.reduce(picked, axis=-1, out=out)
+# float64 values of the class-major copy of the logits that one scoring
+# pass of the evaluation kernel covers: as many whole batches as fit, at
+# least one. A pass makes about twenty numpy calls, whose fixed cost rules
+# below a few thousand values; the default 8-24-10 MLP at batch 256 scores
+# 3 batches per pass alone and 1 in a surface's stack of 8.
+_SCORE_VALUES = 2 ** 13
 
 
 def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
@@ -524,9 +506,11 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
     # whose buffer holds stack[s]. The temporaries live in `scratch`, reused
     # by every batch and by every call given the same dict. What batches
     # share is built once per call: the parameter views, each dense bias
-    # repeated over a batch's rows (a contiguous add), and each sample's
-    # label entry as a flat index into its batch's logits. Each batch only
-    # writes its log-likelihoods and hits; the sums come after.
+    # repeated over a batch's rows (a contiguous add), and the labels as
+    # _score_pass takes them (_label_layout). Each batch's logits are
+    # copied class-major into its pass's block, and a pass's last batch
+    # scores the pass: its batches' log-likelihood sums and its hits. The
+    # loss sums come after.
     images = np.asarray(dataset.images)
     n = images.shape[0]
     if n == 0:
@@ -544,12 +528,15 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
             repeated = _buffer(scratch, ("bias", i), (s, rows, spec.fan_out))
             repeated[...] = biases[i]
             biases[i] = repeated
-    at_labels = np.arange(n) % batch_size * classes + labels
+    # each pass scores as many whole batches as keep its class-major copy
+    # within _SCORE_VALUES, and at least one
+    width = max(1, _SCORE_VALUES // (s * classes * rows)) * batch_size
+    at_labels, ranks = _label_layout(labels, width, classes, s)
     starts = range(0, n, batch_size)
-    summed = _buffer(scratch, "summed", (len(starts) + 1, s))  # row 0 starts the running sum
-    summed[0] = 0.0
+    summed = _buffer(scratch, "summed", (s, len(starts) + 1))  # column 0 starts the running sum
+    summed[:, 0] = 0.0
     hits = _buffer(scratch, "hits", (s, n), bool)
-    for j, start in enumerate(starts):
+    for start in starts:
         nb = min(batch_size, n - start)
         if nb < rows:  # the last batch, shorter: the front rows of each repeat
             biases = [b[:, :nb] if spec.kind == "dense" and b is not None else b
@@ -557,11 +544,15 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
         logits = _forward_stack(net.specs, weights, biases,
                                 np.asarray(images[start:start + batch_size], dtype=np.float64),
                                 scratch)
-        _log_likelihood(logits, at_labels[start:start + nb], scratch, out=summed[j + 1])
-        np.equal(logits.argmax(axis=-1, out=_buffer(scratch, "argmax", (s, nb), np.intp)),
-                 labels[start:start + nb], out=hits[:, start:start + nb])
+        first = start - start % width   # the pass's first sample
+        by_class = _buffer(scratch, "by_class", (classes, s, min(width, n - first)))
+        np.copyto(by_class[:, :, start - first:start - first + nb], logits.transpose(2, 0, 1))
+        if start + nb == first + by_class.shape[2]:   # the pass's last batch
+            part = slice(first, start + nb)
+            _score_pass(by_class, at_labels[part], ranks[part], hits[:, part], batch_size, scratch,
+                        out=summed[:, first // batch_size + 1:start // batch_size + 2])
     # each batch's mean loss times its size, summed in batch order: the bits of a running sum
-    sizes = np.minimum(n - np.array(starts), batch_size)[:, None]
-    summed[1:] = -summed[1:] / sizes * sizes
-    loss = np.add.accumulate(summed, axis=0, out=summed)[-1] / n
+    sizes = np.minimum(n - np.array(starts), batch_size)
+    summed[:, 1:] = -summed[:, 1:] / sizes * sizes
+    loss = np.add.accumulate(summed, axis=1, out=summed)[:, -1] / n
     return loss, np.add.reduce(hits, axis=-1) / n

@@ -20,7 +20,8 @@ from sqwa.nn import (
     relu,
     sgd_momentum_step,
 )
-from sqwa.nn import _col2im, _evaluate_stack, _im2col, _log_likelihood
+from sqwa.nn import _col2im, _evaluate_stack, _im2col
+from sqwa.scoring import _label_layout, _score_pass, _sum_steps
 from sqwa.data import Dataset
 from sqwa.qat import fit
 
@@ -519,6 +520,24 @@ def test_the_stacked_kernel_equals_evaluate_of_each_member(name, batch_size, sta
     assert list(zip(loss.tolist(), acc.tolist())) == expected[-1:]
 
 
+@pytest.mark.parametrize("score_values", [1, 105, 300], ids=["1-batch", "3-batch", "8-batch"])
+@pytest.mark.parametrize("stack_size", [1, 3])
+def test_scoring_passes_of_several_batches_keep_every_bit(monkeypatch, score_values, stack_size):
+    # A scoring pass covers as many batches of 7 as _SCORE_VALUES holds of
+    # their (classes, S, batch) logits: 1, 3 or 8 at S = 1 and 1, 1 or 2 at
+    # S = 3, so 30 samples end in a short pass holding the short batch, or
+    # in one pass. Each member equals the per-batch reference bit for bit.
+    import sqwa.nn
+    monkeypatch.setattr(sqwa.nn, "_SCORE_VALUES", score_values)
+    specs, shape = EVAL_NETS["dense"]
+    nets = [init_weights(specs, shape, seed=47 + k) for k in range(stack_size)]
+    rng = np.random.default_rng(47)
+    data = Dataset(images=rng.normal(size=(30, *shape)), labels=rng.integers(0, 5, size=30),
+                   num_classes=5)
+    loss, acc = _evaluate_stack(nets[0], np.stack([net.flat for net in nets]), data, 7)
+    assert list(zip(loss.tolist(), acc.tolist())) == [_reference_evaluate(net, data, 7) for net in nets]
+
+
 def test_evaluate_rejects_a_wrong_input_shape_before_any_batch(monkeypatch):
     import sqwa.nn
     net = init_weights([dense(3, 2)], (3,), seed=40)
@@ -572,25 +591,61 @@ SPECIAL_LOGITS = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 1e308, -1e30
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(c=st.integers(1, 20), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+@given(c=st.integers(1, 20) | st.sampled_from([129, 136, 200, 300]), n=st.integers(1, 300),
+       s=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        special=st.sampled_from([0.0, 0.02, 0.3]), coarse=st.booleans(),
        equal_rows=st.sampled_from([0.0, 0.2, 1.0]))
-def test_batch_loss_equals_the_full_log_softmax_loss(c, n, seed, special, coarse, equal_rows):
+def test_batch_loss_equals_the_full_log_softmax_loss(c, n, s, seed, special, coarse, equal_rows):
+    # each member of a stack of S logit matrices: the loss and the hits
+    # equal a full log-softmax's and argmax's, at class counts that reach
+    # every branch of the class sum
     rng = np.random.default_rng(seed)
-    logits = rng.normal(scale=5.0, size=(n, c))
+    logits = rng.normal(scale=5.0, size=(s, n, c))
     if coarse:  # a few distinct values per row, so maxima tie
         logits = np.round(logits / 4.0)
-    same = rng.random(n) < equal_rows
+    same = rng.random((s, n)) < equal_rows
     logits[same] = logits[same, :1]
-    hit = rng.random((n, c)) < special
+    hit = rng.random((s, n, c)) < special
     logits[hit] = rng.choice(SPECIAL_LOGITS, size=int(hit.sum()))
     labels = rng.integers(0, c, size=n)
+    hits = np.empty((s, n), bool)
     with np.errstate(all="ignore"):
-        z = logits - logits.max(axis=1, keepdims=True)
-        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
-        expected = float(-z[np.arange(n), labels].sum() / n)
-        got = -_log_likelihood(logits, np.arange(n) * c + labels) / n
-    assert got == expected or (np.isnan(got) and np.isnan(expected))
+        # a class-major copy, which the kernel overwrites
+        got = -_score_pass(logits.transpose(2, 0, 1).copy(), *_label_layout(labels, n, c, s), hits,
+                           n)[:, 0] / n
+        for member, loss in zip(logits, got):
+            z = member - member.max(axis=1, keepdims=True)
+            z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+            expected = float(-z[np.arange(n), labels].sum() / n)
+            assert loss == expected or (np.isnan(loss) and np.isnan(expected))
+    assert np.array_equal(hits, logits.argmax(axis=-1) == labels)
+
+
+def test_class_sum_follows_numpys_row_sum_order():
+    # _sum_steps rebuilds numpy's pairwise row sum from adds of class
+    # blocks; a numpy that sums rows in another order fails here rather
+    # than shifting the bits of every loss. Positive values spread over 40
+    # decades show any change of order; the special values check overflow,
+    # infinities, NaN and the sign of a zero sum, with numpy's final + 0.0,
+    # which _sum_steps leaves out, added back.
+    rng = np.random.default_rng(46)
+    special = np.array([0.0, -0.0, 1.0, -3.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
+    for c in range(1, 301):
+        positive = np.exp(rng.normal(scale=15.0, size=(3, 40, c)))
+        mixed = rng.choice(special, size=(3, 40, c))
+        zeros = rng.choice([0.0, -0.0], size=(3, 40, c), p=[0.1, 0.9])
+        for rows in (positive, mixed, zeros):
+            got, by_class = np.empty((3, 40)), rows.transpose(2, 0, 1).copy()
+            with np.errstate(all="ignore"):
+                expected = np.add.reduce(rows, axis=-1)
+                for a, b, into in _sum_steps(by_class, got):
+                    np.add(a, b, out=into)
+                got += 0.0
+            assert np.array_equal(got, expected, equal_nan=True), c
+            # zero sums keep their sign; a NaN's sign follows operand
+            # order, which numpy leaves open
+            real = ~np.isnan(expected)
+            assert np.array_equal(np.signbit(got[real]), np.signbit(expected[real])), c
 
 
 def test_network_copy_is_deep():
