@@ -28,14 +28,14 @@ class IdxFormatError(ValueError):
 @dataclass
 class Dataset:
     """Images (N x features, or N x C x H x W) and integer labels. Labels
-    are checked once, at construction, and stored as int64."""
+    are checked once, at construction, and kept as the dataset's own int64 copy."""
 
     images: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        self.labels = _check_labels(self.labels, self.images.shape[0], self.num_classes)
+        self.labels = _check_labels(np.array(self.labels), self.images.shape[0], self.num_classes)
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -108,7 +108,6 @@ def load_idx(images_path, labels_path, *, normalize: bool = True,
         x = x[:, None, :, :]
     else:
         raise ValueError(f"unknown layout {layout!r}")
-    labels = labels.astype(np.int64)
     return Dataset(x, labels, int(labels.max()) + 1)
 
 
@@ -137,7 +136,7 @@ def synthetic_blobs(num_classes: int, samples_per_class: int, dims: int,
     labels = np.repeat(np.arange(num_classes), samples_per_class)
     noise = rng.standard_normal((labels.size, dims))
     images = centers[labels] + spread * noise
-    return Dataset(images, labels.astype(np.int64), num_classes)
+    return Dataset(images, labels, num_classes)
 
 
 def shuffle_batches(dataset: Dataset, batch_size: int, seed: int,

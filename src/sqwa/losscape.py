@@ -54,8 +54,8 @@ _MIN_BLOCK_SAMPLES = 1_000_000
 
 # float64 values (1 MiB) that the grid points scored in one pass of the
 # stacked evaluation may hold between them: each point's parameter vector
-# plus its layer outputs over one batch. The default 8-24-10 MLP at batch
-# 256 scores 8 points per pass, a CNN whose activations alone exceed it 1.
+# plus one batch of every layer's output, views included. The default MLP
+# at batch 256 scores 8 points per pass, a CNN whose activations exceed it 1.
 _PASS_VALUES = 2 ** 17
 
 # The batch every surface point is scored at, evaluate's default.

@@ -291,8 +291,10 @@ def forward(net: Network, batch: np.ndarray,
     keeping what backward needs, and return (logits, cache): logits of shape
     (N, num_classes) and each layer's input, as loss_and_backward takes it
     (a relu that runs in place leaves its output, which gives the same
-    mask). The batch is converted to float64, its shape checked on every
-    call, and it is not modified.
+    mask). The logits and later flat inputs are transposed views of the
+    kernel's batch-innermost arrays, so a numpy sum over their rows may add
+    in another order than over a row-major copy. The batch is converted to
+    float64, its shape checked on every call, and it is not modified.
 
     This is the one-network case of the forward kernel that evaluate runs
     on stacks. `scratch`, a dict kept from call to call such as a training
@@ -307,19 +309,19 @@ def forward(net: Network, batch: np.ndarray,
         scratch["net"], scratch["views"] = net, _stack_views(net, net.flat[None])
     cache: list[np.ndarray] = []
     logits = _forward_stack(net.specs, *scratch["views"], x, scratch, cache)
-    return logits[0], [c[0] for c in cache]
+    cache = [c[0].T if c.ndim == 3 else c[0] for c in cache]
+    if x.ndim == 2:   # the batch itself, row-major, as backward multiplies by it
+        cache[0] = x
+    return logits[0].T, cache
 
 
 def _stack_views(net: Network, stack: np.ndarray) -> tuple[list, list]:
     # Each layer's weights and biases as (S, *shape) views of the rows of an
     # (S, P) stack in net's layout, None where a layer has no such tensor; a
-    # dense weight is transposed, (S, fan_in, fan_out), as the kernel
-    # multiplies by it, and its bias is (S, 1, fan_out), to broadcast over rows
+    # bias is (S, out, 1), to broadcast over a batch's columns
     s, layers = stack.shape[0], len(net.specs)
     views = [None if sp is None else stack[:, sp[0]:sp[1]].reshape(s, *sp[2]) for sp in net.layout]
-    dense = [spec.kind == "dense" for spec in net.specs]
-    return ([w.transpose(0, 2, 1) if d else w for w, d in zip(views, dense)],
-            [b[:, None] if d and b is not None else b for b, d in zip(views[layers:], dense)])
+    return views[:layers], [None if b is None else b[..., None] for b in views[layers:]]
 
 
 def _buffer(scratch: dict, key, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -339,30 +341,27 @@ def _buffer(scratch: dict, key, shape: tuple, dtype=np.float64) -> np.ndarray:
 
 
 def _forward_stack(specs: list[LayerSpec], weights: list, biases: list, x: np.ndarray,
-                   scratch: dict, cache: list | None = None) -> np.ndarray:
-    # The one forward body: logits (S, N, classes) of one checked float64
+                   scratch: dict, cache: list | None = None, out=None) -> np.ndarray:
+    # The one forward body: logits (S, classes, N) of one checked float64
     # batch under each of S parameter sets, as _stack_views gives them (a
-    # dense bias may be repeated over the batch's rows). The layers compose,
-    # as construction checked, so no layer checks its input. 4-D activations
-    # are held batch-innermost, as (C, H, W, N): an image batch is
-    # transposed once on entry, and flatten turns it back into the (N, C*H*W)
-    # rows that dense layers take, in the same C order. The batch then gains
-    # a stack axis of 1, which the first parameter layer broadcasts to S.
-    # Dense layers are batched matmuls, member by member the 2-D x @ W.T,
-    # into buffers from `scratch`; conv outputs are made per batch. Relu
-    # works in place only on arrays made here. `cache` gets each layer's
-    # (S, ...) input, good until the next call on the same `scratch`; a relu
-    # that ran in place leaves its output there, whose `x > 0.0` mask is the
-    # input's, NaN included.
-    if x.ndim == 4:
-        x = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
-    x, made = x[None], False   # made: x is an array of this batch, not the input's
+    # dense bias may be repeated over the batch's columns). The layers
+    # compose, as construction checked, so no layer checks its input. Every
+    # activation is held batch-innermost, (features, N) or (C, H, W, N): the
+    # batch is copied into it on entry, flatten is a free reshape, and a
+    # stack axis of 1 leads, which the first parameter layer broadcasts to S.
+    # Dense layers are batched matmuls W @ x into buffers from `scratch`, or
+    # a last one into `out`; conv outputs are made per batch. Relu works in
+    # place, on arrays made here. `cache` gets each layer's (S, ...) input,
+    # good until the next call on the same `scratch`; a relu leaves its
+    # output there, whose `x > 0.0` mask is the input's, NaN included.
+    x, last = (x.T if x.ndim == 2 else x.transpose(1, 2, 3, 0)).copy()[None], len(specs) - 1
     for i, spec in enumerate(specs):
         if cache is not None:
             cache.append(x)
         if spec.kind == "dense":
             w = weights[i]
-            x = np.matmul(x, w, out=_buffer(scratch, i, (w.shape[0], x.shape[1], w.shape[2])))
+            x = np.matmul(w, x, out=out if out is not None and i == last else
+                          _buffer(scratch, i, (*w.shape[:2], x.shape[2])))
             if biases[i] is not None:
                 x += biases[i]
         elif spec.kind == "conv2d":
@@ -371,21 +370,19 @@ def _forward_stack(specs: list[LayerSpec], weights: list, biases: list, x: np.nd
             *_, h, ww, n = x.shape
             y = w.reshape(s, out_c, -1) @ _im2col(x, k)
             if b is not None:
-                y = y + b[:, :, None]  # not in place: see README "Parameter layout"
+                y = y + b  # not in place: see README "Parameter layout"
             x = y.reshape(s, out_c, h - k + 1, ww - k + 1, n)
         elif spec.kind == "relu":
-            x = np.maximum(x, 0.0, out=x if made else None)
+            x = np.maximum(x, 0.0, out=x)
         elif spec.kind == "flatten":
-            x = (np.ascontiguousarray(x.reshape(x.shape[0], -1, x.shape[-1]).transpose(0, 2, 1))
-                 if x.ndim == 5 else x.reshape(*x.shape[:2], -1))
-        made = made or spec.kind != "flatten"
+            x = x.reshape(x.shape[0], -1, x.shape[-1])
     return x
 
 
-# float64 values of the class-major copy of the logits that one scoring
-# pass of the evaluation kernel covers: as many whole batches as fit, at
-# least one. A pass makes about twenty numpy calls, whose fixed cost rules
-# below a few thousand values; the default 8-24-10 MLP at batch 256 scores
+# float64 values of the class-major logits block that one scoring pass of
+# the evaluation kernel covers: as many whole batches as fit, at least one.
+# A pass makes about twenty numpy calls, whose fixed cost rules below a few
+# thousand values; the default 8-24-10 MLP at batch 256 scores
 # 3 batches per pass alone and 1 in a surface's stack of 8.
 _SCORE_VALUES = 2 ** 13
 
@@ -397,7 +394,7 @@ def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
-    return labels.astype(np.int64)
+    return labels.astype(np.int64, copy=False)
 
 
 def _check_batch_size(batch_size: int) -> None:
@@ -422,12 +419,13 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
     view is written, so a reused buffer holds nothing of an earlier batch.
     No loss value is formed, despite the name; `evaluate` reports losses.
     """
-    # The logits' gradient is formed in a new array, in the order a full
-    # log-softmax, its exp and a subtraction of 1.0 at each label take. The
-    # reductions are ufunc calls, not the array methods that wrap them in
-    # Python.
-    n = logits.shape[0]
-    dx = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    # The logits' gradient is formed in a new row-major array, in the order
+    # a full log-softmax, its exp and a subtraction of 1.0 at each label
+    # take, from their transpose, forward's row-major (classes, N) array.
+    # Reductions are ufunc calls, not the array methods that wrap them in
+    # Python. Products, sums and masks take row-major (N, ...) operands.
+    n, z = logits.shape[0], logits.T
+    dx = np.subtract(z, np.maximum.reduce(z, axis=0), out=np.empty(logits.shape).T).T
     dx -= np.log(np.add.reduce(np.exp(dx), axis=1, keepdims=True))
     np.exp(dx, out=dx)
     dx -= targets
@@ -436,7 +434,7 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
     for i in range(len(net.specs) - 1, -1, -1):
         kind, x = net.specs[i].kind, cache[i]
         if kind == "dense":
-            np.matmul(dx.T, x, out=grads.weights[i])
+            np.matmul(dx.T, np.ascontiguousarray(x), out=grads.weights[i])
             if grads.biases[i] is not None:
                 np.add.reduce(dx, axis=0, out=grads.biases[i])
             if i:
@@ -451,7 +449,7 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
             if i:
                 dx = _col2im(w.reshape(out_c, -1).T @ dy, x.shape, k)
         elif kind == "relu" and i:
-            dx = dx * (x > 0.0)
+            dx = dx * (np.ascontiguousarray(x) > 0.0)
         elif kind == "flatten" and i:
             dx = dx.T.reshape(x.shape) if x.ndim == 4 else dx.reshape(x.shape)
     return grads
@@ -506,11 +504,12 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
     # whose buffer holds stack[s]. The temporaries live in `scratch`, reused
     # by every batch and by every call given the same dict. What batches
     # share is built once per call: the parameter views, each dense bias
-    # repeated over a batch's rows (a contiguous add), and the labels as
-    # _score_pass takes them (_label_layout). Each batch's logits are
-    # copied class-major into its pass's block, and a pass's last batch
-    # scores the pass: its batches' log-likelihood sums and its hits. The
-    # loss sums come after.
+    # repeated over a batch's columns (a contiguous add, class-major like the
+    # logits' block), and the labels as _score_pass takes them (_label_layout). A
+    # last dense layer writes each batch's logits straight into its pass's
+    # class-major block (other networks' logits are copied there), and a
+    # pass's last batch scores the pass: its batches' log-likelihood sums
+    # and its hits. The loss sums come after.
     images = np.asarray(dataset.images)
     n = images.shape[0]
     if n == 0:
@@ -520,12 +519,11 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
     labels = _check_labels(dataset.labels, n, classes)
     _check_input(net, images)
     scratch = {} if scratch is None else scratch
-    s = stack.shape[0]
+    s, rows = stack.shape[0], min(batch_size, n)
     weights, biases = _stack_views(net, stack)
-    rows = min(batch_size, n)
-    for i, spec in enumerate(net.specs):  # each dense bias repeated over a full batch's rows
-        if spec.kind == "dense" and biases[i] is not None:
-            repeated = _buffer(scratch, ("bias", i), (s, rows, spec.fan_out))
+    for i, spec in enumerate(net.specs):  # each dense bias repeated over a full batch's columns
+        if spec.kind == "dense" and biases[i] is not None:   # class-major, as the logits' block
+            repeated = _buffer(scratch, ("bias", i), (spec.fan_out, s, rows)).transpose(1, 0, 2)
             repeated[...] = biases[i]
             biases[i] = repeated
     # each pass scores as many whole batches as keep its class-major copy
@@ -538,15 +536,17 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
     hits = _buffer(scratch, "hits", (s, n), bool)
     for start in starts:
         nb = min(batch_size, n - start)
-        if nb < rows:  # the last batch, shorter: the front rows of each repeat
-            biases = [b[:, :nb] if spec.kind == "dense" and b is not None else b
+        if nb < rows:  # the last batch, shorter: the front columns of each repeat
+            biases = [b[..., :nb] if spec.kind == "dense" and b is not None else b
                       for spec, b in zip(net.specs, biases)]
-        logits = _forward_stack(net.specs, weights, biases,
-                                np.asarray(images[start:start + batch_size], dtype=np.float64),
-                                scratch)
         first = start - start % width   # the pass's first sample
         by_class = _buffer(scratch, "by_class", (classes, s, min(width, n - first)))
-        np.copyto(by_class[:, :, start - first:start - first + nb], logits.transpose(2, 0, 1))
+        block = by_class[:, :, start - first:start - first + nb].transpose(1, 0, 2)
+        logits = _forward_stack(net.specs, weights, biases,
+                                np.asarray(images[start:start + batch_size], dtype=np.float64),
+                                scratch, out=block)
+        if logits is not block:
+            np.copyto(block, logits)
         if start + nb == first + by_class.shape[2]:   # the pass's last batch
             part = slice(first, start + nb)
             _score_pass(by_class, at_labels[part], ranks[part], hits[:, part], batch_size, scratch,

@@ -1,9 +1,9 @@
 """Losses and hits of class-major logits, bit for bit what numpy's row
 reductions of the same logits give.
 
-The evaluation kernel copies each batch's (S, N, classes) logits, those of
-S stacked networks, into a (classes, S, N) block and scores whole blocks
-here. Every step is one numpy call over whole (S, N) class blocks instead
+The evaluation kernel writes each batch's logits, those of S stacked
+networks, into a (classes, S, N) block, where a last dense layer's product
+lands directly, and scores whole blocks here. Every step is one numpy call over whole (S, N) class blocks instead
 of a reduction over rows of `classes` values: the row max, the argmax as
 the highest rank among the classes that reach it, and the class sum of
 the exponentials in numpy's own pairwise row-sum order (_sum_steps).

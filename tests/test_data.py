@@ -162,6 +162,16 @@ def test_dataset_stores_int64_labels():
     assert ds.labels.dtype == np.int64
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_a_dataset_owns_its_labels(dtype):
+    # the caller's array, int64 or not, is copied: changing it later leaves
+    # the dataset as it was built
+    labels = np.array([0, 1, 1], dtype=dtype)
+    ds = Dataset(images=np.zeros((3, 2)), labels=labels, num_classes=2)
+    labels[0] = 1
+    assert ds.labels.tolist() == [0, 1, 1] and ds.labels.dtype == np.int64
+
+
 @pytest.mark.parametrize("seed, epoch", [(0, 0), (1, 3), (7, 12)])
 def test_shuffle_batches_equal_a_per_batch_gather(seed, epoch):
     # 37 samples in batches of 8: the last batch is short

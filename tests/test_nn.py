@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from sqwa.nn import (
     relu,
     sgd_momentum_step,
 )
-from sqwa.nn import _col2im, _evaluate_stack, _im2col
+from sqwa.nn import _col2im, _evaluate_stack, _forward_stack, _im2col, _stack_views
 from sqwa.scoring import _label_layout, _score_pass, _sum_steps
 from sqwa.data import Dataset
 from sqwa.qat import fit
@@ -587,6 +591,67 @@ def test_a_kept_scratch_follows_the_network_it_is_given():
         assert np.array_equal(forward(net, batch, scratch)[0], forward(net, batch)[0])
 
 
+# The default MLP's dense layers as (fan_out, fan_in), and the batches its
+# recipe and surfaces run: 136 and 8 are 5,000 mod 256 and mod 32, the last
+# batches of an evaluation and of an epoch.
+PINNED_PRODUCTS, PINNED_BATCHES = [(24, 8), (10, 24)], [1, 8, 32, 136, 256]
+
+
+def _product_mismatches():
+    # (fan_out, fan_in, batch, S) at which the forward kernel's W @ X.T, on
+    # batch-innermost activations, differs in any bit from X @ W.T of each
+    # member, the batch-first product; the default recipe's sha256 pins rest
+    # on their agreement. Other batch sizes may differ in the last bits, and
+    # do under OpenBLAS's Haswell and SkylakeX kernels (README "Parameter
+    # layout").
+    rng = np.random.default_rng(48)
+    mismatches = []
+    for fan_out, fan_in in PINNED_PRODUCTS:
+        net = Network((fan_in,), [dense(fan_in, fan_out, has_bias=False)])
+        for s in (1, 8):
+            weights, biases = _stack_views(net, rng.uniform(-0.5, 0.5, size=(s, net.flat.size)))
+            for n in PINNED_BATCHES:
+                x = rng.normal(size=(n, fan_in))
+                got = _forward_stack(net.specs, weights, biases, x, {})
+                if not (got.transpose(0, 2, 1) == np.stack([x @ w.T for w in weights[0]])).all():
+                    mismatches.append((fan_out, fan_in, n, s))
+    return mismatches
+
+
+def test_the_dense_product_keeps_the_batch_first_bits_at_the_pinned_shapes():
+    assert _product_mismatches() == []
+
+
+def _cpu_flags():
+    try:
+        return set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        return set()
+
+
+@pytest.mark.parametrize("core, flags", [("Haswell", ("avx2", "fma")), ("SkylakeX", ("avx512f",))])
+def test_the_dense_product_keeps_its_bits_under_each_blas_kernel_the_pins_name(core, flags):
+    # test_default_recipe_outputs_are_pinned names these kernels; each runs
+    # the check above in a process whose OpenBLAS is forced onto it
+    missing = [flag for flag in flags if flag not in _cpu_flags()]
+    if missing:
+        pytest.skip(f"OpenBLAS's {core} kernel needs {', '.join(missing)}, which this CPU lacks")
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_VERBOSE": "2",
+           "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here),
+                                          os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", "import test_nn; print(test_nn._product_mismatches())"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    cores = re.findall(r"^Core: (\w+)", run.stderr, re.M)
+    if not cores:
+        pytest.skip("numpy's BLAS names no kernel it can be forced onto (not an OpenBLAS "
+                    "built for several CPUs)")
+    assert cores == [core]
+    assert run.stdout.strip() == "[]"
+
+
 SPECIAL_LOGITS = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
 
 
@@ -666,6 +731,27 @@ def test_direct_calls_reject_out_of_range_labels(labels):
         evaluate(net, data)
     with pytest.raises(ValueError, match="labels must lie in"):
         fit(net, data, [0.1], seed=35)
+
+
+def test_fit_and_evaluate_check_int64_labels_without_copying_them(monkeypatch):
+    # the label check hands a dataset's own int64 array back, so neither
+    # call copies the labels it checks
+    import sqwa.nn
+    import sqwa.qat
+    checked = []
+
+    def spy(labels, n, num_classes):
+        checked.append(check(labels, n, num_classes))
+        return checked[-1]
+
+    check = sqwa.nn._check_labels
+    monkeypatch.setattr(sqwa.nn, "_check_labels", spy)
+    monkeypatch.setattr(sqwa.qat, "_check_labels", spy)
+    net = init_weights([dense(3, 2)], (3,), seed=36)
+    data = Dataset(np.zeros((5, 3)), np.array([0, 1, 1, 0, 1]), 2)
+    fit(net, data, [0.1], seed=36)
+    evaluate(net, data)
+    assert len(checked) == 2 and all(labels is data.labels for labels in checked)
 
 
 def test_backward_kernel_overwrites_every_gradient_view():

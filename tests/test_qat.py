@@ -331,7 +331,7 @@ def _ref_forward(net, x):
     for spec, w, b in zip(net.specs, net.weights, net.biases):
         cache.append(x)
         if spec.kind == "dense":
-            x = x @ w.T
+            x = (w @ x.T.copy()).T.copy()
             if b is not None:
                 x = x + b
         elif spec.kind == "conv2d":
