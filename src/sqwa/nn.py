@@ -252,14 +252,16 @@ def init_weights(specs: list[LayerSpec], input_shape: tuple[int, ...], seed: int
     return net
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     # (..., C, H, W, N) -> (..., C*k*k, oh*ow*N): rows ordered (channel, di,
     # dj) to match weight.reshape(out_c, -1), columns ordered (i, j, n), so a
     # conv layer is one matmul per leading index; with the batch innermost
-    # each slice copy moves runs of ow*N contiguous values
+    # each slice copy moves runs of ow*N contiguous values; into `out`,
+    # contiguous memory of the result's size, if given
     *lead, c, h, w, n = x.shape
     oh, ow = h - k + 1, w - k + 1
-    cols = np.empty((*lead, c, k, k, oh, ow, n), dtype=x.dtype)
+    shape = (*lead, c, k, k, oh, ow, n)
+    cols = np.empty(shape, dtype=x.dtype) if out is None else out.reshape(shape)
     for di in range(k):
         for dj in range(k):
             cols[..., di, dj, :, :, :] = x[..., di:di + oh, dj:dj + ow, :]
@@ -340,6 +342,12 @@ def _buffer(scratch: dict, key, shape: tuple, dtype=np.float64) -> np.ndarray:
     return view
 
 
+# float64 values (2 MiB, about one core's L2) of the im2col columns a conv
+# layer builds at once, stack axis included: whole output rows, at least
+# one (README "Parameter layout")
+_COLUMN_VALUES = 2 ** 18
+
+
 def _forward_stack(specs: list[LayerSpec], weights: list, biases: list, x: np.ndarray,
                    scratch: dict, cache: list | None = None, out=None) -> np.ndarray:
     # The one forward body: logits (S, classes, N) of one checked float64
@@ -350,10 +358,12 @@ def _forward_stack(specs: list[LayerSpec], weights: list, biases: list, x: np.nd
     # batch is copied into it on entry, flatten is a free reshape, and a
     # stack axis of 1 leads, which the first parameter layer broadcasts to S.
     # Dense layers are batched matmuls W @ x into buffers from `scratch`, or
-    # a last one into `out`; conv outputs are made per batch. Relu works in
-    # place, on arrays made here. `cache` gets each layer's (S, ...) input,
-    # good until the next call on the same `scratch`; a relu leaves its
-    # output there, whose `x > 0.0` mask is the input's, NaN included.
+    # a last one into `out`. A conv layer builds its columns in blocks of
+    # output rows (_COLUMN_VALUES), each product writing its own columns of
+    # the output, which is made per batch. Relu works in place, on arrays
+    # made here. `cache` gets each layer's (S, ...) input, good until the
+    # next call on the same `scratch`; a relu leaves its output there, whose
+    # `x > 0.0` mask is the input's, NaN included.
     x, last = (x.T if x.ndim == 2 else x.transpose(1, 2, 3, 0)).copy()[None], len(specs) - 1
     for i, spec in enumerate(specs):
         if cache is not None:
@@ -367,11 +377,20 @@ def _forward_stack(specs: list[LayerSpec], weights: list, biases: list, x: np.nd
         elif spec.kind == "conv2d":
             w, b = weights[i], biases[i]
             s, out_c, _, k, _ = w.shape
-            *_, h, ww, n = x.shape
-            y = w.reshape(s, out_c, -1) @ _im2col(x, k)
+            sx, c, h, ww, n = x.shape
+            oh, ow = h - k + 1, ww - k + 1
+            per_row = sx * c * k * k * ow * n
+            rows = min(oh, max(1, _COLUMN_VALUES // per_row))
+            cols, y = np.empty(rows * per_row), np.empty((s, out_c, oh * ow * n))
+            for top in range(0, oh, rows):
+                m = min(rows, oh - top)
+                np.matmul(w.reshape(s, out_c, -1),
+                          _im2col(x[..., top:top + m + k - 1, :, :], k, cols[:m * per_row]),
+                          out=y[..., top * ow * n:(top + m) * ow * n])
+            del cols  # freed before y + b allocates
             if b is not None:
                 y = y + b  # not in place: see README "Parameter layout"
-            x = y.reshape(s, out_c, h - k + 1, ww - k + 1, n)
+            x = y.reshape(s, out_c, oh, ow, n)
         elif spec.kind == "relu":
             x = np.maximum(x, 0.0, out=x)
         elif spec.kind == "flatten":
@@ -430,11 +449,15 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
     np.exp(dx, out=dx)
     dx -= targets
     dx /= n
-    # layer 0's input is the batch itself, so no gradient is formed for it
+    # layer 0's input is the batch itself, so no gradient is formed for it;
+    # a relu's cached output is the next layer's input, whose row-major
+    # copy, `above`, the relu reuses
+    above = None
     for i in range(len(net.specs) - 1, -1, -1):
         kind, x = net.specs[i].kind, cache[i]
         if kind == "dense":
-            np.matmul(dx.T, np.ascontiguousarray(x), out=grads.weights[i])
+            x = np.ascontiguousarray(x)
+            np.matmul(dx.T, x, out=grads.weights[i])
             if grads.biases[i] is not None:
                 np.add.reduce(dx, axis=0, out=grads.biases[i])
             if i:
@@ -449,9 +472,11 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
             if i:
                 dx = _col2im(w.reshape(out_c, -1).T @ dy, x.shape, k)
         elif kind == "relu" and i:
-            dx = dx * (np.ascontiguousarray(x) > 0.0)
+            x = np.ascontiguousarray(x) if above is None else above
+            dx = dx * (x > 0.0)
         elif kind == "flatten" and i:
             dx = dx.T.reshape(x.shape) if x.ndim == 4 else dx.reshape(x.shape)
+        above = x if kind in ("dense", "relu") else None
     return grads
 
 
@@ -490,7 +515,7 @@ def evaluate(net: Network, dataset, batch_size: int = 256) -> tuple[float, float
     This is the one-network case of the stacked evaluation kernel that loss
     surfaces use to score several parameter vectors per pass: the images
     and labels are checked once per call, not per batch, no cache is kept,
-    and a CNN evaluation holds one column matrix and little else.
+    and a CNN evaluation holds one block of conv columns and little else.
     """
     loss, accuracy = _evaluate_stack(net, net.flat[None], dataset, batch_size)
     return float(loss[0]), float(accuracy[0])

@@ -463,6 +463,26 @@ def test_evaluate_holds_at_most_one_column_matrix():
     assert peak <= 100 * 8 * 8 * 256 * 8 + 3.5 * 2**20
 
 
+def test_evaluate_holds_at_most_one_block_of_columns():
+    # The same evaluation builds each conv layer's columns a block of
+    # output rows at a time, at most _COLUMN_VALUES float64 values (2 MiB),
+    # so neither column matrix above is ever whole. The slack, 2.5 MiB,
+    # covers the layer's input and output beside the block (1.125 MiB and
+    # 1 MiB at the second conv) and the scoring's small buffers.
+    import sqwa.nn
+    net = init_weights(*BUFFER_NETS["benchmark-cnn"], seed=35)
+    rng = np.random.default_rng(35)
+    data = Dataset(images=rng.normal(size=(600, 1, 16, 16)),
+                   labels=rng.integers(0, 10, size=600), num_classes=10)
+    tracemalloc.start()
+    try:
+        evaluate(net, data, batch_size=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sqwa.nn._COLUMN_VALUES * 8 + 2.5 * 2**20
+
+
 def _reference_evaluate(net, data, batch_size):
     # per batch: the public forward, a full log-softmax, argmax
     n = data.images.shape[0]
@@ -591,6 +611,48 @@ def test_a_kept_scratch_follows_the_network_it_is_given():
         assert np.array_equal(forward(net, batch, scratch)[0], forward(net, batch)[0])
 
 
+# (net, samples, batch, a _COLUMN_VALUES that splits its conv rows unevenly):
+# 3 + 1 of the 4 rows of a batch of 7; and the benchmark CNN over 600
+# samples at evaluate's batch, whose first conv runs 9 + 3 of its 12 rows
+# and second 3 + 3 + 2 of its 8 at S = 1, and at S = 3 the last batch of 88
+# too
+COLUMN_NETS = {"conv-flatten-dense": (*EVAL_NETS["conv-flatten-dense"], 30, 7, 1512),
+               "benchmark-cnn": (*BUFFER_NETS["benchmark-cnn"], 600, 256, 700_000)}
+
+
+def _conv_results(net, data, batch_size, nets):
+    # forward's logits and cache on a batch of 32, evaluate, and the stacked
+    # kernel's losses and accuracies for `nets`
+    forwarded = forward(net, data.images[:32])
+    stacked = _evaluate_stack(net, np.stack([m.flat for m in nets]), data, batch_size)
+    return ([forwarded[0].copy()] + [c.copy() for c in forwarded[1]], evaluate(net, data, batch_size),
+            [a.tolist() for a in stacked])
+
+
+@pytest.mark.parametrize("split", ["row", "uneven", "default"])
+@pytest.mark.parametrize("name", sorted(COLUMN_NETS))
+def test_column_blocks_of_every_size_keep_every_bit(monkeypatch, name, split):
+    # forward, evaluate and a stack of 3 with _COLUMN_VALUES at 1 (one
+    # output row per block), at an uneven split and at its default equal,
+    # bit for bit, what whole-batch column matrices give
+    import sqwa.nn
+    specs, shape, samples, batch_size, uneven = COLUMN_NETS[name]
+    nets = [init_weights(specs, shape, seed=50 + k) for k in range(3)]
+    for k, net in enumerate(nets):
+        for i in net.param_layers():
+            net.biases[i] = np.linspace(-0.5, 0.5, net.biases[i].size) * (k + 1)
+    rng = np.random.default_rng(50)
+    data = Dataset(images=rng.normal(size=(samples, *shape)),
+                   labels=rng.integers(0, 5, size=samples), num_classes=nets[0].num_classes)
+    values = {"row": 1, "uneven": uneven, "default": sqwa.nn._COLUMN_VALUES}[split]
+    monkeypatch.setattr(sqwa.nn, "_COLUMN_VALUES", 2**40)
+    whole = _conv_results(nets[0], data, batch_size, nets)
+    monkeypatch.setattr(sqwa.nn, "_COLUMN_VALUES", values)
+    blocked = _conv_results(nets[0], data, batch_size, nets)
+    assert all(np.array_equal(a, b) for a, b in zip(whole[0], blocked[0]))
+    assert whole[1:] == blocked[1:]
+
+
 # The default MLP's dense layers as (fan_out, fan_in), and the batches its
 # recipe and surfaces run: 136 and 8 are 5,000 mod 256 and mod 32, the last
 # batches of an evaluation and of an epoch.
@@ -629,10 +691,9 @@ def _cpu_flags():
         return set()
 
 
-@pytest.mark.parametrize("core, flags", [("Haswell", ("avx2", "fma")), ("SkylakeX", ("avx512f",))])
-def test_the_dense_product_keeps_its_bits_under_each_blas_kernel_the_pins_name(core, flags):
-    # test_default_recipe_outputs_are_pinned names these kernels; each runs
-    # the check above in a process whose OpenBLAS is forced onto it
+def _printed_under_blas_kernel(core, flags, check):
+    # What test_nn.<check>() prints in a process whose OpenBLAS is forced
+    # onto `core`; skips a kernel whose instructions the CPU lacks
     missing = [flag for flag in flags if flag not in _cpu_flags()]
     if missing:
         pytest.skip(f"OpenBLAS's {core} kernel needs {', '.join(missing)}, which this CPU lacks")
@@ -641,7 +702,7 @@ def test_the_dense_product_keeps_its_bits_under_each_blas_kernel_the_pins_name(c
            "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here),
                                           os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", "import test_nn; print(test_nn._product_mismatches())"],
+    run = subprocess.run([sys.executable, "-c", f"import test_nn; print(test_nn.{check}())"],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     cores = re.findall(r"^Core: (\w+)", run.stderr, re.M)
@@ -649,7 +710,56 @@ def test_the_dense_product_keeps_its_bits_under_each_blas_kernel_the_pins_name(c
         pytest.skip("numpy's BLAS names no kernel it can be forced onto (not an OpenBLAS "
                     "built for several CPUs)")
     assert cores == [core]
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+# test_default_recipe_outputs_are_pinned names these kernels; each runs
+# the checks here in a process whose OpenBLAS is forced onto it
+PINNED_KERNELS = [("Haswell", ("avx2", "fma")), ("SkylakeX", ("avx512f",))]
+
+
+@pytest.mark.parametrize("core, flags", PINNED_KERNELS)
+def test_the_dense_product_keeps_its_bits_under_each_blas_kernel_the_pins_name(core, flags):
+    assert _printed_under_blas_kernel(core, flags, "_product_mismatches") == "[]"
+
+
+# The benchmark CNN's batches: 32 in training, 256 and 88 (600 mod 256)
+# in evaluation, and 1
+COLUMN_BATCHES = [1, 32, 88, 256]
+
+
+def _column_mismatches():
+    # (in_c, out_c, batch, S) at which a conv layer of the forward kernel,
+    # which builds its columns in blocks of output rows, differs in any bit
+    # from each member's whole-batch product w.reshape(out_c, -1) @
+    # _im2col(x, k), for the benchmark CNN's 1->4 and 4->8 convs (k = 5) on
+    # its 16x16 images; the second takes the first's stacked output
+    rng = np.random.default_rng(49)
+    net = Network((1, 16, 16), [conv2d(1, 4, 5, has_bias=False), conv2d(4, 8, 5, has_bias=False),
+                                flatten()])
+    mismatches = []
+    for s in (1, 8):
+        weights, biases = _stack_views(net, rng.uniform(-0.5, 0.5, size=(s, net.flat.size)))
+        for n in COLUMN_BATCHES:
+            cache = []
+            _forward_stack(net.specs, weights, biases, rng.normal(size=(n, 1, 16, 16)), {}, cache)
+            for i in (0, 1):
+                inputs, outputs = cache[i], cache[i + 1]
+                out_c = weights[i].shape[1]
+                if not all((outputs[j].reshape(out_c, -1) ==
+                            w.reshape(out_c, -1) @ _im2col(inputs[j % len(inputs)], 5)).all()
+                           for j, w in enumerate(weights[i])):
+                    mismatches.append((weights[i].shape[2], out_c, n, s))
+    return mismatches
+
+
+def test_conv_column_blocks_keep_the_whole_batch_bits():
+    assert _column_mismatches() == []
+
+
+@pytest.mark.parametrize("core, flags", PINNED_KERNELS)
+def test_conv_column_blocks_keep_their_bits_under_each_blas_kernel_the_pins_name(core, flags):
+    assert _printed_under_blas_kernel(core, flags, "_column_mismatches") == "[]"
 
 
 SPECIAL_LOGITS = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
