@@ -95,6 +95,8 @@ def load_idx(images_path, labels_path, *, normalize: bool = True,
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(f"count mismatch: {images.shape[0]} images vs "
                              f"{labels.shape[0]} labels")
+    if images.shape[0] == 0:
+        raise IdxFormatError(f"{Path(images_path).name}: holds no samples")
     x = images.astype(np.float64)
     if normalize:
         mean = float(x.mean())

@@ -398,18 +398,14 @@ def _forward_stack(specs: list[LayerSpec], weights: list, biases: list, x: np.nd
     return x
 
 
-# float64 values of the class-major logits block that one scoring pass of
-# the evaluation kernel covers: as many whole batches as fit, at least one.
-# A pass makes about twenty numpy calls, whose fixed cost rules below a few
-# thousand values; the default 8-24-10 MLP at batch 256 scores
-# 3 batches per pass alone and 1 in a surface's stack of 8.
-_SCORE_VALUES = 2 ** 13
-
-
 def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValueError(f"labels: expected shape ({n},), got {labels.shape}")
+    if labels.dtype.kind == "f":
+        bad = labels[~np.isfinite(labels) | (np.floor(labels) != labels)]
+        if bad.size:
+            raise ValueError(f"labels must be finite whole numbers, got {bad[0]}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
@@ -530,11 +526,11 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
     # by every batch and by every call given the same dict. What batches
     # share is built once per call: the parameter views, each dense bias
     # repeated over a batch's columns (a contiguous add, class-major like the
-    # logits' block), and the labels as _score_pass takes them (_label_layout). A
-    # last dense layer writes each batch's logits straight into its pass's
-    # class-major block (other networks' logits are copied there), and a
-    # pass's last batch scores the pass: its batches' log-likelihood sums
-    # and its hits. The loss sums come after.
+    # logits' block), and the labels as _score_pass takes them (_label_layout).
+    # A last dense layer writes each batch's logits straight into a
+    # class-major block (other networks' logits are copied there), which
+    # _score_pass turns into the batch's log-likelihood sums and hits. The
+    # loss sums come after.
     images = np.asarray(dataset.images)
     n = images.shape[0]
     if n == 0:
@@ -551,31 +547,26 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
             repeated = _buffer(scratch, ("bias", i), (spec.fan_out, s, rows)).transpose(1, 0, 2)
             repeated[...] = biases[i]
             biases[i] = repeated
-    # each pass scores as many whole batches as keep its class-major copy
-    # within _SCORE_VALUES, and at least one
-    width = max(1, _SCORE_VALUES // (s * classes * rows)) * batch_size
-    at_labels, ranks = _label_layout(labels, width, classes, s)
+    at_labels, ranks = _label_layout(labels, batch_size, classes, s)
     starts = range(0, n, batch_size)
     summed = _buffer(scratch, "summed", (s, len(starts) + 1))  # column 0 starts the running sum
     summed[:, 0] = 0.0
     hits = _buffer(scratch, "hits", (s, n), bool)
-    for start in starts:
+    for k, start in enumerate(starts):
         nb = min(batch_size, n - start)
         if nb < rows:  # the last batch, shorter: the front columns of each repeat
             biases = [b[..., :nb] if spec.kind == "dense" and b is not None else b
                       for spec, b in zip(net.specs, biases)]
-        first = start - start % width   # the pass's first sample
-        by_class = _buffer(scratch, "by_class", (classes, s, min(width, n - first)))
-        block = by_class[:, :, start - first:start - first + nb].transpose(1, 0, 2)
+        by_class = _buffer(scratch, "by_class", (classes, s, nb))
+        block = by_class.transpose(1, 0, 2)
         logits = _forward_stack(net.specs, weights, biases,
                                 np.asarray(images[start:start + batch_size], dtype=np.float64),
                                 scratch, out=block)
         if logits is not block:
             np.copyto(block, logits)
-        if start + nb == first + by_class.shape[2]:   # the pass's last batch
-            part = slice(first, start + nb)
-            _score_pass(by_class, at_labels[part], ranks[part], hits[:, part], batch_size, scratch,
-                        out=summed[:, first // batch_size + 1:start // batch_size + 2])
+        part = slice(start, start + nb)
+        _score_pass(by_class, at_labels[part], ranks[part], hits[:, part], scratch,
+                    out=summed[:, k + 1])
     # each batch's mean loss times its size, summed in batch order: the bits of a running sum
     sizes = np.minimum(n - np.array(starts), batch_size)
     summed[:, 1:] = -summed[:, 1:] / sizes * sizes

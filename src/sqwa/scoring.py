@@ -3,10 +3,11 @@ reductions of the same logits give.
 
 The evaluation kernel writes each batch's logits, those of S stacked
 networks, into a (classes, S, N) block, where a last dense layer's product
-lands directly, and scores whole blocks here. Every step is one numpy call over whole (S, N) class blocks instead
-of a reduction over rows of `classes` values: the row max, the argmax as
-the highest rank among the classes that reach it, and the class sum of
-the exponentials in numpy's own pairwise row-sum order (_sum_steps).
+lands directly, and scores the block here. Every step is one numpy call
+over whole (S, N) class blocks instead of a reduction over rows of
+`classes` values: the row max, the argmax as the highest rank among the
+classes that reach it, and the class sum of the exponentials in numpy's
+own pairwise row-sum order (_sum_steps).
 """
 
 from __future__ import annotations
@@ -17,37 +18,32 @@ import numpy as np
 
 
 def _score_pass(by_class: np.ndarray, at_labels: np.ndarray, ranks: np.ndarray,
-                hits: np.ndarray, batch_size: int, scratch: dict | None = None,
+                hits: np.ndarray, scratch: dict | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
-    # Scores of the samples in `by_class`, a C-contiguous (classes, S, N)
-    # array holding the logits of S stacked networks class-major, batch
-    # after batch: the sum of the stable log-softmax at each sample's label
-    # over each batch of `batch_size` samples (the last may be shorter), as
-    # (S, batches) into `out` if given, and whether each sample's argmax is
-    # its label, into `hits` (S, N), a bool array. Minus a sum over its
-    # batch's size is the batch's mean loss, bit for bit what a full
-    # log-softmax gives. The labels come as _label_layout gives them. Every
-    # step is elementwise over whole (S, N) class blocks instead of a
-    # reduction of short rows: the max (exact in any order), the argmax,
-    # and the class sum in numpy's row-sum order (_sum_steps), which
-    # leaves `by_class` overwritten. The temporaries, the views used here
-    # and the class sum's adds are made once per array and kept in
-    # `scratch` if given.
+    # Scores of one batch in `by_class`, a C-contiguous (classes, S, N)
+    # array holding the logits of S stacked networks class-major: the sum
+    # of the stable log-softmax at each sample's label, as (S,) into `out`
+    # if given, and whether each sample's argmax is its label, into `hits`
+    # (S, N), a bool array. Minus the sum over N is the batch's mean loss,
+    # bit for bit what a full log-softmax gives. The labels come as
+    # _label_layout gives them. Every step is elementwise over whole (S, N)
+    # class blocks instead of a reduction of short rows: the max (exact in
+    # any order), the argmax, and the class sum in numpy's row-sum order
+    # (_sum_steps), which leaves `by_class` overwritten. The temporaries,
+    # the views used here and the class sum's adds are made once per array
+    # and kept in `scratch` if given.
     scratch = {} if scratch is None else scratch
     c, s, n = by_class.shape
-    whole = n - n % batch_size   # samples in whole batches
-    out = np.empty((s, -(-n // batch_size))) if out is None else out
-    kept = scratch.get(("score", by_class.shape, batch_size))
+    out = np.empty(s) if out is None else out
+    kept = scratch.get(("score", by_class.shape))
     if kept is None or kept[0] is not by_class:
         # the row max is done with once the class sum starts, so its memory takes the sum
         m, picked = np.empty((2, s, n))
-        kept = scratch["score", by_class.shape, batch_size] = (
+        kept = scratch["score", by_class.shape] = (
             by_class, by_class.reshape(-1), m, np.empty((c, s, n), ranks.dtype),
             np.empty((s, n), ranks.dtype), np.arange(c, 0, -1, dtype=ranks.dtype)[:, None, None],
-            (np.arange(s) * n)[:, None], np.empty((s, n), np.intp), picked,
-            picked[:, :whole].reshape(s, -1, batch_size), picked[:, whole:], _sum_steps(by_class, m))
-    (_, flat, m, marks, first, rank_of_class, member_offsets, at, picked, batches, rest,
-     sum_steps) = kept
+            (np.arange(s) * n)[:, None], np.empty((s, n), np.intp), picked, _sum_steps(by_class, m))
+    flat, m, marks, first, rank_of_class, member_offsets, at, picked, sum_steps = kept[1:]
     np.maximum.reduce(by_class, axis=0, out=m)
     # argmax is the first class whose entry equals the row max or, in a row
     # holding NaN, whose max is NaN, the first NaN entry: of the classes so
@@ -70,22 +66,19 @@ def _score_pass(by_class: np.ndarray, at_labels: np.ndarray, ranks: np.ndarray,
         np.add(a, b, out=into)
     np.log(m, out=m)
     picked -= m
-    np.add.reduce(batches, axis=2, out=out[:, :batches.shape[1]])
-    if whole < n:
-        np.add.reduce(rest, axis=1, out=out[:, -1])
-    return out
+    return np.add.reduce(picked, axis=1, out=out)
 
 
 def _label_layout(labels: np.ndarray, width: int, classes: int,
                   members: int) -> tuple[np.ndarray, np.ndarray]:
-    # What _score_pass takes of checked labels, for all passes of `width`
+    # What _score_pass takes of checked labels, for all batches of `width`
     # samples (the last may be shorter) at once: each sample's flat index
-    # into its pass's (classes, members, N) logits at the first member,
+    # into its batch's (classes, members, N) logits at the first member,
     # label * members * N + sample, and its label's rank, classes - label,
-    # in the smallest unsigned type that holds the classes. The full passes
-    # are one (passes, width) block of indices.
+    # in the smallest unsigned type that holds the classes. The full
+    # batches are one (batches, width) block of indices.
     n = labels.size
-    last = (n - 1) // width * width   # the last pass's first sample
+    last = (n - 1) // width * width   # the last batch's first sample
     at = np.multiply(labels, members * width)
     full = at[:last].reshape(-1, width)
     full += np.arange(width)

@@ -8,6 +8,7 @@ use three pinned seeds and the default recipe.
 import shutil
 import struct
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -498,3 +499,18 @@ def test_criterion_11_distinct_errors(tmp_path):
     assert "truncated payload" in msgs[1]
     assert "count mismatch" in msgs[2]
     assert len(set(msgs)) == 3
+
+
+@pytest.mark.parametrize("layout", ["flat", "chw"])
+def test_criterion_11_an_empty_pair_is_refused_by_name(tmp_path, layout):
+    # a 0x4x4 image file with 0 labels: one plain error naming the image
+    # file, before any statistic of the empty pixels is taken
+    imgs = tmp_path / "empty-images.idx"
+    labs = tmp_path / "empty-labels.idx"
+    write_idx(imgs, np.zeros((0, 4, 4), dtype=np.uint8))
+    write_idx(labs, np.zeros(0, dtype=np.uint8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IdxFormatError) as raised:
+            load_idx(imgs, labs, layout=layout)
+    assert str(raised.value) == "empty-images.idx: holds no samples"

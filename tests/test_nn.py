@@ -505,26 +505,31 @@ EVAL_NETS = {
 }
 
 
-@pytest.mark.parametrize("batch_size", [7, 29, 30, 64],
-                         ids=["short-last", "single-row-last", "one-batch", "beyond-n"])
-@pytest.mark.parametrize("name", sorted(EVAL_NETS))
-def test_evaluate_equals_the_per_batch_reference(name, batch_size):
+# (net, samples, batch size): 30 samples at four batch sizes on every net,
+# and on a dense net the benchmark CNN's split, 600 samples at evaluate's
+# batch of 256 with a short last batch of 88
+EVAL_INPUTS = [pytest.param(name, 30, batch_size, id=f"{name}-{case}") for name in sorted(EVAL_NETS)
+               for batch_size, case in [(7, "short-last"), (29, "single-row-last"),
+                                        (30, "one-batch"), (64, "beyond-n")]]
+EVAL_INPUTS.append(pytest.param("dense", 600, 256, id="dense-600-at-256"))
+
+
+@pytest.mark.parametrize("name, samples, batch_size", EVAL_INPUTS)
+def test_evaluate_equals_the_per_batch_reference(name, samples, batch_size):
     specs, shape = EVAL_NETS[name]
     net = init_weights(specs, shape, seed=39)
     for i in net.param_layers():
         if net.biases[i] is not None:
             net.biases[i] = np.linspace(-0.5, 0.5, net.biases[i].size)
     rng = np.random.default_rng(39)
-    data = Dataset(images=rng.normal(size=(30, *shape)), labels=rng.integers(0, 5, size=30),
-                   num_classes=5)
+    data = Dataset(images=rng.normal(size=(samples, *shape)),
+                   labels=rng.integers(0, 5, size=samples), num_classes=5)
     assert evaluate(net, data, batch_size) == _reference_evaluate(net, data, batch_size)
 
 
 @pytest.mark.parametrize("stack_size", [1, 2, 5])
-@pytest.mark.parametrize("batch_size", [7, 29, 30, 64],
-                         ids=["short-last", "single-row-last", "one-batch", "beyond-n"])
-@pytest.mark.parametrize("name", sorted(EVAL_NETS))
-def test_the_stacked_kernel_equals_evaluate_of_each_member(name, batch_size, stack_size):
+@pytest.mark.parametrize("name, samples, batch_size", EVAL_INPUTS)
+def test_the_stacked_kernel_equals_evaluate_of_each_member(name, samples, batch_size, stack_size):
     specs, shape = EVAL_NETS[name]
     nets = [init_weights(specs, shape, seed=41 + k) for k in range(stack_size)]
     for k, net in enumerate(nets):
@@ -532,8 +537,8 @@ def test_the_stacked_kernel_equals_evaluate_of_each_member(name, batch_size, sta
             if net.biases[i] is not None:
                 net.biases[i] = np.linspace(-0.5, 0.5, net.biases[i].size) * (k + 1)
     rng = np.random.default_rng(41)
-    data = Dataset(images=rng.normal(size=(30, *shape)), labels=rng.integers(0, 5, size=30),
-                   num_classes=5)
+    data = Dataset(images=rng.normal(size=(samples, *shape)),
+                   labels=rng.integers(0, 5, size=samples), num_classes=5)
     expected = [evaluate(net, data, batch_size) for net in nets]
     stack = np.stack([net.flat for net in nets])
     scratch = {}
@@ -542,24 +547,6 @@ def test_the_stacked_kernel_equals_evaluate_of_each_member(name, batch_size, sta
     # a smaller stack then reuses the front of the same buffers
     loss, acc = _evaluate_stack(nets[0], stack[-1:], data, batch_size, scratch)
     assert list(zip(loss.tolist(), acc.tolist())) == expected[-1:]
-
-
-@pytest.mark.parametrize("score_values", [1, 105, 300], ids=["1-batch", "3-batch", "8-batch"])
-@pytest.mark.parametrize("stack_size", [1, 3])
-def test_scoring_passes_of_several_batches_keep_every_bit(monkeypatch, score_values, stack_size):
-    # A scoring pass covers as many batches of 7 as _SCORE_VALUES holds of
-    # their (classes, S, batch) logits: 1, 3 or 8 at S = 1 and 1, 1 or 2 at
-    # S = 3, so 30 samples end in a short pass holding the short batch, or
-    # in one pass. Each member equals the per-batch reference bit for bit.
-    import sqwa.nn
-    monkeypatch.setattr(sqwa.nn, "_SCORE_VALUES", score_values)
-    specs, shape = EVAL_NETS["dense"]
-    nets = [init_weights(specs, shape, seed=47 + k) for k in range(stack_size)]
-    rng = np.random.default_rng(47)
-    data = Dataset(images=rng.normal(size=(30, *shape)), labels=rng.integers(0, 5, size=30),
-                   num_classes=5)
-    loss, acc = _evaluate_stack(nets[0], np.stack([net.flat for net in nets]), data, 7)
-    assert list(zip(loss.tolist(), acc.tolist())) == [_reference_evaluate(net, data, 7) for net in nets]
 
 
 def test_evaluate_rejects_a_wrong_input_shape_before_any_batch(monkeypatch):
@@ -786,8 +773,8 @@ def test_batch_loss_equals_the_full_log_softmax_loss(c, n, s, seed, special, coa
     hits = np.empty((s, n), bool)
     with np.errstate(all="ignore"):
         # a class-major copy, which the kernel overwrites
-        got = -_score_pass(logits.transpose(2, 0, 1).copy(), *_label_layout(labels, n, c, s), hits,
-                           n)[:, 0] / n
+        got = -_score_pass(logits.transpose(2, 0, 1).copy(), *_label_layout(labels, n, c, s),
+                           hits) / n
         for member, loss in zip(logits, got):
             z = member - member.max(axis=1, keepdims=True)
             z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -840,6 +827,25 @@ def test_direct_calls_reject_out_of_range_labels(labels):
     with pytest.raises(ValueError, match="labels must lie in"):
         evaluate(net, data)
     with pytest.raises(ValueError, match="labels must lie in"):
+        fit(net, data, [0.1], seed=35)
+
+
+@pytest.mark.parametrize("labels, value", [([0.5, 1.7], "0.5"), ([np.nan, 1.0], "nan"),
+                                           ([1.0, -np.inf], "-inf")],
+                         ids=["fractional", "nan", "minus-inf"])
+def test_fractional_and_non_finite_labels_are_refused_by_value(labels, value):
+    # a float label that is not a finite whole number is named, not
+    # truncated: by the Dataset and by the calls that take labels
+    message = re.escape(f"labels must be finite whole numbers, got {value}")
+    with pytest.raises(ValueError, match=message):
+        Dataset(np.ones((2, 3)), np.array(labels), 2)
+    net = init_weights([dense(3, 2)], (3,), seed=35)
+    data = Dataset(np.ones((2, 3)), np.array([1.0, 0.0]), 2)   # whole floats are labels
+    assert data.labels.tolist() == [1, 0] and data.labels.dtype == np.int64
+    data.labels = np.array(labels)      # past the Dataset's own check
+    with pytest.raises(ValueError, match=message):
+        evaluate(net, data)
+    with pytest.raises(ValueError, match=message):
         fit(net, data, [0.1], seed=35)
 
 
