@@ -48,6 +48,8 @@ def _apply_overrides(d: dict, overrides: list[str]) -> dict:
 def _load_config(args) -> RunConfig:
     if args.config:
         d = json.loads(Path(args.config).read_text())
+        if not isinstance(d, dict):
+            raise ValueError(f"{args.config}: expected a JSON object, got {type(d).__name__}")
     else:
         if not args.output_dir:
             raise ValueError("need --config or --output-dir")

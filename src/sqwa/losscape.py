@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import write_atomic
-from .nn import Network, _evaluate_stack, output_shapes
+from .nn import _EVAL_BATCH_SIZE, Network, _evaluate_stack, output_shapes
 from .quantizer import _quantize, _weight_steps
 
 __all__ = [
@@ -57,9 +57,6 @@ _MIN_BLOCK_SAMPLES = 1_000_000
 # plus one batch of every layer's output, views included. The default MLP
 # at batch 256 scores 8 points per pass, a CNN whose activations exceed it 1.
 _PASS_VALUES = 2 ** 17
-
-# The batch every surface point is scored at, evaluate's default.
-_BATCH_SIZE = 256
 
 
 def params_to_vector(net: Network) -> np.ndarray:
@@ -201,7 +198,7 @@ def _runs_one_thread() -> bool:
 def _points_per_pass(template: Network, samples: int) -> int:
     # Grid points one call of the stacked kernel scores: as many as fit in
     # _PASS_VALUES, at least 1
-    rows = min(_BATCH_SIZE, samples)
+    rows = min(_EVAL_BATCH_SIZE, samples)
     shapes = output_shapes(template.specs, template.input_shape)
     per_point = template.flat.size + rows * sum(math.prod(shape) for shape in shapes)
     return max(1, _PASS_VALUES // max(per_point, 1))
@@ -235,7 +232,8 @@ def _surface_rows(xs: np.ndarray, ys: np.ndarray, plane: LossPlane, template: Ne
         points += np.multiply(y, plane.v_hat, out=tmp)
         if step_of is not None:
             _quantize(points[:, :nw], step_of, bits, out=points[:, :nw], work=tmp[:, :nw])
-        loss[done], acc[done] = _evaluate_stack(template, points, dataset, _BATCH_SIZE, scratch)
+        loss[done], acc[done] = _evaluate_stack(template, points, dataset, _EVAL_BATCH_SIZE,
+                                                scratch)
     return loss.reshape(len(xs), len(ys)), acc.reshape(len(xs), len(ys))
 
 

@@ -503,7 +503,11 @@ def sgd_momentum_step(net: Network, grads: Network, state: OptimizerState,
     return net
 
 
-def evaluate(net: Network, dataset, batch_size: int = 256) -> tuple[float, float]:
+# the batch an evaluation scores at unless given another; loss surfaces always do
+_EVAL_BATCH_SIZE = 256
+
+
+def evaluate(net: Network, dataset, batch_size: int = _EVAL_BATCH_SIZE) -> tuple[float, float]:
     """Mean cross-entropy loss and top-1 accuracy over a whole dataset.
 
     Batches are visited in fixed order, so the result is deterministic, and
@@ -517,7 +521,7 @@ def evaluate(net: Network, dataset, batch_size: int = 256) -> tuple[float, float
     return float(loss[0]), float(accuracy[0])
 
 
-def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 256,
+def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = _EVAL_BATCH_SIZE,
                     scratch: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     # Loss and accuracy over a whole dataset of each row of `stack`, an
     # (S, P) float64 array of parameter vectors in net's layout, as two (S,)

@@ -7,8 +7,8 @@ directories under the run's output directory, calls the stage and saves
 what it returns. That makes runs resumable: rerunning with the same config
 skips stages whose outputs already exist and yields byte-identical
 results, because fresh and resumed runs consume the same persisted bytes.
-Each stage scores what a reload of its models gives, once, and records
-the scores in their manifests; the report reads them and scores nothing.
+The runner scores each model a stage returns, as a reload gives it, once,
+and records the scores in its manifest; the report only reads them.
 A frozen copy of the resolved config is written at the start of the run
 and must match on resume. A checkpoint counts as written only once its
 manifest is in place, so a failed stage runs again on the next run.
@@ -175,25 +175,34 @@ class RunConfig:
             raise ValueError("seed must be non-negative")
         if not 1 <= cfg.bits <= 8:
             raise ValueError(f"bits must be an integer in 1..8, got {cfg.bits!r}")
-        if cfg.dataset.kind == "blobs":
-            d = cfg.dataset
+        d = cfg.dataset
+        if d.kind == "blobs":
             if d.train_seed is None:
                 d.train_seed = cfg.seed
             if d.test_seed is None:
                 d.test_seed = cfg.seed + 104729
+            for name in ("train_seed", "test_seed"):
+                if getattr(d, name) < 0:
+                    raise ValueError(f"dataset.{name} must be non-negative")
             for samples in (d.samples_per_class, d.test_samples_per_class):
                 _check_blobs(d.num_classes, samples, d.dims, d.spread)
-        elif cfg.dataset.kind != "idx":
-            raise ValueError(f"unknown dataset kind {cfg.dataset.kind!r}")
+        elif d.kind == "idx":
+            for name in ("train_images", "train_labels", "test_images", "test_labels"):
+                if not getattr(d, name):  # None or "", which would name the current directory
+                    raise ValueError(f"dataset.{name}: an idx dataset needs a path")
+            if d.layout not in ("flat", "chw"):
+                raise ValueError(f"dataset.layout: expected 'flat' or 'chw', got {d.layout!r}")
+        else:
+            raise ValueError(f"unknown dataset kind {d.kind!r}")
         if cfg.network is None:
-            if cfg.dataset.kind != "blobs":
+            if d.kind != "blobs":
                 raise ValueError("a network spec is required for idx datasets")
             cfg.network = {
-                "input_shape": [cfg.dataset.dims],
+                "input_shape": [d.dims],
                 "layers": [
-                    {"kind": "dense", "fan_in": cfg.dataset.dims, "fan_out": 24},
+                    {"kind": "dense", "fan_in": d.dims, "fan_out": 24},
                     {"kind": "relu"},
-                    {"kind": "dense", "fan_in": 24, "fan_out": cfg.dataset.num_classes},
+                    {"kind": "dense", "fan_in": 24, "fan_out": d.num_classes},
                 ],
             }
         specs = _layer_specs(cfg.network)
@@ -236,14 +245,14 @@ def _layer_specs(network: dict) -> list[LayerSpec]:
             for i, d in enumerate(network["layers"])]
 
 
-def _check_network_fits(network: dict, train: Dataset, test: Dataset) -> None:
+def _check_network_fits(network: dict, splits: dict[str, Dataset]) -> None:
     """Refuse a network that cannot take the samples of a split or score
     its labels, naming the layer at fault. `resolve` has checked that the
     layers compose over `input_shape`."""
     specs = _layer_specs(network)
     input_shape = tuple(network["input_shape"])
     width = output_shapes(specs, input_shape)[-1][0]
-    for split, data in (("train", train), ("test", test)):
+    for split, data in splits.items():
         if data.images.shape[1:] != input_shape:
             raise ValueError(f"layer 0 ({specs[0].kind}): takes input_shape "
                              f"{list(input_shape)}, but the {split} samples have shape "
@@ -300,10 +309,10 @@ def as_network(obj, path=None) -> Network:
 
 # --- stages ---------------------------------------------------------------
 
-# Each stage is a function (cfg, train, test, *inputs) of its loaded input
+# Each stage is a function (cfg, train, *inputs) of its loaded input
 # artifacts. It returns {artifact: (object, provenance)}, except the report,
-# which returns its rows and the text of the report files. A model output
-# records in provenance["metrics"] its scores on the splits the report shows.
+# which returns its rows and the text of the report files. The runner
+# scores each model it returns, each capture of a bank, before saving it.
 
 def _score(obj, **splits: Dataset) -> dict:
     """{split}_loss and {split}_accuracy of what a reload of `obj` gives."""
@@ -312,17 +321,15 @@ def _score(obj, **splits: Dataset) -> dict:
             for name, value in zip(("loss", "accuracy"), evaluate(net, data))}
 
 
-def _stage_pretrain(cfg: RunConfig, train: Dataset, test: Dataset) -> dict:
+def _stage_pretrain(cfg: RunConfig, train: Dataset) -> dict:
     specs = _layer_specs(cfg.network)
     p = cfg.pretrain
     net = init_weights(specs, tuple(cfg.network["input_shape"]), cfg.seed)
     fit(net, train, _pretrain_schedule(cfg).rates(), cfg.seed,
         batch_size=p.batch_size, momentum=p.momentum, l2_scale=p.l2_scale)
     _check_responsive(net, train)
-    scores = _score(net, test=test)
-    log.info("pretrain: %d epochs, test loss %.4f, test accuracy %.4f",
-             p.epochs, scores["test_loss"], scores["test_accuracy"])
-    return {"pretrained": (net, {"seed": cfg.seed, "epochs": p.epochs, "metrics": scores})}
+    log.info("pretrain: %d epochs", p.epochs)
+    return {"pretrained": (net, {"seed": cfg.seed, "epochs": p.epochs})}
 
 
 def _check_responsive(net: Network, train: Dataset) -> None:
@@ -339,49 +346,34 @@ def _check_responsive(net: Network, train: Dataset) -> None:
                          "probe samples; training left it dead")
 
 
-def _stage_quantize(cfg: RunConfig, train: Dataset, test: Dataset, net: Network) -> dict:
+def _stage_quantize(cfg: RunConfig, train: Dataset, net: Network) -> dict:
     qm, steps = direct_quantize_model(net, cfg.bits)
-    scores = _score(qm, test=test)
-    log.info("quantize: %d-bit direct, steps %s, test accuracy %.4f",
-             cfg.bits, [f"{s:.4g}" for s in steps], scores["test_accuracy"])
-    return {"direct_quantized": (qm, {"metrics": scores})}
+    log.info("quantize: %d-bit direct, steps %s", cfg.bits, [f"{s:.4g}" for s in steps])
+    return {"direct_quantized": (qm, {})}
 
 
-def _stage_retrain(cfg: RunConfig, train: Dataset, test: Dataset, net: Network,
-                   qm: QuantizedModel) -> dict:
-    sched = _cyclical_schedule(cfg)
-    _, bank = retrain(ShadowModel.from_network(net, cfg.bits, qm.steps), train, sched,
-                      cfg.seed + 1, batch_size=cfg.pretrain.batch_size,
-                      momentum=cfg.pretrain.momentum)
-    for entry in bank.entries:
-        entry.metrics.update(_score(entry.model, train=train, test=test))
-        log.info("retrain-cyclical: epoch %d, lr %.2g, test accuracy %.4f",
-                 entry.epoch, sched.rates()[entry.epoch], entry.metrics["test_accuracy"])
-    log.info("retrain-cyclical: %d captures banked", len(bank))
+def _stage_retrain(cfg: RunConfig, train: Dataset, net: Network, qm: QuantizedModel) -> dict:
+    _, bank = retrain(ShadowModel.from_network(net, cfg.bits, qm.steps), train,
+                      _cyclical_schedule(cfg), cfg.seed + 1,
+                      batch_size=cfg.pretrain.batch_size, momentum=cfg.pretrain.momentum)
+    log.info("retrain-cyclical: %d captures banked at lr %.2g", len(bank), cfg.cyclical.min_lr)
     return {"capture_bank": (bank, {})}
 
 
-def _stage_average(cfg: RunConfig, train: Dataset, test: Dataset, bank: CaptureBank) -> dict:
+def _stage_average(cfg: RunConfig, train: Dataset, bank: CaptureBank) -> dict:
     avg = average_models(bank, cfg.average_last_n)
-    scores = _score(avg, train=train, test=test)
-    log.info("average: %d models, effective %d-bit, test accuracy %.4f",
-             avg.count, avg.effective_bits, scores["test_accuracy"])
-    return {"averaged": (avg, {"metrics": scores})}
+    log.info("average: %d models, effective %d-bit", avg.count, avg.effective_bits)
+    return {"averaged": (avg, {})}
 
 
-def _stage_finetune(cfg: RunConfig, train: Dataset, test: Dataset,
-                    avg: AveragedModel) -> dict:
+def _stage_finetune(cfg: RunConfig, train: Dataset, avg: AveragedModel) -> dict:
     qm, steps = requantize_averaged(avg, cfg.bits)
     model = ShadowModel.from_network(avg.net, cfg.bits, steps)
     f = cfg.finetune
     model = finetune(model, train, f.initial_lr, f.epochs, f.decay, cfg.seed + 2,
                      batch_size=cfg.pretrain.batch_size, momentum=cfg.pretrain.momentum)
-    final_quantized = model.as_quantized()
-    scores = _score(final_quantized, train=train, test=test)
-    log.info("finetune: %d epochs from lr %.2g, test accuracy %.4f",
-             f.epochs, f.initial_lr, scores["test_accuracy"])
-    return {"requantized": (qm, {"metrics": _score(qm, train=train, test=test)}),
-            "final_quantized": (final_quantized, {"metrics": scores})}
+    log.info("finetune: %d epochs from lr %.2g", f.epochs, f.initial_lr)
+    return {"requantized": (qm, {}), "final_quantized": (model.as_quantized(), {})}
 
 
 def _recorded_scores(cfg: RunConfig, artifact: str) -> dict:
@@ -392,7 +384,7 @@ def _recorded_scores(cfg: RunConfig, artifact: str) -> dict:
     return scores
 
 
-def _stage_report(cfg: RunConfig, train: Dataset, test: Dataset, bank: CaptureBank,
+def _stage_report(cfg: RunConfig, train: Dataset, bank: CaptureBank,
                   avg: AveragedModel, requant: QuantizedModel, final: QuantizedModel,
                   pre: Network, direct0: QuantizedModel) -> tuple[list[dict], dict]:
     # The inputs are loaded, so a corrupt payload fails here too, but only
@@ -428,18 +420,19 @@ def _stage_report(cfg: RunConfig, train: Dataset, test: Dataset, bank: CaptureBa
     return rows, {"metrics": "\n".join(lines) + "\n", "summary": "\n".join(summary) + "\n"}
 
 
-# stage -> (function, input artifacts, output artifacts), in run order. A
-# stage whose outputs all have a manifest.json is skipped; the report has
-# none and always runs.
+# stage -> (function, input artifacts, {output artifact: splits its scores
+# record}), in run order. A stage whose outputs all have a manifest.json is
+# skipped; the report has none and always runs.
 _STAGE_TABLE = {
-    "pretrain": (_stage_pretrain, (), ("pretrained",)),
-    "quantize": (_stage_quantize, ("pretrained",), ("direct_quantized",)),
+    "pretrain": (_stage_pretrain, (), {"pretrained": ("test",)}),
+    "quantize": (_stage_quantize, ("pretrained",), {"direct_quantized": ("test",)}),
     "retrain-cyclical": (_stage_retrain, ("pretrained", "direct_quantized"),
-                         ("capture_bank",)),
-    "average": (_stage_average, ("capture_bank",), ("averaged",)),
-    "finetune": (_stage_finetune, ("averaged",), ("requantized", "final_quantized")),
+                         {"capture_bank": ("train", "test")}),
+    "average": (_stage_average, ("capture_bank",), {"averaged": ("train", "test")}),
+    "finetune": (_stage_finetune, ("averaged",),
+                 {"requantized": ("train", "test"), "final_quantized": ("train", "test")}),
     "report": (_stage_report, ("capture_bank", "averaged", "requantized",
-                               "final_quantized", "pretrained", "direct_quantized"), ()),
+                               "final_quantized", "pretrained", "direct_quantized"), {}),
 }
 
 STAGES = list(_STAGE_TABLE)
@@ -474,10 +467,10 @@ def run_stages(cfg: RunConfig, last_stage: str) -> dict:
     # missing IDX file, say) or a network that does not fit it leaves
     # nothing that refuses the corrected rerun
     try:
-        train, test = build_datasets(cfg)
+        data = dict(zip(("train", "test"), build_datasets(cfg)))
     except (ValueError, OSError) as exc:
         raise PipelineError(f"datasets: {exc}") from exc
-    _check_network_fits(cfg.network, train, test)
+    _check_network_fits(cfg.network, data)
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     _freeze_config(cfg, paths)
     result = {"paths": paths, "config": cfg}
@@ -487,13 +480,19 @@ def run_stages(cfg: RunConfig, last_stage: str) -> dict:
             log.info("%s: artifacts exist, skipping", name)
             continue
         try:
-            out = fn(cfg, train, test, *[ckpt.load(paths[a]) for a in inputs])
+            out = fn(cfg, data["train"], *[ckpt.load(paths[a]) for a in inputs])
             if name == "report":
                 result["report"], files = out
                 ckpt.write_atomic({paths[artifact]: text for artifact, text in files.items()})
-            else:
-                for artifact, (obj, provenance) in out.items():
-                    ckpt.save(obj, paths[artifact], provenance={"stage": name, **provenance})
+                continue
+            for artifact, (obj, provenance) in out.items():
+                models = ([(f"{artifact} epoch {e.epoch}", e.model, e.metrics)
+                           for e in obj.entries] if isinstance(obj, CaptureBank)
+                          else [(artifact, obj, provenance.setdefault("metrics", {}))])
+                for label, model, metrics in models:
+                    metrics.update(_score(model, **{s: data[s] for s in outputs[artifact]}))
+                    log.info("%s: %s test accuracy %.4f", name, label, metrics["test_accuracy"])
+                ckpt.save(obj, paths[artifact], provenance={"stage": name, **provenance})
         except Exception as exc:
             raise PipelineError(f"stage '{name}': {exc}") from exc
     return result

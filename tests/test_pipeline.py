@@ -271,6 +271,16 @@ def test_cli_bad_override_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[]", "7", "null", '"sqwa"'])
+def test_a_config_file_that_is_not_a_json_object_is_an_error_line(tmp_path, capsys, text):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "run"
+    assert main(["pretrain", "--config", str(cfg_path), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: expected a JSON object")
+    assert not out.exists()
+
+
 def test_cli_missing_checkpoint_exits_nonzero(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["eval", *_cli_args(out), "--checkpoint", str(out / "nothing")])
@@ -380,8 +390,10 @@ def test_retrain_evaluates_each_split_once_per_capture(tmp_path, monkeypatch, ca
         run_stages(_small_cfg(tmp_path), "retrain-cyclical")
     bank = sqwa.load(tmp_path / "capture_bank")
     assert len(evaluations) == 2 * len(bank) == 4
-    logged = [r.getMessage() for r in caplog.records if "test accuracy" in r.getMessage()]
-    assert logged == [f"retrain-cyclical: epoch {e.epoch}, lr {0.0001:.2g}, "
+    messages = [r.getMessage() for r in caplog.records]
+    assert f"retrain-cyclical: 2 captures banked at lr {0.0001:.2g}" in messages
+    logged = [m for m in messages if "test accuracy" in m]
+    assert logged == [f"retrain-cyclical: capture_bank epoch {e.epoch} "
                       f"test accuracy {e.metrics['test_accuracy']:.4f}" for e in bank.entries]
 
 
@@ -583,6 +595,39 @@ def test_each_stage_saves_exactly_its_declared_outputs(tmp_path):
     assert len(declared) == len(set(declared)) == 6
 
 
+def test_the_stage_table_declares_the_splits_each_output_records():
+    declared = {artifact: splits for _, _, outputs in pipeline._STAGE_TABLE.values()
+                for artifact, splits in outputs.items()}
+    assert declared == {**SCORED, "capture_bank": ("train", "test")}
+    assert pipeline._STAGE_TABLE["report"][2] == {}
+
+
+def _readme_stage_table():
+    # (stage, inputs, outputs, scored splits) of each row of the README's
+    # stage table, read from the text
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| stage | inputs | outputs | scored splits |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        stage, inputs, outputs, splits = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((stage, re.findall(r"`([^`]+)`", inputs), re.findall(r"`([^`]+)`", outputs),
+                     () if splits == "none" else tuple(s.strip() for s in splits.split(","))))
+    return rows
+
+
+def test_the_readme_stage_table_matches_the_stage_table():
+    rows = _readme_stage_table()
+    assert [row[0] for row in rows] == pipeline.STAGES
+    for stage, inputs, outputs, splits in rows:
+        _, table_inputs, table_outputs = pipeline._STAGE_TABLE[stage]
+        assert inputs == list(table_inputs), stage
+        # the report saves no checkpoint; the README names the files it writes
+        assert outputs == (list(table_outputs) or ["metrics.csv", "summary.txt"]), stage
+        assert {splits} == (set(table_outputs.values()) or {()}), stage
+
+
 @pytest.mark.parametrize("removed", ["requantized", "final_quantized"])
 def test_missing_finetune_output_reruns_only_finetune(tmp_path, caplog, removed):
     run_stages(_small_cfg(tmp_path), "finetune")
@@ -593,10 +638,12 @@ def test_missing_finetune_output_reruns_only_finetune(tmp_path, caplog, removed)
     with caplog.at_level(logging.INFO, logger="sqwa"):
         run_stages(_small_cfg(tmp_path), "finetune")
     messages = [r.getMessage() for r in caplog.records]
-    assert len(messages) == 5
+    assert len(messages) == 7
     for stage, message in zip(pipeline.STAGES[:4], messages):
         assert message.startswith(f"{stage}: ") and message.endswith("skipping")
-    assert messages[4].startswith("finetune: ") and "test accuracy" in messages[4]
+    assert messages[4].startswith("finetune: ") and "epochs" in messages[4]
+    for artifact, message in zip(outputs, messages[5:]):
+        assert message.startswith(f"finetune: {artifact} test accuracy ")
     for p, (data, mtime) in before.items():
         assert p.read_bytes() == data, p
         if p.relative_to(tmp_path).parts[0] not in outputs:
@@ -947,6 +994,17 @@ def test_blob_settings_the_generator_refuses_are_rejected_at_resolve(tmp_path, k
         RunConfig.from_dict(d).resolve()
 
 
+@pytest.mark.parametrize("key", ["train_seed", "test_seed"])
+def test_a_negative_dataset_seed_is_rejected_at_resolve_by_name(tmp_path, capsys, key):
+    d = _small_dict(tmp_path / "run")
+    d["dataset"][key] = -3
+    with pytest.raises(ValueError, match=rf"^dataset\.{key} must be non-negative$"):
+        RunConfig.from_dict(d).resolve()
+    assert main(["pretrain", *_default_cli_args(tmp_path / "run", f"dataset.{key}=-3")]) == 1
+    assert capsys.readouterr().err == f"error: dataset.{key} must be non-negative\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_a_bad_dataset_setting_leaves_no_config_behind(tmp_path, capsys):
     # Once `--set dataset.dims=2` (10 classes) failed after config.json was
     # frozen, and the corrected rerun was refused for a different config.
@@ -977,6 +1035,33 @@ def _idx_dict(tmp_path):
     d["dataset"] = {"kind": "idx", **{k: str(v) for k, v in files.items()}}
     d["network"] = {"input_shape": [16], "layers": [_dense(16, 3)]}
     return d
+
+
+@pytest.mark.parametrize("value", [None, ""])
+@pytest.mark.parametrize("key", ["train_images", "train_labels", "test_images", "test_labels"])
+def test_an_idx_dataset_without_a_path_is_rejected_at_resolve_by_name(tmp_path, key, value):
+    d = _idx_dict(tmp_path)
+    d["dataset"][key] = value
+    with pytest.raises(ValueError, match=rf"^dataset\.{key}: an idx dataset needs a path$"):
+        RunConfig.from_dict(d).resolve()
+
+
+def test_an_idx_dataset_with_no_paths_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    network = json.dumps({"input_shape": [16], "layers": [_dense(16, 3)]})
+    assert main(["pretrain", "--output-dir", str(out), "--set", "dataset.kind=idx",
+                 "--set", f"network={network}"]) == 1
+    assert capsys.readouterr().err == \
+        "error: dataset.train_images: an idx dataset needs a path\n"
+    assert not out.exists()
+
+
+def test_an_idx_dataset_of_an_unknown_layout_is_rejected_at_resolve_by_name(tmp_path):
+    d = _idx_dict(tmp_path)
+    d["dataset"]["layout"] = "hwc"
+    with pytest.raises(ValueError,
+                       match=r"^dataset\.layout: expected 'flat' or 'chw', got 'hwc'$"):
+        RunConfig.from_dict(d).resolve()
 
 
 def test_a_missing_idx_file_is_a_pipeline_error_that_leaves_no_config_behind(tmp_path):
