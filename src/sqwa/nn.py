@@ -211,9 +211,10 @@ class OptimizerState:
     plain momentum. `buffers` holds them as a Network of the trained
     network's layout, so `buffers.weights[i]` is layer i's weight buffer;
     `grads` is another such Network, which every step overwrites whole;
-    `work` is scratch for the L2 term, one value per weight; `scratch` is
-    the `forward` scratch of the loop's steps, so their parameter views and
-    dense outputs are built once, not per step.
+    `work` is the update's scratch, one value per parameter; `scratch` is
+    the `forward` scratch of the loop's steps, so the kernel's plan (its
+    parameter views and dense outputs) is built once per batch width, not
+    per step.
     """
 
     momentum: float
@@ -227,7 +228,7 @@ class OptimizerState:
     def for_network(net: Network, momentum: float, l2_scale: float = 0.0) -> "OptimizerState":
         _check_optimizer(momentum, l2_scale)
         return OptimizerState(momentum, l2_scale, Network(net.input_shape, net.specs),
-                              Network(net.input_shape, net.specs), np.empty(net.weight_size))
+                              Network(net.input_shape, net.specs), np.empty(net.flat.size))
 
 
 def _check_optimizer(momentum: float, l2_scale: float) -> None:
@@ -235,6 +236,8 @@ def _check_optimizer(momentum: float, l2_scale: float) -> None:
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if l2_scale < 0.0:
         raise ValueError(f"l2_scale must be >= 0, got {l2_scale}")
+    if not math.isfinite(l2_scale):
+        raise ValueError(f"l2_scale must be finite, got {l2_scale}")
 
 
 def init_weights(specs: list[LayerSpec], input_shape: tuple[int, ...], seed: int) -> Network:
@@ -300,38 +303,60 @@ def forward(net: Network, batch: np.ndarray,
 
     This is the one-network case of the forward kernel that evaluate runs
     on stacks. `scratch`, a dict kept from call to call such as a training
-    loop's `OptimizerState.scratch`, holds the per-layer parameter views and
-    the dense outputs, so the next call with it overwrites both results;
-    None makes them for this call.
+    loop's `OptimizerState.scratch`, keeps the kernel's plan for this
+    network and batch width, with the dense outputs it writes, so the next
+    call with it overwrites both results; None makes them for this call.
     """
     x = np.asarray(batch, dtype=np.float64)
     _check_input(net, x)
     scratch = {} if scratch is None else scratch
-    if scratch.get("net") is not net:
-        scratch["net"], scratch["views"] = net, _stack_views(net, net.flat[None])
-    cache: list[np.ndarray] = []
-    logits = _forward_stack(net.specs, *scratch["views"], x, scratch, cache)
-    cache = [c[0].T if c.ndim == 3 else c[0] for c in cache]
+    kept = scratch.get("forward")
+    if kept is None or kept[0] is not net or kept[1] != len(x):
+        kept = scratch["forward"] = _forward_plan(net, len(x), scratch)
+    plan, kept_cache, kept_logits, fresh = kept[2:]
+    inputs: list[np.ndarray] = []
+    logits = _forward_stack(plan, x, inputs)
+    cache = kept_cache.copy()
+    for i in fresh:
+        cache[i] = inputs[i].T if inputs[i].ndim == 2 else inputs[i]
     if x.ndim == 2:   # the batch itself, row-major, as backward multiplies by it
         cache[0] = x
-    return logits[0].T, cache
+    return logits.T if kept_logits is None else kept_logits, cache
+
+
+def _forward_plan(net: Network, n: int, scratch: dict) -> tuple:
+    # What forward keeps for batches of n rows: the kernel's plan at S = 1
+    # over net's own buffer; each layer's input as the cache holds it where
+    # it is a dense output the plan keeps (or a relu's or flatten's of one),
+    # None where each call makes it; the logits the same way; and the layers
+    # whose cached input each call makes (a flat batch enters as itself)
+    plan = _plan(net.specs, *_stack_views(net, net.flat), n, scratch)
+    cache, kept = [], None
+    for layer in plan:
+        cache.append(None if kept is None else kept.T)
+        kept = layer[4] if layer[0] == "dense" else None if layer[0] == "conv2d" else kept
+    fresh = [i for i, c in enumerate(cache) if c is None and (i or len(net.input_shape) > 1)]
+    return net, n, plan, cache, None if kept is None else kept.T, fresh
 
 
 def _stack_views(net: Network, stack: np.ndarray) -> tuple[list, list]:
-    # Each layer's weights and biases as (S, *shape) views of the rows of an
-    # (S, P) stack in net's layout, None where a layer has no such tensor; a
-    # bias is (S, out, 1), to broadcast over a batch's columns
-    s, layers = stack.shape[0], len(net.specs)
-    views = [None if sp is None else stack[:, sp[0]:sp[1]].reshape(s, *sp[2]) for sp in net.layout]
+    # Each layer's weights and biases as views of parameter vectors in net's
+    # layout: of an (S, P) stack's rows as (S, *shape) arrays, of one (P,)
+    # vector with no stack axis. None where a layer has no such tensor; a
+    # bias gains a last axis of 1, to broadcast over a batch's columns.
+    lead, layers = stack.shape[:-1], len(net.specs)
+    views = [None if sp is None else stack[..., sp[0]:sp[1]].reshape(*lead, *sp[2])
+             for sp in net.layout]
     return views[:layers], [None if b is None else b[..., None] for b in views[layers:]]
 
 
 def _buffer(scratch: dict, key, shape: tuple, dtype=np.float64) -> np.ndarray:
     # A contiguous array of `shape` over the memory `scratch` keeps for
     # `key`, made on first use and replaced by a larger one when too small.
-    # The forward kernel and the loss write into these with out= instead of
-    # allocating per batch; a shorter batch or a smaller stack reuses the
-    # front of the memory. The view is kept too, under (key, shape).
+    # A plan's dense outputs and the evaluation's temporaries are written
+    # into these with out= instead of allocating per batch; a shorter batch
+    # or a smaller stack reuses the front of the memory. The view is kept
+    # too, under (key, shape).
     view = scratch.get((key, shape))
     if view is None:
         size = math.prod(shape)
@@ -342,59 +367,82 @@ def _buffer(scratch: dict, key, shape: tuple, dtype=np.float64) -> np.ndarray:
     return view
 
 
+def _plan(specs: list[LayerSpec], weights: list, biases: list, n: int, scratch: dict,
+          out: np.ndarray | None = None) -> list[tuple]:
+    # What _forward_stack runs on batches of n samples under the weights and
+    # biases _stack_views gives (a dense bias may be repeated over the
+    # batch's columns), one tuple per layer led by its kind: a dense layer's
+    # product, weights, bias and output buffer, from `scratch` (or `out` for
+    # a last one, C-contiguous at S = 1); a conv layer's weights as one
+    # matrix per member, bias and kernel size; a flatten's output shape. At
+    # S = 1 (views with no stack axis) no array has one, and a dense product
+    # is a 2-D np.dot, which reaches BLAS with less set-up than np.matmul
+    # and gives the same bits (README "Parameter layout"). A plan is good
+    # while the arrays it views are, its buffers until the next plan built
+    # on the same `scratch` for another width or stack.
+    plan, lead, last = [], (), len(specs) - 1
+    for i, (spec, w, b) in enumerate(zip(specs, weights, biases)):
+        if spec.kind == "dense":
+            lead = w.shape[:-2]
+            y = _buffer(scratch, i, (*lead, spec.fan_out, n)) if out is None or i < last else out
+            plan.append(("dense", np.matmul if lead else np.dot, w, b, y))
+        elif spec.kind == "conv2d":
+            lead = w.shape[:-4]
+            plan.append(("conv2d", w.reshape(*lead, spec.out_channels, -1), b, spec.kernel_size))
+        else:
+            plan.append((spec.kind, (*lead, -1, n)))
+    return plan
+
+
 # float64 values (2 MiB, about one core's L2) of the im2col columns a conv
 # layer builds at once, stack axis included: whole output rows, at least
 # one (README "Parameter layout")
 _COLUMN_VALUES = 2 ** 18
 
 
-def _forward_stack(specs: list[LayerSpec], weights: list, biases: list, x: np.ndarray,
-                   scratch: dict, cache: list | None = None, out=None) -> np.ndarray:
-    # The one forward body: logits (S, classes, N) of one checked float64
-    # batch under each of S parameter sets, as _stack_views gives them (a
-    # dense bias may be repeated over the batch's columns). The layers
-    # compose, as construction checked, so no layer checks its input. Every
-    # activation is held batch-innermost, (features, N) or (C, H, W, N): the
-    # batch is copied into it on entry, flatten is a free reshape, and a
-    # stack axis of 1 leads, which the first parameter layer broadcasts to S.
-    # Dense layers are batched matmuls W @ x into buffers from `scratch`, or
-    # a last one into `out`. A conv layer builds its columns in blocks of
-    # output rows (_COLUMN_VALUES), each product writing its own columns of
-    # the output, which is made per batch. Relu works in place, on arrays
-    # made here. `cache` gets each layer's (S, ...) input, good until the
-    # next call on the same `scratch`; a relu leaves its output there, whose
-    # `x > 0.0` mask is the input's, NaN included.
-    x, last = (x.T if x.ndim == 2 else x.transpose(1, 2, 3, 0)).copy()[None], len(specs) - 1
-    for i, spec in enumerate(specs):
+def _forward_stack(plan: list[tuple], x: np.ndarray, cache: list | None = None) -> np.ndarray:
+    # The one forward body: the logits, (S, classes, N) or at S = 1
+    # (classes, N), of one checked float64 batch under each of S parameter
+    # sets, as `plan` (_plan) holds them. The layers compose, as
+    # construction checked, so no layer checks its input. Every activation
+    # is held batch-innermost, (features, N) or (C, H, W, N): the batch is
+    # copied into it on entry, flatten is a free reshape, and the stack axis
+    # leads from the first parameter layer on, which broadcasts the input to
+    # S. A dense layer writes the plan's buffer. A conv layer builds its
+    # columns in blocks of output rows (_COLUMN_VALUES), each product
+    # writing its own columns of the output, which is made per batch. Relu
+    # works in place, on arrays made here. `cache` gets each layer's input,
+    # good until the next call on the same plan; a relu leaves its output
+    # there, whose `x > 0.0` mask is the input's, NaN included.
+    x = (x.T if x.ndim == 2 else x.transpose(1, 2, 3, 0)).copy()
+    for layer in plan:
         if cache is not None:
             cache.append(x)
-        if spec.kind == "dense":
-            w = weights[i]
-            x = np.matmul(w, x, out=out if out is not None and i == last else
-                          _buffer(scratch, i, (*w.shape[:2], x.shape[2])))
-            if biases[i] is not None:
-                x += biases[i]
-        elif spec.kind == "conv2d":
-            w, b = weights[i], biases[i]
-            s, out_c, _, k, _ = w.shape
-            sx, c, h, ww, n = x.shape
+        kind = layer[0]
+        if kind == "dense":
+            _, product, w, b, y = layer
+            x = product(w, x, out=y)
+            if b is not None:
+                x += b
+        elif kind == "conv2d":
+            _, w, b, k = layer
+            h, ww, n = x.shape[-3:]
             oh, ow = h - k + 1, ww - k + 1
-            per_row = sx * c * k * k * ow * n
+            per_row = x.size // (h * ww) * k * k * ow   # column values per output row
             rows = min(oh, max(1, _COLUMN_VALUES // per_row))
-            cols, y = np.empty(rows * per_row), np.empty((s, out_c, oh * ow * n))
+            cols, y = np.empty(rows * per_row), np.empty((*w.shape[:-1], oh * ow * n))
             for top in range(0, oh, rows):
                 m = min(rows, oh - top)
-                np.matmul(w.reshape(s, out_c, -1),
-                          _im2col(x[..., top:top + m + k - 1, :, :], k, cols[:m * per_row]),
+                np.matmul(w, _im2col(x[..., top:top + m + k - 1, :, :], k, cols[:m * per_row]),
                           out=y[..., top * ow * n:(top + m) * ow * n])
             del cols  # freed before y + b allocates
             if b is not None:
                 y = y + b  # not in place: see README "Parameter layout"
-            x = y.reshape(s, out_c, oh, ow, n)
-        elif spec.kind == "relu":
+            x = y.reshape(*y.shape[:-1], oh, ow, n)
+        elif kind == "relu":
             x = np.maximum(x, 0.0, out=x)
-        elif spec.kind == "flatten":
-            x = x.reshape(x.shape[0], -1, x.shape[-1])
+        else:
+            x = x.reshape(layer[1])
     return x
 
 
@@ -438,7 +486,8 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
     # a full log-softmax, its exp and a subtraction of 1.0 at each label
     # take, from their transpose, forward's row-major (classes, N) array.
     # Reductions are ufunc calls, not the array methods that wrap them in
-    # Python. Products, sums and masks take row-major (N, ...) operands.
+    # Python, and dense products 2-D np.dot calls, as in forward at S = 1.
+    # Products, sums and masks take row-major (N, ...) operands.
     n, z = logits.shape[0], logits.T
     dx = np.subtract(z, np.maximum.reduce(z, axis=0), out=np.empty(logits.shape).T).T
     dx -= np.log(np.add.reduce(np.exp(dx), axis=1, keepdims=True))
@@ -453,11 +502,11 @@ def loss_and_backward(net: Network, cache: list[np.ndarray], logits: np.ndarray,
         kind, x = net.specs[i].kind, cache[i]
         if kind == "dense":
             x = np.ascontiguousarray(x)
-            np.matmul(dx.T, x, out=grads.weights[i])
+            np.dot(dx.T, x, out=grads.weights[i])
             if grads.biases[i] is not None:
                 np.add.reduce(dx, axis=0, out=grads.biases[i])
             if i:
-                dx = dx @ net.weights[i]
+                dx = np.dot(dx, net.weights[i])
         elif kind == "conv2d":
             w = net.weights[i]
             out_c, _, k, _ = w.shape
@@ -483,23 +532,24 @@ def sgd_momentum_step(net: Network, grads: Network, state: OptimizerState,
     buffer <- momentum * buffer + (grad + l2_scale * weight)
     weight <- weight - lr * buffer
 
-    Biases follow the same rule without the L2 term.
+    Biases follow the same rule without the L2 term. A rate that is NaN,
+    infinite or negative raises ValueError before anything is written.
     """
-    if lr < 0.0:
-        raise ValueError(f"learning rate must be >= 0, got {lr}")
+    if not 0.0 <= lr < math.inf:   # NaN fails both
+        raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
     if grads.flat.shape != net.flat.shape or state.buffers.flat.shape != net.flat.shape:
         raise ValueError("gradients and momentum buffers must match the network's layout")
     g, nw, buf = grads.flat, net.weight_size, state.buffers.flat
     buf *= state.momentum
     if state.l2_scale:
         # (l2_scale * weight) + grad, the same bits as grad + l2_scale * weight
-        l2 = np.multiply(net.flat[:nw], state.l2_scale, out=state.work)
+        l2 = np.multiply(net.flat[:nw], state.l2_scale, out=state.work[:nw])
         l2 += g[:nw]
         buf[:nw] += l2
         buf[nw:] += g[nw:]
     else:
         buf += g
-    net.flat -= lr * buf
+    net.flat -= np.multiply(buf, lr, out=state.work)   # lr * buf, written into kept memory
     return net
 
 
@@ -528,13 +578,14 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
     # arrays: row s holds, bit for bit, what evaluate gives for a network
     # whose buffer holds stack[s]. The temporaries live in `scratch`, reused
     # by every batch and by every call given the same dict. What batches
-    # share is built once per call: the parameter views, each dense bias
-    # repeated over a batch's columns (a contiguous add, class-major like the
-    # logits' block), and the labels as _score_pass takes them (_label_layout).
-    # A last dense layer writes each batch's logits straight into a
-    # class-major block (other networks' logits are copied there), which
-    # _score_pass turns into the batch's log-likelihood sums and hits. The
-    # loss sums come after.
+    # share is built once per call: the parameter views (with no stack axis
+    # at S = 1, as forward runs), each dense bias repeated over a batch's
+    # columns (a contiguous add, class-major like the logits' block), the
+    # labels as _score_pass takes them (_label_layout), and the kernel's
+    # plan, again for a shorter last batch. A last dense layer writes each
+    # batch's logits straight into a class-major block (other networks'
+    # logits are copied there), which _score_pass turns into the batch's
+    # log-likelihood sums and hits. The loss sums come after.
     images = np.asarray(dataset.images)
     n = images.shape[0]
     if n == 0:
@@ -545,10 +596,12 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
     _check_input(net, images)
     scratch = {} if scratch is None else scratch
     s, rows = stack.shape[0], min(batch_size, n)
-    weights, biases = _stack_views(net, stack)
+    lead = (s,) if s > 1 else ()
+    weights, biases = _stack_views(net, stack.reshape(*lead, -1))
     for i, spec in enumerate(net.specs):  # each dense bias repeated over a full batch's columns
         if spec.kind == "dense" and biases[i] is not None:   # class-major, as the logits' block
             repeated = _buffer(scratch, ("bias", i), (spec.fan_out, s, rows)).transpose(1, 0, 2)
+            repeated = repeated.reshape(*lead, spec.fan_out, rows)
             repeated[...] = biases[i]
             biases[i] = repeated
     at_labels, ranks = _label_layout(labels, batch_size, classes, s)
@@ -556,16 +609,16 @@ def _evaluate_stack(net: Network, stack: np.ndarray, dataset, batch_size: int = 
     summed = _buffer(scratch, "summed", (s, len(starts) + 1))  # column 0 starts the running sum
     summed[:, 0] = 0.0
     hits = _buffer(scratch, "hits", (s, n), bool)
+    plan = None
     for k, start in enumerate(starts):
         nb = min(batch_size, n - start)
-        if nb < rows:  # the last batch, shorter: the front columns of each repeat
-            biases = [b[..., :nb] if spec.kind == "dense" and b is not None else b
-                      for spec, b in zip(net.specs, biases)]
-        by_class = _buffer(scratch, "by_class", (classes, s, nb))
-        block = by_class.transpose(1, 0, 2)
-        logits = _forward_stack(net.specs, weights, biases,
-                                np.asarray(images[start:start + batch_size], dtype=np.float64),
-                                scratch, out=block)
+        if plan is None or nb < rows:  # a shorter last batch: the front columns of each repeat
+            by_class = _buffer(scratch, "by_class", (classes, s, nb))
+            block = by_class.transpose(1, 0, 2).reshape(*lead, classes, nb)
+            plan = _plan(net.specs, weights,
+                         [b[..., :nb] if spec.kind == "dense" and b is not None else b
+                          for spec, b in zip(net.specs, biases)], nb, scratch, out=block)
+        logits = _forward_stack(plan, np.asarray(images[start:start + nb], dtype=np.float64))
         if logits is not block:
             np.copyto(block, logits)
         part = slice(start, start + nb)

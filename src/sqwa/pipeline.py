@@ -224,7 +224,13 @@ class RunConfig:
             cfg.finetune.initial_lr = 0.1 * cfg.cyclical.max_lr
         _check_finetune(cfg.finetune.initial_lr, cfg.finetune.epochs, cfg.finetune.decay)
         captures = cfg.cyclical.epochs // cfg.cyclical.period
-        if not (1 <= cfg.average_last_n <= captures):
+        if cfg.average_last_n < 1:
+            raise ValueError(f"average_last_n must be >= 1, got {cfg.average_last_n}")
+        if captures == 0:
+            raise ValueError(f"cyclical.epochs {cfg.cyclical.epochs} is shorter than "
+                             f"cyclical.period {cfg.cyclical.period}, so the cyclical stage "
+                             "makes no capture to average")
+        if cfg.average_last_n > captures:
             raise ValueError(f"average_last_n {cfg.average_last_n} exceeds the "
                              f"{captures} captures the cyclical stage will produce")
         # as config.json will hold it, numpy numbers as Python ones

@@ -11,6 +11,7 @@ the shadow's biases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,9 @@ class ShadowModel:
     Invariant: applied weights equal quantize(shadow weights) under the
     frozen `steps`, and applied biases mirror the shadow biases. Both
     networks share one parameter layout. Construction builds the per-element
-    steps and the re-quantizer's scratch buffer once.
+    steps and the re-quantizer's scratch buffer once; the first refresh
+    builds the weight and bias views of both buffers, again only when a
+    network is replaced.
     """
 
     shadow: Network
@@ -46,6 +49,7 @@ class ShadowModel:
             raise ValueError("shadow and applied network disagree in layout")
         self._step_of = _weight_steps(self.shadow, self.bits, self.steps)
         self._work = np.empty(self.shadow.weight_size)
+        self._halves = (None, None)
 
     @staticmethod
     def from_network(net: Network, bits: int, steps: list[float] | None = None) -> "ShadowModel":
@@ -60,9 +64,14 @@ class ShadowModel:
     def refresh_applied(self) -> None:
         """Re-quantize the shadow's weight region into the applied view and
         copy the biases."""
-        nw, shadow, applied = self.shadow.weight_size, self.shadow.flat, self.applied.flat
-        _quantize(shadow[:nw], self._step_of, self.bits, out=applied[:nw], work=self._work)
-        applied[nw:] = shadow[nw:]
+        halves = self._halves
+        if halves[0] is not self.shadow.flat or halves[1] is not self.applied.flat:
+            nw, shadow, applied = self.shadow.weight_size, self.shadow.flat, self.applied.flat
+            halves = self._halves = (shadow, applied, shadow[:nw], applied[:nw], shadow[nw:],
+                                     applied[nw:])
+        _, _, shadow_w, applied_w, shadow_b, applied_b = halves
+        _quantize(shadow_w, self._step_of, self.bits, out=applied_w, work=self._work)
+        applied_b[...] = shadow_b
 
     def as_quantized(self) -> QuantizedModel:
         """Deep-copied snapshot of the applied model."""
@@ -96,15 +105,19 @@ def fit(model: ShadowModel | Network, dataset: Dataset, lrs: list[float], seed: 
     each batch one qat_train_step, with fresh momentum buffers, and
     `after_epoch(epoch, lr)` after every epoch. Mutates `model`, returns it.
 
-    The dataset's input shape and labels are checked once, before the
-    first step, and all steps share one OptimizerState. Each epoch builds
-    the one-hot targets of its shuffled labels once. After every epoch
-    a trained parameter that is not finite, or a weighted layer whose
-    weights are all zero at float32 precision, raises ValueError naming the
-    epoch and layer.
+    The rates, each finite and >= 0, and the dataset's input shape and
+    labels are checked once, before the first step, and all steps share
+    one OptimizerState. Each epoch builds the one-hot targets of its
+    shuffled labels once. After every epoch a trained parameter that is not
+    finite, or a weighted layer whose weights are all zero at float32
+    precision, raises ValueError naming the epoch and layer.
     """
     quantized = isinstance(model, ShadowModel)
     applied, trained = (model.applied, model.shadow) if quantized else (model, model)
+    lrs = list(lrs)   # read twice: checked, then trained on
+    for epoch, lr in enumerate(lrs):
+        if not 0.0 <= lr < math.inf:   # NaN fails both
+            raise ValueError(f"epoch {epoch}: learning rate must be finite and >= 0, got {lr}")
     state = OptimizerState.for_network(applied, momentum, l2_scale)
     _check_input(applied, dataset.images)
     _check_labels(dataset.labels, len(dataset), applied.num_classes)
@@ -180,3 +193,5 @@ def _check_finetune(initial_lr: float, epochs: int, decay: float) -> None:
         raise ValueError("epochs must be >= 0")
     if epochs and (initial_lr <= 0.0 or not (0.0 < decay <= 1.0)):
         raise ValueError("need initial_lr > 0 and decay in (0, 1]")
+    if epochs and not math.isfinite(initial_lr):
+        raise ValueError(f"initial_lr must be finite, got {initial_lr}")

@@ -24,7 +24,7 @@ from sqwa.nn import (
     relu,
     sgd_momentum_step,
 )
-from sqwa.nn import _col2im, _evaluate_stack, _forward_stack, _im2col, _stack_views
+from sqwa.nn import _col2im, _evaluate_stack, _forward_stack, _im2col, _plan, _stack_views
 from sqwa.scoring import _label_layout, _score_pass, _sum_steps
 from sqwa.data import Dataset
 from sqwa.qat import fit
@@ -390,6 +390,25 @@ def test_l2_step_equals_the_copying_formula_and_leaves_grads_alone(l2):
         assert peak < 1.5 * net.flat.nbytes
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1])
+def test_a_bad_rate_is_refused_before_the_update(lr):
+    # a NaN rate once passed the `lr < 0.0` check and wrote NaN weights
+    net = init_weights([dense(2, 2)], (2,), seed=6)
+    state = OptimizerState.for_network(net, momentum=0.9)
+    grads = net.copy()
+    before = net.flat.copy()
+    with pytest.raises(ValueError, match=f"^learning rate must be finite and >= 0, got {lr}$"):
+        sgd_momentum_step(net, grads, state, lr)
+    assert np.array_equal(net.flat, before) and not state.buffers.flat.any()
+
+
+@pytest.mark.parametrize("l2_scale", [float("nan"), float("inf")])
+def test_a_non_finite_l2_scale_is_refused(l2_scale):
+    net = init_weights([dense(2, 2)], (2,), seed=7)
+    with pytest.raises(ValueError, match=f"^l2_scale must be finite, got {l2_scale}$"):
+        OptimizerState.for_network(net, momentum=0.9, l2_scale=l2_scale)
+
+
 def test_training_reduces_loss():
     rng = np.random.default_rng(31)
     net = init_weights([dense(4, 16), relu(), dense(16, 3)], (4,), seed=31)
@@ -598,6 +617,44 @@ def test_a_kept_scratch_follows_the_network_it_is_given():
         assert np.array_equal(forward(net, batch, scratch)[0], forward(net, batch)[0])
 
 
+@pytest.mark.parametrize("name", sorted(BUFFER_NETS))
+def test_a_kept_plan_is_rebuilt_for_another_network_or_batch_width(name):
+    # one scratch given two networks of the same specs at the default
+    # recipe's batch widths, 32 and its epochs' last 8, and 1: every call's
+    # logits and cache equal those of a call with a fresh scratch
+    specs, shape = BUFFER_NETS[name]
+    nets = [init_weights(specs, shape, seed=seed) for seed in (45, 46)]
+    rng = np.random.default_rng(45)
+    scratch = {}
+    for k, rows in [(0, 32), (1, 32), (1, 8), (0, 8), (0, 32), (1, 1), (1, 32)]:
+        batch = rng.normal(size=(rows, *shape))
+        logits, cache = forward(nets[k], batch, scratch)
+        fresh_logits, fresh_cache = forward(nets[k], batch)
+        assert np.array_equal(logits, fresh_logits)
+        assert len(cache) == len(fresh_cache)
+        assert all(np.array_equal(a, b) for a, b in zip(cache, fresh_cache))
+
+
+@pytest.mark.parametrize("name", ["dense", "conv-flatten-dense"])
+def test_one_evaluation_scratch_follows_every_stack_it_is_given(name):
+    # fresh stack arrays of other sizes, and one array refilled in place,
+    # through one scratch: each row equals evaluate of its network
+    specs, shape = EVAL_NETS[name]
+    nets = [init_weights(specs, shape, seed=47 + k) for k in range(5)]
+    rng = np.random.default_rng(47)
+    data = Dataset(images=rng.normal(size=(30, *shape)), labels=rng.integers(0, 5, size=30),
+                   num_classes=5)
+    expected = [evaluate(net, data, 7) for net in nets]
+    scratch = {}
+    for members in ([0, 1, 2], [3], [1, 4], [0, 1, 2, 3, 4], [2]):
+        stack = np.stack([nets[k].flat for k in members])
+        loss, acc = _evaluate_stack(nets[0], stack, data, 7, scratch)
+        assert list(zip(loss.tolist(), acc.tolist())) == [expected[k] for k in members]
+    stack[0] = nets[4].flat
+    loss, acc = _evaluate_stack(nets[0], stack, data, 7, scratch)
+    assert list(zip(loss.tolist(), acc.tolist())) == [expected[4]]
+
+
 # (net, samples, batch, a _COLUMN_VALUES that splits its conv rows unevenly):
 # 3 + 1 of the 4 rows of a batch of 7; and the benchmark CNN over 600
 # samples at evaluate's batch, whose first conv runs 9 + 3 of its 12 rows
@@ -658,11 +715,13 @@ def _product_mismatches():
     for fan_out, fan_in in PINNED_PRODUCTS:
         net = Network((fan_in,), [dense(fan_in, fan_out, has_bias=False)])
         for s in (1, 8):
-            weights, biases = _stack_views(net, rng.uniform(-0.5, 0.5, size=(s, net.flat.size)))
+            stack = rng.uniform(-0.5, 0.5, size=(s, net.flat.size))
+            weights, biases = _stack_views(net, stack[0] if s == 1 else stack)   # S = 1: no stack axis
+            members = weights[0].reshape(s, fan_out, fan_in)
             for n in PINNED_BATCHES:
                 x = rng.normal(size=(n, fan_in))
-                got = _forward_stack(net.specs, weights, biases, x, {})
-                if not (got.transpose(0, 2, 1) == np.stack([x @ w.T for w in weights[0]])).all():
+                got = _forward_stack(_plan(net.specs, weights, biases, n, {}), x).reshape(s, fan_out, n)
+                if not (got.transpose(0, 2, 1) == np.stack([x @ w.T for w in members])).all():
                     mismatches.append((fan_out, fan_in, n, s))
     return mismatches
 
@@ -710,6 +769,44 @@ def test_the_dense_product_keeps_its_bits_under_each_blas_kernel_the_pins_name(c
     assert _printed_under_blas_kernel(core, flags, "_product_mismatches") == "[]"
 
 
+# Every batch up to 63, and an evaluation's 136 and 256
+DOT_BATCHES = [*range(1, 64), 136, 256]
+
+
+def _dot_mismatches():
+    # (product, fan_out, fan_in, batch) at which np.dot, which a step and
+    # an evaluation call at S = 1, differs in any bit from np.matmul of the
+    # same operands, which the stacked kernel calls and which made the
+    # default recipe's pins, for the default MLP's five products: the
+    # forward W @ X on batch-innermost activations (np.matmul on a stack of
+    # one) and the backward's dY.T @ X and dY @ W on row-major ones
+    rng = np.random.default_rng(51)
+    mismatches = []
+    for n in DOT_BATCHES:
+        for fan_out, fan_in in PINNED_PRODUCTS:
+            w = rng.uniform(-0.5, 0.5, size=(fan_out, fan_in))
+            x, dy = rng.normal(size=(fan_in, n)), rng.normal(size=(n, fan_out))
+            rows = np.ascontiguousarray(x.T)
+            pairs = {"forward": (np.dot(w, x, out=np.empty((fan_out, n))),
+                                 np.matmul(w[None], x[None])[0]),
+                     "weight gradient": (np.dot(dy.T, rows, out=np.empty(w.shape)),
+                                         np.matmul(dy.T, rows, out=np.empty(w.shape)))}
+            if fan_in == PINNED_PRODUCTS[0][0]:   # the input gradient of the second layer
+                pairs["input gradient"] = (np.dot(dy, w), np.matmul(dy, w))
+            mismatches += [(name, fan_out, fan_in, n) for name, (a, b) in pairs.items()
+                           if not np.array_equal(a, b)]
+    return mismatches
+
+
+def test_the_2d_products_keep_the_stacked_products_bits_at_the_default_mlps_shapes():
+    assert _dot_mismatches() == []
+
+
+@pytest.mark.parametrize("core, flags", PINNED_KERNELS)
+def test_the_2d_products_keep_their_bits_under_each_blas_kernel_the_pins_name(core, flags):
+    assert _printed_under_blas_kernel(core, flags, "_dot_mismatches") == "[]"
+
+
 # The benchmark CNN's batches: 32 in training, 256 and 88 (600 mod 256)
 # in evaluation, and 1
 COLUMN_BATCHES = [1, 32, 88, 256]
@@ -726,17 +823,22 @@ def _column_mismatches():
                                 flatten()])
     mismatches = []
     for s in (1, 8):
-        weights, biases = _stack_views(net, rng.uniform(-0.5, 0.5, size=(s, net.flat.size)))
+        stack = rng.uniform(-0.5, 0.5, size=(s, net.flat.size))
+        weights, biases = _stack_views(net, stack[0] if s == 1 else stack)   # S = 1: no stack axis
         for n in COLUMN_BATCHES:
             cache = []
-            _forward_stack(net.specs, weights, biases, rng.normal(size=(n, 1, 16, 16)), {}, cache)
+            x = rng.normal(size=(n, 1, 16, 16))
+            _forward_stack(_plan(net.specs, weights, biases, n, {}), x, cache)
             for i in (0, 1):
-                inputs, outputs = cache[i], cache[i + 1]
-                out_c = weights[i].shape[1]
-                if not all((outputs[j].reshape(out_c, -1) ==
-                            w.reshape(out_c, -1) @ _im2col(inputs[j % len(inputs)], 5)).all()
-                           for j, w in enumerate(weights[i])):
-                    mismatches.append((weights[i].shape[2], out_c, n, s))
+                # the first layer's input has no stack axis, the second's has one at S > 1
+                inputs = cache[i].reshape(-1, *cache[i].shape[-4:])
+                members = weights[i].reshape(s, *weights[i].shape[-4:])
+                out_c = members.shape[1]
+                outputs = cache[i + 1].reshape(s, out_c, -1)
+                if not all((outputs[j] == w.reshape(out_c, -1) @ _im2col(inputs[j % len(inputs)],
+                                                                          5)).all()
+                           for j, w in enumerate(members)):
+                    mismatches.append((members.shape[2], out_c, n, s))
     return mismatches
 
 

@@ -107,6 +107,37 @@ def test_resolve_validates_average_window(tmp_path):
         RunConfig.from_dict(d).resolve()
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"average_last_n": 0}, "average_last_n must be >= 1, got 0"),
+    ({"average_last_n": -3}, "average_last_n must be >= 1, got -3"),
+    ({"cyclical": {"epochs": 3, "period": 4}},
+     "cyclical.epochs 3 is shorter than cyclical.period 4, so the cyclical stage makes no "
+     "capture to average"),
+])
+def test_resolve_names_the_field_an_average_window_cannot_meet(tmp_path, change, message):
+    # each once read "average_last_n N exceeds the M captures ...", which
+    # blamed the window for a count below 1 or for a stage with no capture
+    d = _small_dict(tmp_path / "run")
+    d.update(change)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunConfig.from_dict(d).resolve()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["average_last_n=0"], "average_last_n must be >= 1, got 0"),
+    (["cyclical.epochs=5", "cyclical.period=6"],
+     "cyclical.epochs 5 is shorter than cyclical.period 6, so the cyclical stage makes no "
+     "capture to average"),
+])
+def test_the_cli_names_the_field_an_average_window_cannot_meet(tmp_path, capsys, overrides,
+                                                              message):
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["pretrain", *_default_cli_args(out, *overrides)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_default_config_is_resolved(tmp_path):
     cfg = default_config(tmp_path, seed=3)
     assert cfg.cyclical.max_lr is not None

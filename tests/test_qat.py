@@ -297,6 +297,74 @@ def test_fit_runs_each_sgd_step_through_the_public_step_and_kernel(monkeypatch, 
     assert calls == {"qat_train_step": 12, "loss_and_backward": 12}
 
 
+def test_fit_runs_each_conv_sgd_step_through_the_public_step_and_kernels(monkeypatch):
+    # The benchmark counts recipe-cnn's steps as it counts the MLP's: each
+    # batch of a conv network reaches the public step and backward once,
+    # and the momentum update once through every `sqwa` binding of it, as
+    # perfbench's CallCounter wraps them.
+    import sqwa.nn
+    import sqwa.qat as qat_mod
+    from test_pipeline import _count_calls
+    calls = {name: _count_calls(monkeypatch, module, name) for module, name in
+             [(qat_mod, "qat_train_step"), (sqwa.nn, "loss_and_backward"),
+              (sqwa.nn, "sgd_momentum_step")]}
+    model, data, batch_size = _conv_case()       # 40 samples: batches of 16, 16 and 8
+    fit(model, data, [0.1, 0.05], 71, batch_size=batch_size)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "qat_train_step": 6, "loss_and_backward": 6, "sgd_momentum_step": 6}
+
+
+@pytest.mark.parametrize("lrs, epoch, shown", [([0.1, -0.1], 1, "-0.1"), ([float("nan")], 0, "nan"),
+                                               ([0.1, 0.05, float("inf")], 2, "inf")])
+def test_fit_refuses_a_bad_rate_before_the_first_step(lrs, epoch, shown):
+    # a negative rate once trained the epochs before it, and a NaN or
+    # infinite one a whole epoch, then reported it as divergence
+    data = synthetic_blobs(3, 10, 4, 0.4, seed=67)
+    model = _small_model(seed=67)
+    shadow, applied = model.shadow.flat.copy(), model.applied.flat.copy()
+    seen = []
+    with pytest.raises(ValueError, match=f"^epoch {epoch}: learning rate must be finite and "
+                                         f">= 0, got {shown}$"):
+        fit(model, data, lrs, 67, after_epoch=lambda e, lr: seen.append(e))
+    assert seen == []
+    assert np.array_equal(model.shadow.flat, shadow) and np.array_equal(model.applied.flat, applied)
+
+
+def test_fit_trains_on_rates_given_as_a_generator():
+    # the rates are read twice, checked and then trained on
+    data = synthetic_blobs(3, 10, 4, 0.4, seed=73)
+    model, ref = _small_model(seed=73), _small_model(seed=73)
+    fit(model, data, (lr for lr in [0.1, 0.05]), 73)
+    fit(ref, data, [0.1, 0.05], 73)
+    assert np.array_equal(model.shadow.flat, ref.shadow.flat)
+    assert not np.array_equal(model.shadow.flat, _small_model(seed=73).shadow.flat)
+
+
+@pytest.mark.parametrize("initial_lr", [float("nan"), float("inf")])
+def test_finetune_refuses_a_non_finite_initial_rate(initial_lr):
+    data = synthetic_blobs(3, 10, 4, 0.4, seed=72)
+    model = _small_model(seed=72)
+    before = model.shadow.flat.copy()
+    with pytest.raises(ValueError, match=f"^initial_lr must be finite, got {initial_lr}$"):
+        finetune(model, data, initial_lr=initial_lr, epochs=2, decay=0.5, seed=72)
+    assert np.array_equal(model.shadow.flat, before)
+
+
+def test_a_copied_shadow_model_refreshes_its_own_applied_network():
+    # refresh_applied keeps views of both buffers; a deep copy or an
+    # unpickled model must write its own applied buffer, not the original's
+    import pickle
+    model = _small_model(seed=84)
+    model.refresh_applied()
+    for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        original = model.applied.flat.copy()
+        twin.shadow.flat[:] = model.shadow.flat * 3.0
+        twin.refresh_applied()
+        assert np.array_equal(model.applied.flat, original)
+        _assert_invariant(twin)
+        assert not np.array_equal(twin.applied.flat, original)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_stops_at_the_end_of_the_epoch_that_diverges():
     data = synthetic_blobs(3, 20, 4, 0.4, seed=68)
@@ -503,6 +571,30 @@ def test_consecutive_steps_on_one_state_equal_the_reference_path(case, steps):
     assert (model.applied.flat == ref.applied.flat).all()
     assert (state.buffers.flat == buf).all()
     assert (state.grads.flat == g).all()
+
+
+@pytest.mark.parametrize("case", list(_shared_buffer_cases()), ids=lambda c: c[0])
+def test_one_state_over_batch_widths_32_8_32_equals_fresh_scratch_steps(case):
+    # The default recipe's epochs end in a batch of 8 (5,000 = 156 * 32 + 8):
+    # the state's kept forward plan is rebuilt for it and again for the next
+    # epoch's first batch. Each step equals one whose scratch starts empty.
+    _, specs, shape, bits = case
+    model = ShadowModel.from_network(init_weights(specs, shape, seed=83), bits)
+    ref = copy.deepcopy(model)
+    state = OptimizerState.for_network(model.applied, momentum=0.9)
+    ref_state = OptimizerState.for_network(ref.applied, momentum=0.9)
+    classes = model.applied.num_classes
+    rng = np.random.default_rng(83)
+    for rows, lr in zip((32, 8, 32), (0.2, 0.1, 0.05)):
+        xb = rng.normal(size=(rows, *shape))
+        targets = np.eye(classes)[rng.integers(0, classes, size=rows)]
+        qat_train_step(model, state, xb, targets, lr)
+        ref_state.scratch.clear()
+        qat_train_step(ref, ref_state, xb, targets, lr)
+        assert np.array_equal(model.shadow.flat, ref.shadow.flat)
+        assert np.array_equal(model.applied.flat, ref.applied.flat)
+        assert np.array_equal(state.grads.flat, ref_state.grads.flat)
+        assert np.array_equal(state.buffers.flat, ref_state.buffers.flat)
 
 
 def test_a_relu_cached_after_it_ran_in_place_keeps_the_gradient_bits():
