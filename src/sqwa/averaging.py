@@ -108,7 +108,7 @@ def average_models(bank: CaptureBank, last_n: int) -> AveragedModel:
     return AveragedModel(out, last_n, list(bank.steps), effective_bits(last_n, bank.bits))
 
 
-def requantize_averaged(avg: AveragedModel, target_bits: int) -> tuple[QuantizedModel, list[float]]:
+def requantize_averaged(avg: AveragedModel, target_bits: int) -> QuantizedModel:
     """Map an averaged model back onto a coarse grid with fresh per-layer
     MSE-minimizing step sizes. The result is the starting point for
     fine-tuning."""

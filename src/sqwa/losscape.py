@@ -89,12 +89,14 @@ class LossPlane:
 def build_plane(w1: np.ndarray, w2: np.ndarray, w3: np.ndarray) -> LossPlane:
     """Orthonormal basis of the plane through three weight vectors.
 
-    Rejects coincident w1/w2 and collinear triples, which leave no plane
-    to span.
+    Rejects vectors holding NaN or infinity, coincident w1/w2 and collinear
+    triples, which leave no plane to span.
     """
     w1, w2, w3 = (np.asarray(w, dtype=np.float64).ravel() for w in (w1, w2, w3))
     if not (w1.shape == w2.shape == w3.shape):
         raise ValueError("weight vectors must have identical lengths")
+    if not all(np.isfinite(w).all() for w in (w1, w2, w3)):
+        raise ValueError("weight vectors must be finite")
     du = w2 - w1
     nu = float(np.linalg.norm(du))
     if nu == 0.0:
@@ -281,19 +283,22 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
 
     Args:
         resolution: points per axis (>= 2).
-        mode: 'full_precision' evaluates grid points as-is; 'quantized'
-            first quantizes each point's weights as quantized_grid_point
-            does (requires bits and per-layer steps, e.g. a capture's
-            frozen values).
+        margin: finite and >= 0.
+        mode: 'full_precision' evaluates grid points as-is and takes no
+            bits or steps; 'quantized' first quantizes each point's weights
+            as quantized_grid_point does (requires bits and per-layer steps,
+            e.g. a capture's frozen values).
     """
     if mode not in ("full_precision", "quantized"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "quantized" and (bits is None or steps is None):
         raise ValueError("quantized mode needs bits and per-layer steps")
+    if mode == "full_precision" and (bits is not None or steps is not None):
+        raise ValueError("full_precision mode quantizes nothing: give no bits or steps")
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
-    if margin < 0.0:
-        raise ValueError("margin must be >= 0")
+    if not 0.0 <= margin < math.inf:   # NaN fails both
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
     if plane.origin.shape != template.flat.shape:
         raise ValueError(f"vector has {plane.origin.size} values, "
                          f"template needs {template.flat.size}")

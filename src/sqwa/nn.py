@@ -211,10 +211,8 @@ class OptimizerState:
     plain momentum. `buffers` holds them as a Network of the trained
     network's layout, so `buffers.weights[i]` is layer i's weight buffer;
     `grads` is another such Network, which every step overwrites whole;
-    `work` is the update's scratch, one value per parameter; `scratch` is
-    the `forward` scratch of the loop's steps, so the kernel's plan (its
-    parameter views and dense outputs) is built once per batch width, not
-    per step.
+    `work` is the update's scratch, one value per parameter; `scratch`
+    keeps `forward`'s plan for the loop's steps.
     """
 
     momentum: float
@@ -302,41 +300,22 @@ def forward(net: Network, batch: np.ndarray,
     float64, its shape checked on every call, and it is not modified.
 
     This is the one-network case of the forward kernel that evaluate runs
-    on stacks. `scratch`, a dict kept from call to call such as a training
-    loop's `OptimizerState.scratch`, keeps the kernel's plan for this
-    network and batch width, with the dense outputs it writes, so the next
-    call with it overwrites both results; None makes them for this call.
+    on stacks. `scratch`, a dict kept from call to call such as
+    `OptimizerState.scratch`, keeps the kernel's plan per network and batch
+    width, so the next call with it overwrites the results; None keeps none.
     """
     x = np.asarray(batch, dtype=np.float64)
     _check_input(net, x)
     scratch = {} if scratch is None else scratch
     kept = scratch.get("forward")
     if kept is None or kept[0] is not net or kept[1] != len(x):
-        kept = scratch["forward"] = _forward_plan(net, len(x), scratch)
-    plan, kept_cache, kept_logits, fresh = kept[2:]
-    inputs: list[np.ndarray] = []
-    logits = _forward_stack(plan, x, inputs)
-    cache = kept_cache.copy()
-    for i in fresh:
-        cache[i] = inputs[i].T if inputs[i].ndim == 2 else inputs[i]
+        plan = _plan(net.specs, *_stack_views(net, net.flat), len(x), scratch)
+        kept = scratch["forward"] = net, len(x), plan
+    cache: list[np.ndarray] = []
+    logits = _forward_stack(kept[2], x, cache)
     if x.ndim == 2:   # the batch itself, row-major, as backward multiplies by it
         cache[0] = x
-    return logits.T if kept_logits is None else kept_logits, cache
-
-
-def _forward_plan(net: Network, n: int, scratch: dict) -> tuple:
-    # What forward keeps for batches of n rows: the kernel's plan at S = 1
-    # over net's own buffer; each layer's input as the cache holds it where
-    # it is a dense output the plan keeps (or a relu's or flatten's of one),
-    # None where each call makes it; the logits the same way; and the layers
-    # whose cached input each call makes (a flat batch enters as itself)
-    plan = _plan(net.specs, *_stack_views(net, net.flat), n, scratch)
-    cache, kept = [], None
-    for layer in plan:
-        cache.append(None if kept is None else kept.T)
-        kept = layer[4] if layer[0] == "dense" else None if layer[0] == "conv2d" else kept
-    fresh = [i for i, c in enumerate(cache) if c is None and (i or len(net.input_shape) > 1)]
-    return net, n, plan, cache, None if kept is None else kept.T, fresh
+    return logits.T, cache
 
 
 def _stack_views(net: Network, stack: np.ndarray) -> tuple[list, list]:
@@ -412,12 +391,13 @@ def _forward_stack(plan: list[tuple], x: np.ndarray, cache: list | None = None) 
     # columns in blocks of output rows (_COLUMN_VALUES), each product
     # writing its own columns of the output, which is made per batch. Relu
     # works in place, on arrays made here. `cache` gets each layer's input,
-    # good until the next call on the same plan; a relu leaves its output
-    # there, whose `x > 0.0` mask is the input's, NaN included.
+    # a 2-D one as its (N, features) view, good until the next call on the
+    # same plan; a relu leaves its output there, whose `x > 0.0` mask is the
+    # input's, NaN included.
     x = (x.T if x.ndim == 2 else x.transpose(1, 2, 3, 0)).copy()
     for layer in plan:
         if cache is not None:
-            cache.append(x)
+            cache.append(x.T if x.ndim == 2 else x)
         kind = layer[0]
         if kind == "dense":
             _, product, w, b, y = layer

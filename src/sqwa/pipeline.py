@@ -353,8 +353,8 @@ def _check_responsive(net: Network, train: Dataset) -> None:
 
 
 def _stage_quantize(cfg: RunConfig, train: Dataset, net: Network) -> dict:
-    qm, steps = direct_quantize_model(net, cfg.bits)
-    log.info("quantize: %d-bit direct, steps %s", cfg.bits, [f"{s:.4g}" for s in steps])
+    qm = direct_quantize_model(net, cfg.bits)
+    log.info("quantize: %d-bit direct, steps %s", cfg.bits, [f"{s:.4g}" for s in qm.steps])
     return {"direct_quantized": (qm, {})}
 
 
@@ -373,8 +373,8 @@ def _stage_average(cfg: RunConfig, train: Dataset, bank: CaptureBank) -> dict:
 
 
 def _stage_finetune(cfg: RunConfig, train: Dataset, avg: AveragedModel) -> dict:
-    qm, steps = requantize_averaged(avg, cfg.bits)
-    model = ShadowModel.from_network(avg.net, cfg.bits, steps)
+    qm = requantize_averaged(avg, cfg.bits)
+    model = ShadowModel.from_network(avg.net, cfg.bits, qm.steps)
     f = cfg.finetune
     model = finetune(model, train, f.initial_lr, f.epochs, f.decay, cfg.seed + 2,
                      batch_size=cfg.pretrain.batch_size, momentum=cfg.pretrain.momentum)

@@ -167,11 +167,8 @@ class QuantizedModel:
     steps: list[float]
 
 
-def direct_quantize_model(net: Network, bits: int) -> tuple[QuantizedModel, list[float]]:
-    """Quantize every weight tensor with its own MSE-minimizing step size.
-
-    Returns the quantized model and the selected per-layer steps (also
-    recorded on the model).
-    """
+def direct_quantize_model(net: Network, bits: int) -> QuantizedModel:
+    """Quantize every weight tensor with its own MSE-minimizing step size,
+    which the returned model records in `steps`."""
     steps = [select_step_size(net.weights[i], bits) for i in net.param_layers()]
-    return QuantizedModel(quantize_network(net, bits, steps), bits, steps), steps
+    return QuantizedModel(quantize_network(net, bits, steps), bits, steps)

@@ -70,7 +70,7 @@ def desk_runs(tmp_path_factory):
 
         def group_drop(entries):
             avg = average_models(CaptureBank(bank.bits, bank.steps, list(entries)), len(entries))
-            requant, _ = requantize_averaged(avg, cfg.bits)
+            requant = requantize_averaged(avg, cfg.bits)
             return evaluate(avg.net, test)[1] - evaluate(requant.net, test)[1]
 
         runs[seed] = {

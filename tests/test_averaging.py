@@ -14,7 +14,8 @@ from sqwa.averaging import (
     requantize_averaged,
 )
 from sqwa.nn import Network, dense, init_weights, relu
-from sqwa.quantizer import QuantizedModel, QuantizerConfig, levels_count, quantize_tensor
+from sqwa.quantizer import (QuantizedModel, QuantizerConfig, levels_count, quantize_tensor,
+                            select_step_size)
 
 
 def _ternary_net(levels, step, bias=None):
@@ -162,7 +163,8 @@ def test_requantize_averaged_round_trip():
     rng = np.random.default_rng(62)
     net = init_weights([dense(5, 8), relu(), dense(8, 3)], (5,), seed=62)
     avg = AveragedModel(net, count=7, base_steps=[0.1, 0.1], effective_bits=4)
-    model, steps = requantize_averaged(avg, 2)
+    model = requantize_averaged(avg, 2)
+    steps = [select_step_size(net.weights[i], 2) for i in net.param_layers()]
     assert model.bits == 2
     assert model.steps == steps
     for j, i in enumerate(model.net.param_layers()):

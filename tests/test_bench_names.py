@@ -123,3 +123,31 @@ def test_the_tracer_finds_its_arguments_where_it_reads_them(monkeypatch):
     [(args, (logits, _))] = seen
     assert args[0] is net and args[1] is batch
     assert logits.shape == (32, 10) and len(logits) == len(batch)
+
+
+def test_the_artifact_attributes_the_workloads_read_exist(tmp_path):
+    # perfbench/workloads.py also reads attributes of the objects it loads
+    # from a finished run: the capture bank's entries, bits and steps, each
+    # entry's shadow network and quantized model, the final model's network,
+    # bits and steps, and the averaged model's count, network and base steps.
+    # A seconds-scale run's artifacts hold every one of them.
+    cfg = pipeline.RunConfig.from_dict({
+        "seed": 7, "output_dir": str(tmp_path), "bits": 2, "average_last_n": 2,
+        "dataset": {"num_classes": 3, "samples_per_class": 20, "test_samples_per_class": 20,
+                    "dims": 4, "spread": 0.45},
+        "pretrain": {"epochs": 6, "milestones": [2, 4], "batch_size": 16},
+        "cyclical": {"epochs": 8, "period": 4},
+        "finetune": {"epochs": 2},
+    })
+    paths = pipeline.run_stages(cfg, pipeline.STAGES[-1])["paths"]
+    bank = sqwa.load(paths["capture_bank"])
+    assert len(bank.entries) == 2 and bank.bits == 2 and len(bank.steps) == 2
+    for entry in bank.entries:
+        layers = entry.shadow.param_layers()
+        assert [entry.shadow.weights[i].shape for i in layers] == \
+            [entry.model.net.weights[i].shape for i in layers]
+        assert sqwa.params_to_vector(entry.shadow).shape == entry.model.net.flat.shape
+    final = sqwa.load(paths["final_quantized"])
+    assert final.bits == 2 and len(final.steps) == len(final.net.param_layers())
+    avg = sqwa.load(paths["averaged"])
+    assert avg.count == 2 and len(avg.base_steps) == len(avg.net.param_layers())

@@ -25,7 +25,7 @@ def _net(seed=110):
 
 
 def _quantized(seed=111):
-    model, _ = direct_quantize_model(_net(seed), 2)
+    model = direct_quantize_model(_net(seed), 2)
     rng = np.random.default_rng(seed + 1)
     for i in model.net.param_layers():
         # keep biases exactly single-precision so reloads are bitwise
@@ -228,7 +228,7 @@ def test_a_torn_bank_rewrite_leaves_no_manifest_of_the_old_bank(tmp_path, monkey
 
 def _seven_bit_average():
     # three 7-bit captures at the top level 63 sum to level 189, which needs i16
-    qm, _ = direct_quantize_model(_net(119), 7)
+    qm = direct_quantize_model(_net(119), 7)
     qm.net.weights[0][0, 0] = 63 * qm.steps[0]
     bank = CaptureBank(7, list(qm.steps))
     for epoch in (3, 7, 11):
@@ -240,7 +240,7 @@ def _seven_bit_average():
 ROUND_TRIP_CASES = {
     # float64 weights and biases, which change at float32
     "network": lambda: _net(120),
-    "quantized": lambda: direct_quantize_model(_net(121), 2)[0],
+    "quantized": lambda: direct_quantize_model(_net(121), 2),
     "shadow": lambda: ShadowModel.from_network(_net(122), 3),
     "averaged": _seven_bit_average,
 }
@@ -458,7 +458,8 @@ def test_every_kind_writes_per_layer_weight_streams_then_bias(tmp_path):
     # The payload format of every kind: per weighted layer its weight
     # stream(s), then its bias if it has one, back to back.
     net = init_weights([dense(4, 6, has_bias=False), relu(), dense(6, 3)], (4,), seed=112)
-    qm, steps = direct_quantize_model(net, 2)
+    qm = direct_quantize_model(net, 2)
+    steps = qm.steps
     sm = ShadowModel.from_network(net, 2, steps)
     avg = AveragedModel(qm.net.copy(), count=3, base_steps=steps, effective_bits=3)
     expected = {

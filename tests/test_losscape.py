@@ -80,6 +80,17 @@ def test_plane_rejects_degenerate_inputs():
         build_plane(w, w + 1.0, w + 2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_plane_rejects_a_vector_that_is_not_finite(which, bad):
+    # a NaN or infinite entry would give NaN anchors, and a surface whose
+    # axes no exported file can record
+    vecs = [np.arange(6.0), np.arange(6.0) ** 2, np.ones(6)]
+    vecs[which][3] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        build_plane(*vecs)
+
+
 def test_quantized_grid_point_weight_segments_on_grid():
     net = _net(74)
     steps = [0.2, 0.3]
@@ -127,6 +138,27 @@ def test_surface_quantized_mode_requires_config():
         evaluate_surface(plane, nets[0], data, resolution=3, mode="quantized")
     with pytest.raises(ValueError):
         evaluate_surface(plane, nets[0], data, resolution=3, mode="nope")
+
+
+@pytest.mark.parametrize("margin", [np.nan, np.inf])
+def test_surface_rejects_a_margin_that_is_not_finite(margin):
+    # such a margin gives axes that an exported CSV cannot be read back on
+    nets = [_net(s) for s in (86, 87, 88)]
+    plane = build_plane(*[params_to_vector(n) for n in nets])
+    data = synthetic_blobs(2, 6, 3, 0.5, seed=86)
+    with pytest.raises(ValueError, match="margin must be finite"):
+        evaluate_surface(plane, nets[0], data, resolution=3, margin=margin)
+
+
+@pytest.mark.parametrize("quant", [{"bits": 2, "steps": [0.15, 0.25]}, {"bits": 2},
+                                   {"steps": [0.15, 0.25]}])
+def test_a_full_precision_surface_rejects_quantizer_settings(quant):
+    # it quantizes nothing, so bits or steps would only mislabel its sidecar
+    nets = [_net(s) for s in (86, 87, 88)]
+    plane = build_plane(*[params_to_vector(n) for n in nets])
+    data = synthetic_blobs(2, 6, 3, 0.5, seed=86)
+    with pytest.raises(ValueError, match="full_precision mode quantizes nothing"):
+        evaluate_surface(plane, nets[0], data, resolution=3, **quant)
 
 
 def test_surface_quantized_grid_residency():

@@ -295,6 +295,21 @@ def test_cli_losscape_rejects_mixed_grids(tmp_path, capsys):
     assert not (out / "s.csv").exists()
 
 
+def test_cli_losscape_rejects_a_margin_that_is_not_finite(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = _cli_args(out)
+    cfg = _small_cfg(out).resolve()
+    specs, shape = pipeline._layer_specs(cfg.network), tuple(cfg.network["input_shape"])
+    models = [str(sqwa.save(sqwa.nn.init_weights(specs, shape, seed), tmp_path / f"net{seed}"))
+              for seed in (1, 2, 3)]
+    capsys.readouterr()
+    code = main(["losscape", *args, "--models", *models, "--margin", "nan",
+                 "--resolution", "3", "--out", str(out / "s.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: margin must be finite and >= 0, got nan\n"
+    assert not (out / "s.csv").exists()
+
+
 def test_cli_bad_override_exits_nonzero(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["pretrain", *_cli_args(out), "--set", "pretrain.nope=1"])

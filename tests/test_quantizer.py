@@ -175,7 +175,8 @@ def test_quantize_network_leaves_biases():
 
 def test_direct_quantize_model_records_steps():
     net = init_weights([dense(4, 8), relu(), dense(8, 2)], (4,), seed=4)
-    model, steps = direct_quantize_model(net, 2)
+    model = direct_quantize_model(net, 2)
+    steps = [select_step_size(net.weights[i], 2) for i in net.param_layers()]
     assert model.bits == 2
     assert model.steps == steps
     assert len(steps) == 2
