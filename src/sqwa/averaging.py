@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import Network
+from .nn import Network, _is_size
 from .quantizer import QuantizedModel, _weight_steps, direct_quantize_model, levels_count
 
 __all__ = [
@@ -53,7 +53,7 @@ class CaptureBank:
 
     def add(self, entry: CaptureEntry) -> None:
         if entry.model.bits != self.bits or list(entry.model.steps) != list(self.steps):
-            raise ValueError("capture does not share the bank's quantizer configuration")
+            raise ValueError("capture does not share the bank's quantizer bits and steps")
         if self.entries:
             if self.entries[0].model.net.layout != entry.model.net.layout:
                 raise ValueError("capture shapes do not match the bank")
@@ -68,13 +68,18 @@ class CaptureBank:
 
 @dataclass
 class AveragedModel:
-    """Mean of n grid-resident models: weights on the step / n grid, biases
-    full precision."""
+    """Mean of n = `count` grid-resident models, its record checked at
+    construction: weights on the step / n grid, biases full precision."""
 
     net: Network
     count: int
     base_steps: list[float]
     effective_bits: int
+
+    def __post_init__(self):
+        if not _is_size(self.count):
+            raise ValueError(f"the 'denominator' must be an integer >= 1, got {self.count!r}")
+        _weight_steps(self.net, self.effective_bits, self.base_steps)
 
 
 def effective_bits(n: int, bits: int) -> int:

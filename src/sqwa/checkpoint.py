@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import AveragedModel, CaptureBank, CaptureEntry
-from .nn import LayerSpec, Network, _is_int
+from .nn import LayerSpec, Network
 from .qat import ShadowModel
 from .quantizer import QuantizedModel
 
@@ -78,10 +78,12 @@ def _decode(desc: dict, payload: bytes, where) -> np.ndarray:
     dtype = _FLOAT_DTYPES.get(encoding) or _LEVEL_DTYPES.get(encoding)
     if dtype is None:
         raise CheckpointError(f"{where}: unknown tensor encoding {encoding!r}")
-    shape = tuple(_field(desc, "shape", where))
-    t = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)),
-                      offset=_field(desc, "offset", where))
-    t = t.astype(np.float64).reshape(shape)
+    shape, offset = tuple(_field(desc, "shape", where)), _field(desc, "offset", where)
+    try:
+        t = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)), offset=offset)
+        t = t.astype(np.float64).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{where}: 'offset' {offset!r}, 'shape' {shape}: {exc}") from exc
     return t * _field(desc, "scale", where) if encoding in _LEVEL_DTYPES else t
 
 
@@ -255,30 +257,27 @@ def _rebuild_network(manifest: dict, payload: bytes, where,
     return net
 
 
+# kind -> its model class, each network's weight tensor and the record's fields
+_RECORDS = {"quantized": (QuantizedModel, ("weight",), ("bits", "steps")),
+            "shadow": (ShadowModel, ("shadow_weight", "applied_weight"), ("bits", "steps")),
+            "averaged": (AveragedModel, ("weight",),
+                         ("denominator", "base_steps", "effective_bits"))}
+
+
 def _decode_model(manifest: dict, payload: bytes, where) -> object:
     kind = _field(manifest, "kind", f"{where}: manifest")
     if kind == "network":
         return _rebuild_network(manifest, payload, where)
-    if kind not in ("quantized", "shadow", "averaged"):
+    if kind not in _RECORDS:
         raise CheckpointError(f"{where}: unknown checkpoint kind {kind!r}")
+    make, weight_names, keys = _RECORDS[kind]
     record = _field(manifest, "quantization", f"{where}: manifest")
-
-    def q(key):
-        return _field(record, key, f"{where}: manifest 'quantization'")
-
-    if kind == "quantized":
-        return QuantizedModel(_rebuild_network(manifest, payload, where), q("bits"),
-                              list(q("steps")))
-    if kind == "shadow":
-        return ShadowModel(_rebuild_network(manifest, payload, where, "shadow_weight"),
-                           _rebuild_network(manifest, payload, where, "applied_weight"),
-                           q("bits"), list(q("steps")))
-    count = q("denominator")
-    if not (_is_int(count) and count >= 1):
-        raise CheckpointError(f"{where}: manifest 'quantization' 'denominator' must be an "
-                              f"integer >= 1, got {count!r}")
-    return AveragedModel(_rebuild_network(manifest, payload, where), count,
-                         list(q("base_steps")), q("effective_bits"))
+    values = [_field(record, key, f"{where}: manifest 'quantization'") for key in keys]
+    nets = [_rebuild_network(manifest, payload, where, name) for name in weight_names]
+    try:  # each model checks its own record
+        return make(*nets, *values)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{where}: manifest 'quantization' refused: {exc}") from exc
 
 
 def load(path):
@@ -324,6 +323,10 @@ def _load_bank(path: Path, manifest: dict) -> CaptureBank:
         if not (sub / "manifest.json").is_file():
             raise CheckpointError(f"{path}: capture bank incomplete, missing {rec['dir']}")
         sm = load(sub)
-        bank.add(CaptureEntry(_field(rec, "epoch", where), sm.as_quantized(), sm.shadow,
-                              dict(_field(rec, "metrics", where))))
+        entry = CaptureEntry(_field(rec, "epoch", where), sm.as_quantized(), sm.shadow,
+                             dict(_field(rec, "metrics", where)))
+        try:
+            bank.add(entry)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{where} {rec['dir']!r}: {exc}") from exc
     return bank

@@ -78,39 +78,34 @@ def _cmd_stage(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _config_and_split(args):
     cfg = _load_config(args).resolve()
-    train, test = build_datasets(cfg)
-    ds = train if args.split == "train" else test
-    net = as_network(ckpt.load(args.checkpoint), args.checkpoint)
-    loss, acc = evaluate(net, ds)
+    return cfg, build_datasets(cfg)[("train", "test").index(args.split)]
+
+
+def _cmd_eval(args) -> int:
+    _, ds = _config_and_split(args)
+    loss, acc = evaluate(as_network(ckpt.load(args.checkpoint), args.checkpoint), ds)
     print(f"checkpoint={args.checkpoint} split={args.split} "
           f"loss={loss!r} accuracy={acc!r}")
     return 0
 
 
 def _cmd_losscape(args) -> int:
-    cfg = _load_config(args).resolve()
-    train, test = build_datasets(cfg)
-    ds = train if args.split == "train" else test
+    cfg, ds = _config_and_split(args)
     models = [ckpt.load(p) for p in args.models]
+    nets = [m.shadow if isinstance(m, ShadowModel) else as_network(m, p)
+            for m, p in zip(models, args.models)]
+    bits = steps = None
     if args.mode == "quantized":
         if not all(isinstance(m, ShadowModel) for m in models):
             raise ValueError("quantized mode needs three shadow checkpoints")
         if any(m.bits != models[0].bits or list(m.steps) != list(models[0].steps)
                for m in models):
             raise ValueError("the three models do not share one quantizer configuration")
-        vectors = [params_to_vector(m.shadow) for m in models]
-        template = models[0].shadow
         bits, steps = models[0].bits, list(models[0].steps)
-    else:
-        nets = [m.shadow if isinstance(m, ShadowModel) else as_network(m, p)
-                for m, p in zip(models, args.models)]
-        vectors = [params_to_vector(n) for n in nets]
-        template = nets[0]
-        bits, steps = None, None
-    plane = build_plane(*vectors)
-    grid = evaluate_surface(plane, template, ds, resolution=args.resolution,
+    plane = build_plane(*(params_to_vector(n) for n in nets))
+    grid = evaluate_surface(plane, nets[0], ds, resolution=args.resolution,
                             margin=args.margin, mode=args.mode, bits=bits, steps=steps,
                             dataset_id=dataset_id(cfg, args.split), split=args.split)
     csv_path, meta_path = export_grid(grid, args.out)

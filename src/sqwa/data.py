@@ -82,7 +82,7 @@ def load_idx(images_path, labels_path, *, normalize: bool = True,
     Args:
         images_path: IDX file with ndim >= 2 (samples first).
         labels_path: IDX file with ndim == 1.
-        normalize: shift/scale pixels to zero mean, unit scale.
+        normalize: shift/scale pixels by this file's mean and std.
         layout: 'flat' reshapes each sample to a feature vector, 'chw'
             yields (N, 1, H, W) for conv networks.
     """
@@ -99,9 +99,7 @@ def load_idx(images_path, labels_path, *, normalize: bool = True,
         raise IdxFormatError(f"{Path(images_path).name}: holds no samples")
     x = images.astype(np.float64)
     if normalize:
-        mean = float(x.mean())
-        std = float(x.std())
-        x = (x - mean) / (std if std > 0.0 else 1.0)
+        _normalize(x, x)
     if layout == "flat":
         x = x.reshape(x.shape[0], -1)
     elif layout == "chw":
@@ -111,6 +109,12 @@ def load_idx(images_path, labels_path, *, normalize: bool = True,
     else:
         raise ValueError(f"unknown layout {layout!r}")
     return Dataset(x, labels, int(labels.max()) + 1)
+
+
+def _normalize(x: np.ndarray, like: np.ndarray) -> None:
+    # shift and scale x in place by the mean and std of `like` (by 1 where that std is 0)
+    mean, std = float(like.mean()), float(like.std()) or 1.0
+    np.divide(np.subtract(x, mean, out=x), std, out=x)
 
 
 def _check_blobs(num_classes: int, samples_per_class: int, dims: int, spread: float) -> None:

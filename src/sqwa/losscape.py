@@ -213,27 +213,21 @@ def _surface_rows(xs: np.ndarray, ys: np.ndarray, plane: LossPlane, template: Ne
     # order, _points_per_pass points per kernel call. A pass's points are
     # built in one broadcast, (origin + x * u_hat) + y * v_hat as in
     # grid_point, and in quantized mode their weight columns are quantized
-    # in one call, as quantized_grid_point does one point. The stack, its
-    # scratch, the step vector and the kernel's temporaries are made once
-    # per block.
+    # in place in one call, as quantized_grid_point does one point. The
+    # step vector and the kernel's temporaries are made once per block.
     px, py = np.repeat(xs, len(ys))[:, None], np.tile(ys, len(xs))[:, None]
-    per_pass = min(len(px), _points_per_pass(template, len(dataset.labels)))
-    stack = np.empty((per_pass, template.flat.size))
-    work = np.empty_like(stack)
+    per_pass = _points_per_pass(template, len(dataset.labels))
     nw = template.weight_size
     step_of = _weight_steps(template, bits, steps) if mode == "quantized" else None
     scratch: dict = {}
-    loss = np.empty(len(px))
-    acc = np.empty(len(px))
+    loss, acc = np.empty(len(px)), np.empty(len(px))
     for start in range(0, len(px), per_pass):
         done = slice(start, start + per_pass)
-        x, y = px[done], py[done]
-        points, tmp = stack[:len(x)], work[:len(x)]
-        np.multiply(x, plane.u_hat, out=points)
+        points = px[done] * plane.u_hat
         points += plane.origin
-        points += np.multiply(y, plane.v_hat, out=tmp)
+        points += py[done] * plane.v_hat
         if step_of is not None:
-            _quantize(points[:, :nw], step_of, bits, out=points[:, :nw], work=tmp[:, :nw])
+            _quantize(points[:, :nw], step_of, bits, out=points[:, :nw])
         loss[done], acc[done] = _evaluate_stack(template, points, dataset, _EVAL_BATCH_SIZE,
                                                 scratch)
     return loss.reshape(len(xs), len(ys)), acc.reshape(len(xs), len(ys))

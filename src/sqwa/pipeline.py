@@ -28,7 +28,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .averaging import AveragedModel, CaptureBank, average_models, requantize_averaged
-from .data import Dataset, _check_blobs, load_idx, synthetic_blobs
+from .data import Dataset, _check_blobs, _normalize, load_idx, synthetic_blobs
 from .nn import (LayerSpec, Network, _check_batch_size, _check_optimizer, _is_int, evaluate,
                  forward, init_weights, output_shapes)
 from .qat import ShadowModel, _check_finetune, finetune, fit, retrain
@@ -286,8 +286,11 @@ def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
         test = synthetic_blobs(d.num_classes, d.test_samples_per_class, d.dims, d.spread,
                                d.test_seed)
         return train, test
-    train = load_idx(d.train_images, d.train_labels, normalize=d.normalize, layout=d.layout)
-    test = load_idx(d.test_images, d.test_labels, normalize=d.normalize, layout=d.layout)
+    train = load_idx(d.train_images, d.train_labels, normalize=False, layout=d.layout)
+    test = load_idx(d.test_images, d.test_labels, normalize=False, layout=d.layout)
+    if d.normalize:  # both splits by the train split's statistics, the test split first
+        for split in (test, train):
+            _normalize(split.images, train.images)
     return train, test
 
 

@@ -34,9 +34,7 @@ class ShadowModel:
     Invariant: applied weights equal quantize(shadow weights) under the
     frozen `steps`, and applied biases mirror the shadow biases. Both
     networks share one parameter layout. Construction builds the per-element
-    steps and the re-quantizer's scratch buffer once; the first refresh
-    builds the weight and bias views of both buffers, again only when a
-    network is replaced.
+    steps and the re-quantizer's scratch buffer once.
     """
 
     shadow: Network
@@ -49,7 +47,6 @@ class ShadowModel:
             raise ValueError("shadow and applied network disagree in layout")
         self._step_of = _weight_steps(self.shadow, self.bits, self.steps)
         self._work = np.empty(self.shadow.weight_size)
-        self._halves = (None, None)
 
     @staticmethod
     def from_network(net: Network, bits: int, steps: list[float] | None = None) -> "ShadowModel":
@@ -64,14 +61,9 @@ class ShadowModel:
     def refresh_applied(self) -> None:
         """Re-quantize the shadow's weight region into the applied view and
         copy the biases."""
-        halves = self._halves
-        if halves[0] is not self.shadow.flat or halves[1] is not self.applied.flat:
-            nw, shadow, applied = self.shadow.weight_size, self.shadow.flat, self.applied.flat
-            halves = self._halves = (shadow, applied, shadow[:nw], applied[:nw], shadow[nw:],
-                                     applied[nw:])
-        _, _, shadow_w, applied_w, shadow_b, applied_b = halves
-        _quantize(shadow_w, self._step_of, self.bits, out=applied_w, work=self._work)
-        applied_b[...] = shadow_b
+        nw, shadow, applied = self.shadow.weight_size, self.shadow.flat, self.applied.flat
+        _quantize(shadow[:nw], self._step_of, self.bits, out=applied[:nw], work=self._work)
+        applied[nw:] = shadow[nw:]
 
     def as_quantized(self) -> QuantizedModel:
         """Deep-copied snapshot of the applied model."""

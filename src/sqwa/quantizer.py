@@ -158,13 +158,16 @@ def quantize_network(net: Network, bits: int, steps: list[float]) -> Network:
 class QuantizedModel:
     """A network whose weight tensors sit on the quantizer grid.
 
-    `steps` holds one step size per parameterized layer, in layer order.
-    Biases are full precision.
+    `steps` holds one step size per parameterized layer, in layer order,
+    checked with `bits` at construction. Biases are full precision.
     """
 
     net: Network
     bits: int
     steps: list[float]
+
+    def __post_init__(self):
+        _weight_steps(self.net, self.bits, self.steps)
 
 
 def direct_quantize_model(net: Network, bits: int) -> QuantizedModel:

@@ -359,6 +359,23 @@ def _unknown_layer_field(manifest):
     return manifest
 
 
+def _negate_first(key):
+    def tamper(manifest):
+        manifest["quantization"][key][0] *= -1
+        return manifest
+    return tamper
+
+
+def _offset_past_payload(manifest):
+    manifest["tensors"][-1]["offset"] = manifest["payload_bytes"] + 8
+    return manifest
+
+
+def _bank_bits_plus_one(manifest):
+    manifest["bits"] += 1
+    return manifest
+
+
 def _bank():
     model = ShadowModel.from_network(_net(117), 2)
     bank = CaptureBank(model.bits, list(model.steps))
@@ -380,6 +397,17 @@ TAMPERINGS = {
     "zero-denominator": ("averaged", _set_quantization("denominator", 0), "'denominator'"),
     "layer-with-unknown-field": ("network", _unknown_layer_field, "'layers'"),
     "bank-without-entries": ("bank", _drop("entries"), "'entries'"),
+    # the manifest, unlike the payload, is not covered by the checksum
+    "bits-not-an-integer": ("quantized", _set_quantization("bits", "two"), "'quantization'"),
+    "steps-not-positive": ("quantized", _set_quantization("steps", [-1.0, 0.0]),
+                           "'quantization'"),
+    "one-step-for-two-layers": ("quantized", _set_quantization("steps", [0.5]),
+                                "'quantization'"),
+    "negative-base-step": ("averaged", _negate_first("base_steps"), "'quantization'"),
+    "shadow-steps-not-positive": ("shadow", _set_quantization("steps", [-1.0, 0.0]),
+                                  "'quantization'"),
+    "offset-past-payload": ("network", _offset_past_payload, "'offset'"),
+    "bank-bits-differ-from-entries": ("bank", _bank_bits_plus_one, "bits and steps"),
 }
 
 
@@ -397,6 +425,16 @@ def test_a_tampered_manifest_is_a_checkpoint_error_naming_path_and_field(tmp_pat
     assert main(["eval", "--output-dir", str(tmp_path / "run"),
                  "--checkpoint", str(tmp_path / "t")]) == 1
     assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_a_quantized_record_of_any_integer_bit_width_loads(tmp_path):
+    # levels_count takes any integer >= 1, so 99 bits is a valid record
+    ckpt.save(direct_quantize_model(_net(121), 2), tmp_path / "q")
+    mp = tmp_path / "q" / "manifest.json"
+    manifest = json.loads(mp.read_text())
+    manifest["quantization"]["bits"] = 99
+    mp.write_text(json.dumps(manifest))
+    assert ckpt.load(tmp_path / "q").bits == 99
 
 
 def test_missing_manifest_rejected(tmp_path):

@@ -343,7 +343,9 @@ def test_a_capture_bank_given_as_a_model_is_an_error_line(tmp_path, capsys):
     out = tmp_path / "run"
     for argv in (["eval", *_cli_args(out), "--checkpoint", bank_dir],
                  ["losscape", *_cli_args(out), "--models", bank_dir, entry, entry,
-                  "--resolution", "3", "--out", str(out / "s.csv")]):
+                  "--resolution", "3", "--out", str(out / "s.csv")],
+                 ["losscape", *_cli_args(out), "--models", bank_dir, entry, entry,
+                  "--mode", "quantized", "--resolution", "3", "--out", str(out / "s.csv")]):
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == (
@@ -415,7 +417,10 @@ def test_default_recipe_outputs_are_pinned(default_run_101):
     # its kernels without FMA (OPENBLAS_CORETYPE=Prescott or Sandybridge)
     # two evaluation losses in metrics.csv move by one ulp, and the float64
     # shadow weights of every capture differ in their last bits; summary.txt
-    # and the other payloads still match.
+    # and the other payloads still match. The 14 capture payloads also depend
+    # on numpy's SIMD dispatch: float64 np.exp takes another loop under
+    # AVX-512, and with NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL
+    # X86_V4" (X86_V3 too) all 14 differ while every other file matches.
     out, _ = default_run_101
     written = {str(p.relative_to(out)) for p in out.rglob("payload.bin")} | \
         {"metrics.csv", "summary.txt"}
@@ -1100,6 +1105,23 @@ def test_an_idx_dataset_with_no_paths_is_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: dataset.train_images: an idx dataset needs a path\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_both_idx_splits_are_scaled_by_the_train_split_statistics(tmp_path, normalize):
+    # test pixels from another range than the train pixels, so that the two
+    # splits' own statistics differ
+    from sqwa.data import read_idx, write_idx
+    d = _idx_dict(tmp_path)
+    d["dataset"]["normalize"] = normalize
+    write_idx(d["dataset"]["test_images"],
+              np.random.default_rng(13).integers(200, 256, size=(30, 4, 4)))
+    train, test = pipeline.build_datasets(RunConfig.from_dict(d).resolve())
+    raw = {split: read_idx(d["dataset"][f"{split}_images"]).astype(np.float64).reshape(30, 16)
+           for split in ("train", "test")}
+    mean, std = (raw["train"].mean(), raw["train"].std()) if normalize else (0.0, 1.0)
+    np.testing.assert_array_equal(train.images, (raw["train"] - mean) / std)
+    np.testing.assert_array_equal(test.images, (raw["test"] - mean) / std)
 
 
 def test_an_idx_dataset_of_an_unknown_layout_is_rejected_at_resolve_by_name(tmp_path):
