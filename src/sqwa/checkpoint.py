@@ -19,6 +19,10 @@ save and a reload would give.
 
 Capture banks are directories of entry checkpoints plus an ordering
 manifest.
+
+One table, `_KINDS`, describes each model kind for both save and load; a
+manifest value that is missing, of the wrong type or refused is a
+`CheckpointError` naming the path and the field.
 """
 
 from __future__ import annotations
@@ -26,13 +30,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .averaging import AveragedModel, CaptureBank, CaptureEntry
-from .nn import LayerSpec, Network
+from .nn import LayerSpec, Network, _is_int
 from .qat import ShadowModel
 from .quantizer import QuantizedModel
 
@@ -63,54 +66,60 @@ def _level_bytes(arr: np.ndarray, scale: float, name: str) -> tuple[str, bytes]:
     return encoding, np.ascontiguousarray(levels, dtype=_LEVEL_DTYPES[encoding]).tobytes()
 
 
-def _field(record, key: str, where: str):
-    # record[key] of a manifest record, or a CheckpointError naming `where`
-    # and the field when the record lacks it (or is no JSON object)
+def _read(record, key: str, where, make=None):
+    # record[key] of a manifest record, or make(record[key]). A missing or
+    # null value, a value of the wrong type and make's refusal are each a
+    # CheckpointError naming `where` and the field.
     value = record.get(key) if isinstance(record, dict) else None
     if value is None:
-        raise CheckpointError(f"{where} lacks {key!r}")
-    return value
+        raise CheckpointError(f"{where}: manifest {key!r} is missing")
+    try:
+        return value if make is None else make(value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        reason = f"lacks {exc}" if isinstance(exc, KeyError) else f"refused: {exc}"
+        raise CheckpointError(f"{where}: manifest {key!r} {reason}") from exc
 
 
-def _decode(desc: dict, payload: bytes, where) -> np.ndarray:
-    where = f"{where}: tensor {desc['name']!r}"
-    encoding = _field(desc, "encoding", where)
+def _decode(desc: dict, payload: bytes, out: np.ndarray) -> None:
+    # the tensor `desc` describes, read from the payload into `out`, a view
+    # of the shape the topology gives it
+    encoding, shape, offset = desc["encoding"], tuple(desc["shape"]), desc["offset"]
     dtype = _FLOAT_DTYPES.get(encoding) or _LEVEL_DTYPES.get(encoding)
     if dtype is None:
-        raise CheckpointError(f"{where}: unknown tensor encoding {encoding!r}")
-    shape, offset = tuple(_field(desc, "shape", where)), _field(desc, "offset", where)
-    try:
-        t = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)), offset=offset)
-        t = t.astype(np.float64).reshape(shape)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{where}: 'offset' {offset!r}, 'shape' {shape}: {exc}") from exc
-    return t * _field(desc, "scale", where) if encoding in _LEVEL_DTYPES else t
+        raise ValueError(f"unknown tensor encoding {encoding!r}")
+    if shape != out.shape:
+        raise ValueError(f"shape mismatch, payload {shape} vs topology {out.shape}")
+    if not (_is_int(offset) and 0 <= offset <= len(payload) - out.size * np.dtype(dtype).itemsize):
+        raise ValueError(f"'offset' {offset!r}, 'shape' {list(shape)}: reaches past the payload")
+    t = np.frombuffer(payload, dtype, out.size, offset).astype(np.float64).reshape(shape)
+    out[...] = t * desc["scale"] if encoding in _LEVEL_DTYPES else t
 
 
-def _parts(obj):
-    """(kind, network, quantization record, weight streams) of a model. The
-    network gives the topology and the biases; each weight stream is
-    (tensor suffix, source network, encoding, per-layer scales or None),
-    where the encoding "levels" stores integer levels of the scales."""
-    if isinstance(obj, Network):
-        return "network", obj, None, [("weight", obj, "f32", None)]
-    if isinstance(obj, QuantizedModel):
-        return ("quantized", obj.net, {"bits": obj.bits, "steps": list(obj.steps)},
-                [("weight", obj.net, "levels", obj.steps)])
-    if isinstance(obj, ShadowModel):
-        return ("shadow", obj.shadow, {"bits": obj.bits, "steps": list(obj.steps)},
-                [("shadow_weight", obj.shadow, "f64", None),
-                 ("applied_weight", obj.applied, "levels", obj.steps)])
-    if isinstance(obj, AveragedModel):
-        quantization = {
-            "bits": obj.effective_bits,
-            "base_steps": list(obj.base_steps),
-            "denominator": obj.count,
-            "effective_bits": obj.effective_bits,
-        }
-        return ("averaged", obj.net, quantization,
-                [("weight", obj.net, "levels", [s / obj.count for s in obj.base_steps])])
-    raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
+# model type -> (kind, quantization record as {manifest key: attribute},
+# weight streams as (tensor suffix, network attribute, encoding), per-layer
+# scales of its "levels" streams). A "levels" stream stores each weight as
+# an integer level of its layer's scale. A plain network is its own stream
+# and has no record. An averaged model's grid is base_step / count; its
+# record repeats effective_bits as bits, and a load takes effective_bits.
+_KINDS = {
+    Network: ("network", None, [("weight", None, "f32")], None),
+    QuantizedModel: ("quantized", {"bits": "bits", "steps": "steps"},
+                     [("weight", "net", "levels")], lambda m: m.steps),
+    ShadowModel: ("shadow", {"bits": "bits", "steps": "steps"},
+                  [("shadow_weight", "shadow", "f64"), ("applied_weight", "applied", "levels")],
+                  lambda m: m.steps),
+    AveragedModel: ("averaged", {"bits": "effective_bits", "base_steps": "base_steps",
+                                 "denominator": "count", "effective_bits": "effective_bits"},
+                    [("weight", "net", "levels")], lambda m: [s / m.count for s in m.base_steps]),
+}
+
+
+def _kind(kind: str) -> type:
+    # the model type a manifest's kind names
+    for cls, row in _KINDS.items():
+        if row[0] == kind:
+            return cls
+    raise ValueError(f"{kind!r} is not a model checkpoint kind")
 
 
 def write_atomic(files: dict[Path, str]) -> None:
@@ -138,17 +147,23 @@ def write_json(path: Path, obj) -> None:
 
 def _encode(obj, provenance: dict | None = None) -> tuple[dict, bytes]:
     # (manifest, payload) of a model, as `save` writes them: per weighted
-    # layer its weight stream(s), then its bias if it has one
-    kind, net, quantization, streams = _parts(obj)
+    # layer its weight stream(s), then its bias if it has one. The first
+    # stream's network gives the topology and the biases.
+    cls = next((cls for cls in _KINDS if isinstance(obj, cls)), None)
+    if cls is None:
+        raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
+    kind, fields, streams, scales = _KINDS[cls]
+    sources = [obj if attr is None else getattr(obj, attr) for _, attr, _ in streams]
+    net, level_scales = sources[0], scales and scales(obj)
     chunks, descriptors, offset = [], [], 0
     for j, i in enumerate(net.param_layers()):
-        tensors = [(f"layer{i}.{suffix}", source.weights[i], encoding,
-                    None if scales is None else scales[j])
-                   for suffix, source, encoding, scales in streams]
+        tensors = [(f"layer{i}.{suffix}", source.weights[i], encoding)
+                   for (suffix, _, encoding), source in zip(streams, sources)]
         if net.biases[i] is not None:
-            tensors.append((f"layer{i}.bias", net.biases[i], "f32", None))
-        for name, arr, encoding, scale in tensors:
-            if encoding in _FLOAT_DTYPES:
+            tensors.append((f"layer{i}.bias", net.biases[i], "f32"))
+        for name, arr, encoding in tensors:
+            scale = level_scales[j] if encoding == "levels" else None
+            if scale is None:
                 with np.errstate(over="ignore"):    # refused just below
                     stored = np.ascontiguousarray(arr, dtype=_FLOAT_DTYPES[encoding])
                 if not np.isfinite(stored).all():
@@ -168,7 +183,7 @@ def _encode(obj, provenance: dict | None = None) -> tuple[dict, bytes]:
         "input_shape": list(net.input_shape),
         "layers": [s.to_dict() for s in net.specs],
         "provenance": provenance,
-        "quantization": quantization,
+        "quantization": fields and {key: getattr(obj, attr) for key, attr in fields.items()},
         "tensors": descriptors,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "payload_bytes": len(payload),
@@ -185,13 +200,18 @@ def save(obj, path, provenance: dict | None = None) -> Path:
     return _write(path, *_encode(obj, provenance))
 
 
-def _write(path: Path, manifest: dict, payload: bytes) -> Path:
-    # An earlier manifest goes first: it must not vouch for a torn payload.
-    # Looked for, as unlink(missing_ok=True) raises and catches on every fresh save.
+def _write(path: Path, manifest: dict, payload: bytes | None = None, parts=()) -> Path:
+    # The payload, or each (subdirectory, (manifest, payload)) of `parts`,
+    # then the manifest. An earlier manifest goes first: it must not vouch
+    # for a torn payload or for a bank's new entries. Looked for, as
+    # unlink(missing_ok=True) raises and catches on every fresh save.
     path.mkdir(parents=True, exist_ok=True)
     if (path / "manifest.json").is_file():
         (path / "manifest.json").unlink()
-    (path / "payload.bin").write_bytes(payload)
+    if payload is not None:
+        (path / "payload.bin").write_bytes(payload)
+    for sub, encoded in parts:
+        _write(path / sub, *encoded)
     write_json(path / "manifest.json", manifest)
     return path
 
@@ -220,8 +240,8 @@ def load_manifest(path) -> dict:
 
 
 def _read_payload(path: Path, manifest: dict) -> bytes:
-    size = _field(manifest, "payload_bytes", f"{path}: manifest")
-    digest = _field(manifest, "payload_sha256", f"{path}: manifest")
+    size = _read(manifest, "payload_bytes", path)
+    digest = _read(manifest, "payload_sha256", path)
     payload = (path / "payload.bin").read_bytes()
     if len(payload) != size:
         raise CheckpointError(f"{path}: payload is {len(payload)} bytes, manifest "
@@ -231,60 +251,36 @@ def _read_payload(path: Path, manifest: dict) -> bytes:
     return payload
 
 
-def _rebuild_network(manifest: dict, payload: bytes, where,
-                     weight_name="weight") -> Network:
-    fields = f"{where}: manifest"
-    try:
-        specs = [LayerSpec(**d) for d in _field(manifest, "layers", fields)]
-    except TypeError as exc:  # an entry that is no object, or has an unknown field
-        raise CheckpointError(f"{where}: unreadable layer in manifest 'layers': {exc}") from exc
-    # a network of the topology's shapes; the payload overwrites every tensor
-    net = Network(_field(manifest, "input_shape", fields), specs)
-    descriptors = {_field(d, "name", f"{where}: a tensor"): d
-                   for d in _field(manifest, "tensors", fields)}
-    for i in net.param_layers():
-        for name, view in ((f"layer{i}.{weight_name}", net.weights[i]),
-                           (f"layer{i}.bias", net.biases[i])):
-            if view is None:
-                continue
-            if name not in descriptors:
-                raise CheckpointError(f"{name}: tensor missing from payload")
-            t = _decode(descriptors[name], payload, where)
-            if t.shape != view.shape:
-                raise CheckpointError(f"{name}: shape mismatch, payload {t.shape} vs "
-                                      f"topology {view.shape}")
-            view[...] = t
-    return net
-
-
-# kind -> its model class, each network's weight tensor and the record's fields
-_RECORDS = {"quantized": (QuantizedModel, ("weight",), ("bits", "steps")),
-            "shadow": (ShadowModel, ("shadow_weight", "applied_weight"), ("bits", "steps")),
-            "averaged": (AveragedModel, ("weight",),
-                         ("denominator", "base_steps", "effective_bits"))}
-
-
 def _decode_model(manifest: dict, payload: bytes, where) -> object:
-    kind = _field(manifest, "kind", f"{where}: manifest")
-    if kind == "network":
-        return _rebuild_network(manifest, payload, where)
-    if kind not in _RECORDS:
-        raise CheckpointError(f"{where}: unknown checkpoint kind {kind!r}")
-    make, weight_names, keys = _RECORDS[kind]
-    record = _field(manifest, "quantization", f"{where}: manifest")
-    values = [_field(record, key, f"{where}: manifest 'quantization'") for key in keys]
-    nets = [_rebuild_network(manifest, payload, where, name) for name in weight_names]
-    try:  # each model checks its own record
-        return make(*nets, *values)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{where}: manifest 'quantization' refused: {exc}") from exc
+    # The topology, the tensor list and the biases are read once; each
+    # weight stream then fills one network of that topology. Tensors are
+    # fields of the manifest by their names.
+    cls = _read(manifest, "kind", where, _kind)
+    _, fields, streams, _ = _KINDS[cls]
+    specs = _read(manifest, "layers", where, lambda layers: [LayerSpec(**d) for d in layers])
+    net = _read(manifest, "input_shape", where, lambda shape: Network(shape, specs))
+    tensors = _read(manifest, "tensors", where, lambda ts: {t["name"]: t for t in ts})
+    for i in net.param_layers():
+        if net.biases[i] is not None:
+            _read(tensors, f"layer{i}.bias", where, lambda d: _decode(d, payload, net.biases[i]))
+    nets = {}
+    for suffix, attr, _ in streams:
+        nets[attr] = stream = net.copy() if nets else net
+        for i in net.param_layers():
+            _read(tensors, f"layer{i}.{suffix}", where,
+                  lambda d: _decode(d, payload, stream.weights[i]))
+    if fields is None:
+        return net
+    # each model checks its own record
+    return _read(manifest, "quantization", where,
+                 lambda q: cls(**nets, **{attr: q[key] for key, attr in fields.items()}))
 
 
 def load(path):
     """Load whatever `save` wrote at `path`, verifying checksum and shapes."""
     path = Path(path)
     manifest = load_manifest(path)
-    if _field(manifest, "kind", f"{path}: manifest") == "capture-bank":
+    if _read(manifest, "kind", path) == "capture-bank":
         return _load_bank(path, manifest)
     return _decode_model(manifest, _read_payload(path, manifest), path)
 
@@ -294,39 +290,29 @@ def _save_bank(bank: CaptureBank, path: Path, provenance=None) -> Path:
     # entry that cannot be stored leaves nothing on disk
     encoded = [_encode(ShadowModel(e.shadow, e.model.net, bank.bits, list(bank.steps)),
                        {"epoch": e.epoch}) for e in bank.entries]
-    path.mkdir(parents=True, exist_ok=True)
-    if (path / "manifest.json").is_file():  # an old bank's must not vouch for new entries
-        (path / "manifest.json").unlink()
-    entries = []
-    for k, (entry, (entry_manifest, payload)) in enumerate(zip(bank.entries, encoded)):
-        sub = f"entry_{k:03d}"
-        _write(path / sub, entry_manifest, payload)
-        entries.append({"epoch": entry.epoch, "metrics": entry.metrics, "dir": sub})
+    dirs = [f"entry_{k:03d}" for k in range(len(encoded))]
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": "capture-bank",
         "bits": bank.bits,
         "steps": list(bank.steps),
-        "entries": entries,
+        "entries": [{"epoch": e.epoch, "metrics": e.metrics, "dir": sub}
+                    for e, sub in zip(bank.entries, dirs)],
         "provenance": provenance,
     }
-    write_json(path / "manifest.json", manifest)
-    return path
+    return _write(path, manifest, parts=zip(dirs, encoded))
 
 
 def _load_bank(path: Path, manifest: dict) -> CaptureBank:
-    fields = f"{path}: manifest"
-    bank = CaptureBank(_field(manifest, "bits", fields), list(_field(manifest, "steps", fields)))
-    for rec in _field(manifest, "entries", fields):
-        where = f"{path}: manifest entry"
-        sub = path / _field(rec, "dir", where)
+    bank = CaptureBank(_read(manifest, "bits", path), _read(manifest, "steps", path, list))
+    for rec in _read(manifest, "entries", path, list):
+        sub = _read(rec, "dir", path, path.joinpath)
         if not (sub / "manifest.json").is_file():
-            raise CheckpointError(f"{path}: capture bank incomplete, missing {rec['dir']}")
-        sm = load(sub)
-        entry = CaptureEntry(_field(rec, "epoch", where), sm.as_quantized(), sm.shadow,
-                             dict(_field(rec, "metrics", where)))
-        try:
-            bank.add(entry)
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"{where} {rec['dir']!r}: {exc}") from exc
+            raise CheckpointError(f"{path}: capture bank incomplete, missing {sub.name}")
+        entry = load_manifest(sub)   # read as a model: a bank, this one too, is refused
+        sm = _decode_model(entry, _read_payload(sub, entry), sub)
+        # an entry that is no shadow, or that the bank refuses, faults 'entries'
+        _read(manifest, "entries", path, lambda _: bank.add(CaptureEntry(
+            rec["epoch"], QuantizedModel(sm.applied, sm.bits, sm.steps), sm.shadow,
+            dict(rec["metrics"]))))
     return bank

@@ -121,9 +121,9 @@ def _check_blobs(num_classes: int, samples_per_class: int, dims: int, spread: fl
     # The settings synthetic_blobs accepts. The centers are +e_k for the
     # first `dims` classes, then -e_k, so more classes than 2 * dims would
     # collide.
-    if num_classes < 2 or samples_per_class < 1 or dims < 1 or spread <= 0.0:
+    if num_classes < 2 or samples_per_class < 1 or dims < 1 or not 0.0 < spread < np.inf:
         raise ValueError("need num_classes >= 2, samples_per_class >= 1, "
-                         "dims >= 1, spread > 0")
+                         "dims >= 1, spread > 0 and finite")
     if num_classes > 2 * dims:
         raise ValueError(f"{num_classes} classes need dims >= {-(-num_classes // 2)}")
 

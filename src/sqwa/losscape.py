@@ -19,13 +19,14 @@ import csv
 import json
 import math
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import write_atomic
-from .nn import _EVAL_BATCH_SIZE, Network, _evaluate_stack, output_shapes
+from .nn import _EVAL_BATCH_SIZE, Network, _evaluate_stack, _is_int, output_shapes
 from .quantizer import _quantize, _weight_steps
 
 __all__ = [
@@ -254,6 +255,13 @@ def _surface_rows_in_workers(blocks: list[tuple]) -> list[tuple[np.ndarray, np.n
                 "the main script, so a script that calls evaluate_surface must keep its "
                 "top-level code under `if __name__ == \"__main__\":`")
         raise BrokenProcessPool(f"a loss-surface worker process died ({exc}){hint}") from exc
+    finally:
+        # Linux lists the shut-down pool's joined threads for a few ms more;
+        # wait, at most about 0.1 s, until the probe reads one thread again,
+        # so that a next surface in this process forks its workers too
+        deadline = time.monotonic() + 0.1
+        while method == "fork" and not _runs_one_thread() and time.monotonic() < deadline:
+            time.sleep(0.001)
 
 
 def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
@@ -289,8 +297,8 @@ def evaluate_surface(plane: LossPlane, template: Network, dataset, *,
         raise ValueError("quantized mode needs bits and per-layer steps")
     if mode == "full_precision" and (bits is not None or steps is not None):
         raise ValueError("full_precision mode quantizes nothing: give no bits or steps")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2 per axis")
+    if not (_is_int(resolution) and resolution >= 2):
+        raise ValueError(f"resolution must be an integer >= 2 per axis, got {resolution!r}")
     if not 0.0 <= margin < math.inf:   # NaN fails both
         raise ValueError(f"margin must be finite and >= 0, got {margin}")
     if plane.origin.shape != template.flat.shape:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Network
+from .nn import Network, _is_size
 
 __all__ = [
     "QuantizerConfig",
@@ -39,7 +39,7 @@ _SEARCH_TOL = 1e-6
 
 def levels_count(bits: int) -> int:
     """Number of representable levels: 2^b - 1 for b >= 2, and 2 for b = 1."""
-    if not isinstance(bits, (int, np.integer)) or bits < 1:
+    if not _is_size(bits):
         raise ValueError(f"bit width must be an integer >= 1, got {bits!r}")
     return 2 if bits == 1 else 2 ** bits - 1
 

@@ -10,6 +10,7 @@ each complete period, where the rate sits at the cycle minimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -31,8 +32,8 @@ class StepDecaySchedule:
     total_epochs: int
 
     def __post_init__(self):
-        if self.initial_lr <= 0.0:
-            raise ValueError("initial_lr must be positive")
+        if not 0.0 < self.initial_lr < math.inf:
+            raise ValueError(f"initial_lr must be positive and finite, got {self.initial_lr}")
         if not (0.0 < self.factor < 1.0):
             raise ValueError("factor must lie in (0, 1)")
         if self.total_epochs < 1:
@@ -70,8 +71,8 @@ class CyclicalSchedule:
     total_epochs: int
 
     def __post_init__(self):
-        if not (self.max_lr > self.min_lr > 0.0):
-            raise ValueError("need max_lr > min_lr > 0")
+        if not (math.inf > self.max_lr > self.min_lr > 0.0):
+            raise ValueError(f"need finite max_lr > min_lr > 0, got {self.max_lr}, {self.min_lr}")
         if self.mid_steps not in (1, 2):
             raise ValueError(f"mid_steps must be 1 or 2, got {self.mid_steps}")
         if self.period < self.mid_steps + 2:

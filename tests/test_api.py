@@ -1,13 +1,21 @@
 """Every public callable of sqwa takes public types: no parameter of a
 name in a module's `__all__`, or of a public method of such a class, is
-annotated with a `_`-prefixed name."""
+annotated with a `_`-prefixed name. The library's constructors refuse a
+non-finite or boolean value where they are built."""
 
 import importlib
 import inspect
+import math
 import pkgutil
 import re
 
+import numpy as np
+import pytest
+
 import sqwa
+from sqwa import build_plane, evaluate_surface, levels_count, synthetic_blobs
+from sqwa.nn import dense, init_weights
+from sqwa.schedule import CyclicalSchedule, StepDecaySchedule
 
 MODULES = ["sqwa", *(f"sqwa.{m.name}" for m in pkgutil.iter_modules(sqwa.__path__))]
 
@@ -50,3 +58,31 @@ def test_public_callables_take_public_types():
     offenders = {name: found for name, fn in checked.items()
                  if (found := _private_annotations(fn))}
     assert offenders == {}
+
+
+def _surface_at(resolution):
+    net = init_weights([dense(2, 2)], (2,), seed=5)
+    plane = build_plane(net.flat, net.flat + 1.0, net.flat + np.arange(net.flat.size))
+    return evaluate_surface(plane, net, synthetic_blobs(2, 3, 2, 0.5, seed=5),
+                            resolution=resolution)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: synthetic_blobs(2, 3, 2, math.nan, seed=0), "spread > 0 and finite",
+                 id="blobs-spread-nan"),
+    pytest.param(lambda: synthetic_blobs(2, 3, 2, math.inf, seed=0), "spread > 0 and finite",
+                 id="blobs-spread-inf"),
+    pytest.param(lambda: StepDecaySchedule(math.nan, 0.1, (2,), 4),
+                 "initial_lr must be positive and finite, got nan", id="step-decay-nan"),
+    pytest.param(lambda: StepDecaySchedule(math.inf, 0.1, (2,), 4),
+                 "initial_lr must be positive and finite, got inf", id="step-decay-inf"),
+    pytest.param(lambda: CyclicalSchedule(math.inf, 0.1, 3, 1, 6),
+                 "need finite max_lr > min_lr > 0, got inf, 0.1", id="cyclical-max-inf"),
+    pytest.param(lambda: levels_count(True), "bit width must be an integer >= 1, got True",
+                 id="levels-count-bool"),
+    pytest.param(lambda: _surface_at(2.5),
+                 "resolution must be an integer >= 2 per axis, got 2.5", id="surface-resolution"),
+])
+def test_a_constructor_refuses_a_non_finite_or_boolean_value(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -339,6 +339,20 @@ def _drop(key):
     return tamper
 
 
+def _set(key, value):
+    def tamper(manifest):
+        manifest[key] = value
+        return manifest
+    return tamper
+
+
+def _set_layer(index, key, value):
+    def tamper(manifest):
+        manifest["layers"][index][key] = value
+        return manifest
+    return tamper
+
+
 def _set_quantization(key, value):
     def tamper(manifest):
         if key is None:
@@ -376,6 +390,11 @@ def _bank_bits_plus_one(manifest):
     return manifest
 
 
+def _bank_entry_is_the_bank(manifest):
+    manifest["entries"][0]["dir"] = "."
+    return manifest
+
+
 def _bank():
     model = ShadowModel.from_network(_net(117), 2)
     bank = CaptureBank(model.bits, list(model.steps))
@@ -408,6 +427,13 @@ TAMPERINGS = {
                                   "'quantization'"),
     "offset-past-payload": ("network", _offset_past_payload, "'offset'"),
     "bank-bits-differ-from-entries": ("bank", _bank_bits_plus_one, "bits and steps"),
+    # the topology and the tensor list are read through the same refusals
+    "input-shape-does-not-fit": ("network", _set("input_shape", [9]), "'input_shape'"),
+    "zero-fan-in": ("network", _set_layer(0, "fan_in", 0), "'layers'"),
+    "unknown-layer-kind": ("network", _set_layer(1, "kind", "pool"), "'layers'"),
+    "tensors-not-a-list": ("network", _set("tensors", 5), "'tensors'"),
+    # an entry is read as a model, never loaded as a bank in turn
+    "bank-entry-is-the-bank": ("bank", _bank_entry_is_the_bank, "'payload_bytes'"),
 }
 
 
@@ -435,6 +461,33 @@ def test_a_quantized_record_of_any_integer_bit_width_loads(tmp_path):
     manifest["quantization"]["bits"] = 99
     mp.write_text(json.dumps(manifest))
     assert ckpt.load(tmp_path / "q").bits == 99
+
+
+def test_a_load_builds_one_network_per_weight_stream(tmp_path, monkeypatch):
+    # The topology is read once per checkpoint; a shadow's second stream
+    # fills a copy of the first network, and a bank entry's quantized model
+    # is its applied network, not a third copy.
+    model = ShadowModel.from_network(_net(118), 2)
+    bank = CaptureBank(model.bits, list(model.steps))
+    for epoch in (3, 7, 11):
+        bank.add(CaptureEntry(epoch, model.as_quantized(), model.shadow.copy(), {}))
+    built = []
+    real = Network.__post_init__
+    monkeypatch.setattr(Network, "__post_init__", lambda net: (built.append(net), real(net)))
+    expected = {"network": 1, "quantized": 1, "shadow": 2, "averaged": 1, "bank": 6}
+    for kind, count in expected.items():
+        ckpt.save(bank if kind == "bank" else ROUND_TRIP_CASES[kind](), tmp_path / kind)
+        built.clear()
+        back = ckpt.load(tmp_path / kind)
+        assert len(built) == count, kind
+    assert [id(e.model.net) for e in back.entries] == [id(net) for net in built[1::2]]
+
+
+def test_a_bank_entry_that_holds_no_shadow_is_refused(tmp_path):
+    ckpt.save(_bank(), tmp_path / "t")
+    ckpt.save(_net(), tmp_path / "t" / "entry_000")
+    with pytest.raises(CheckpointError, match=r"manifest 'entries' refused: 'Network' object"):
+        ckpt.load(tmp_path / "t")
 
 
 def test_missing_manifest_rejected(tmp_path):

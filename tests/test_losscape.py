@@ -400,6 +400,40 @@ def test_the_thread_probe_reads_one_thread_with_blas_pinned_to_one():
     assert proc.stdout.strip() == "True", proc.stderr
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread listing")
+def test_back_to_back_surfaces_all_fork_with_blas_pinned_to_one(tmp_path):
+    # A shut-down pool's joined threads stay listed for a few ms; a surface
+    # that started right after read two threads and spawned its workers.
+    script = tmp_path / "back_to_back.py"
+    script.write_text(textwrap.dedent("""
+        import multiprocessing
+        from sqwa import losscape
+        from sqwa.data import synthetic_blobs
+        from sqwa.losscape import build_plane, evaluate_surface, params_to_vector
+        from sqwa.nn import dense, init_weights, relu
+
+        if __name__ == "__main__":
+            methods, real_get_context = [], multiprocessing.get_context
+            multiprocessing.get_context = lambda method=None: (
+                methods.append(method), real_get_context(method))[1]
+            losscape._usable_cores = lambda: 2
+            losscape._MIN_BLOCK_SAMPLES = 1
+            nets = [init_weights([dense(3, 6), relu(), dense(6, 2)], (3,), seed=s)
+                    for s in (95, 96, 97)]
+            plane = build_plane(*[params_to_vector(n) for n in nets])
+            data = synthetic_blobs(2, 6, 3, 0.5, seed=95)
+            for _ in range(20):
+                evaluate_surface(plane, nets[0], data, resolution=4)
+            print(*methods)
+    """))
+    env = {**_env_with_src(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["fork"] * 20
+
+
 def _surface_in_a_daemon(plane, template, data):
     # three cores on offer, but a daemonic process may start no workers
     with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1, 2}, create=True):
